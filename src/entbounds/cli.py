@@ -12,13 +12,17 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .continuity import (
     BallSpec,
+    BorderRow2x2,
+    BorderRow2xN,
+    CorridorRow,
     ball_constants,
     border_scan_2x2,
     border_scan_2xn,
@@ -33,7 +37,6 @@ from .errors import (
     SizeCapError,
     StateFileError,
     StateValidityError,
-    UndefinedRateError,
 )
 from .linalg import DEFAULT_SIZE_CAP, trace_distance
 from .measures import (
@@ -46,7 +49,13 @@ from .measures import (
     log_negativity,
     von_neumann_entropy,
 )
-from .mixing import MixtureSpec, binomial_window, tail_mass_scan, verify_mixing_bound
+from .mixing import (
+    MixtureSpec,
+    TailScanRow,
+    binomial_window,
+    tail_mass_scan,
+    verify_mixing_bound,
+)
 from .protocols import catalytic_rate, concentration_curve, eta_continuity_scan
 from .stateio import atomic_write_text, load_state
 from .states import maximally_mixed
@@ -98,8 +107,22 @@ MEASURES = {
 }
 
 
+def finite_float(text: str) -> float:
+    """A float argument that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=1) + "\n"
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+
+
+def _table(cls, rows, drop=()) -> tuple[list[str], list[list]]:
+    """CSV header and rows from the fields of a row dataclass."""
+    header = [f.name for f in fields(cls) if f.name not in drop]
+    return header, [[getattr(row, name) for name in header] for row in rows]
 
 
 def _csv_text(config: RunConfig, header: list[str], rows: list[list], extra_comments=()) -> str:
@@ -128,11 +151,7 @@ def cmd_measure(args, config: RunConfig) -> int:
     fn = MEASURES[args.measure]
     record = fn(state, args.budget, config.seed).as_record()
     if config.fmt == "csv":
-        text = _csv_text(
-            config,
-            ["value", "kind", "method"],
-            [[record["value"], record["kind"], record["method"]]],
-        )
+        text = _csv_text(config, list(record), [list(record.values())])
     else:
         text = _json_text({"audit": config.audit(), **record})
     _emit(config, text)
@@ -162,12 +181,7 @@ def cmd_tail_scan(args, config: RunConfig) -> int:
     if not ns:
         raise ValueError("n-list must contain at least one copy count")
     rows = tail_mass_scan(args.p, ns, args.half_width)
-    text = _csv_text(
-        config,
-        ["n", "window_lo", "window_hi", "tail_mass", "hoeffding_bound"],
-        [[r.n, r.window_lo, r.window_hi, r.tail_mass, r.hoeffding_bound] for r in rows],
-    )
-    _emit(config, text)
+    _emit(config, _csv_text(config, *_table(TailScanRow, rows)))
     return EXIT_OK
 
 
@@ -224,44 +238,12 @@ def cmd_ball_scan(args, config: RunConfig) -> int:
         if stem.endswith(".json"):
             stem = stem[: -len(".json")]
         _emit(config, text, path=config.out)
-        corridor_csv = _csv_text(
-            config,
-            [
-                "p",
-                "kappa",
-                "scaled_ed_center",
-                "ec_mixture",
-                "margin_center_side",
-                "scaled_ed_mixture",
-                "ec_center",
-                "margin_mixture_side",
-                "passed",
-                "reverse_mix_available",
-            ],
-            [
-                [
-                    row.p,
-                    row.kappa,
-                    row.scaled_ed_center,
-                    row.ec_mixture,
-                    row.margin_center_side,
-                    row.scaled_ed_mixture,
-                    row.ec_center,
-                    row.margin_mixture_side,
-                    row.passed,
-                    row.reverse_mix_available,
-                ]
-                for row in corridor.rows
-            ],
-        )
+        corridor_csv = _csv_text(config, *_table(CorridorRow, corridor.rows))
         _emit(config, corridor_csv, path=stem + "_corridor.csv")
         lipschitz_csv = _csv_text(
             config,
-            ["sample", "trace_distance", "on_surface", "bound"],
-            [
-                [r["sample"], r["trace_distance"], r["on_surface"], r["bound"]]
-                for r in lipschitz_rows
-            ],
+            list(lipschitz_rows[0]),
+            [list(row.values()) for row in lipschitz_rows],
         )
         _emit(config, lipschitz_csv, path=stem + "_lipschitz.csv")
     return EXIT_OK if corridor.all_passed else EXIT_CERTIFICATION
@@ -272,9 +254,7 @@ def cmd_border_scan(args, config: RunConfig) -> int:
         raise ValueError("grid must contain at least 2 points")
     grid = np.linspace(0.0, 1.0, args.grid)
     if args.system == "2x2":
-        rows = border_scan_2x2(param_grid=grid)
-        header = ["param", "eof", "log_neg", "ppt_margin"]
-        table = [[r.param, r.eof, r.log_neg, r.ppt_margin] for r in rows]
+        table = _table(BorderRow2x2, border_scan_2x2(param_grid=grid))
     else:
         rows = border_scan_2xn(
             param_grid=grid,
@@ -282,18 +262,13 @@ def cmd_border_scan(args, config: RunConfig) -> int:
             budget=args.budget,
             seed=config.seed,
         )
-        if args.include_eof:
-            header = ["param", "log_neg", "ppt_margin", "eof_upper"]
-            table = [[r.param, r.log_neg, r.ppt_margin, r.eof_upper] for r in rows]
-        else:
-            header = ["param", "log_neg", "ppt_margin"]
-            table = [[r.param, r.log_neg, r.ppt_margin] for r in rows]
-    _emit(config, _csv_text(config, header, table))
+        table = _table(BorderRow2xN, rows, drop=() if args.include_eof else ("eof_upper",))
+    _emit(config, _csv_text(config, *table))
     return EXIT_OK
 
 
 def cmd_concentration(args, config: RunConfig) -> int:
-    lambdas = [float(x) for x in args.lambdas.split(",") if x.strip()]
+    lambdas = [finite_float(x) for x in args.lambdas.split(",") if x.strip()]
     ns = [int(x) for x in args.n_list.split(",") if x.strip()]
     if not lambdas or not ns:
         raise ValueError("lambdas and n-list must be non-empty")
@@ -356,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--tolerance",
-        type=float,
+        type=finite_float,
         default=None,
         help="override the default 1e-9 certification slack",
     )
@@ -382,20 +357,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixing-verify", parents=[shared], help="check the truncated-mixture trace-distance bound")
     p.add_argument("rho_file")
     p.add_argument("sigma_file")
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=finite_float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--half-width", type=float, default=None)
+    p.add_argument("--half-width", type=finite_float, default=None)
     p.set_defaults(func=cmd_mixing_verify)
 
     p = sub.add_parser("tail-scan", parents=[shared], help="binomial window tail masses vs the Hoeffding ceiling")
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=finite_float, required=True)
     p.add_argument("--n-list", required=True, help="comma-separated copy counts")
-    p.add_argument("--half-width", type=float, default=None)
+    p.add_argument("--half-width", type=finite_float, default=None)
     p.set_defaults(func=cmd_tail_scan)
 
     p = sub.add_parser("ball-scan", parents=[shared], help="sample a trace-distance ball and certify the corridor")
     p.add_argument("center_file")
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--p-points", type=int, default=20)
     p.add_argument("--budget", type=int, default=2000)
@@ -414,16 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_concentration)
 
     p = sub.add_parser("eta-scan", parents=[shared], help="hashing yield of a contaminated maximally entangled state")
-    p.add_argument("--eps-start", type=float, default=1e-4)
-    p.add_argument("--eps-stop", type=float, default=1e-1)
+    p.add_argument("--eps-start", type=finite_float, default=1e-4)
+    p.add_argument("--eps-stop", type=finite_float, default=1e-1)
     p.add_argument("--eps-points", type=int, default=20)
     p.add_argument("--xi-file", default=None, help="contamination state (default: maximally mixed)")
     p.set_defaults(func=cmd_eta_scan)
 
     p = sub.add_parser("catalytic", parents=[shared], help="rate gain from a catalytic side resource")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--ec-sigma", type=float, required=True)
-    p.add_argument("--ed-rho-p", type=float, required=True)
+    p.add_argument("--delta", type=finite_float, required=True)
+    p.add_argument("--ec-sigma", type=finite_float, required=True)
+    p.add_argument("--ed-rho-p", type=finite_float, required=True)
     p.set_defaults(func=cmd_catalytic)
 
     return parser
@@ -450,7 +425,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (BallNotCertifiedError, UndefinedRateError) as exc:
+    except BallNotCertifiedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     except StateValidityError as exc:

@@ -31,53 +31,43 @@ class ValidationReport:
     passed: bool
 
 
-def _diagnose(entries: np.ndarray) -> ValidationReport:
-    herm = float(np.max(np.abs(entries - entries.conj().T)))
-    trace_defect = float(abs(entries.trace() - 1.0))
-    sym = (entries + entries.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    passed = (
-        herm <= HERMITICITY_TOL
-        and trace_defect <= TRACE_TOL
-        and min_eig >= PSD_FLOOR
-    )
-    return ValidationReport(herm, trace_defect, min_eig, passed)
-
-
 def _check_state(entries: np.ndarray) -> None:
+    """Raise StateValidityError unless entries satisfy the three invariants.
+
+    The passing path is a hermiticity check, a trace check and one
+    Cholesky of entries - PSD_FLOOR*I, which succeeds iff the minimum
+    eigenvalue exceeds PSD_FLOOR; eigvalsh runs only to fill the
+    ValidationReport of a failure.
+    """
+    if not np.all(np.isfinite(entries)):
+        raise StateValidityError("entries must be finite (no NaN or infinity)")
     herm = float(np.max(np.abs(entries - entries.conj().T)))
-    if herm > HERMITICITY_TOL:
-        raise StateValidityError(
-            f"hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL:.0e}",
-            report=_diagnose(entries),
-        )
     trace_defect = float(abs(entries.trace() - 1.0))
-    if trace_defect > TRACE_TOL:
-        raise StateValidityError(
-            f"trace defect {trace_defect:.3e} exceeds {TRACE_TOL:.0e}",
-            report=_diagnose(entries),
-        )
-    # Cholesky of entries - PSD_FLOOR*I succeeds iff min eigenvalue > PSD_FLOOR;
-    # much cheaper than a full eigendecomposition on the happy path.
-    try:
-        np.linalg.cholesky(entries - PSD_FLOOR * np.eye(entries.shape[0]))
-        return
-    except np.linalg.LinAlgError:
-        pass
-    report = _diagnose(entries)
-    if not report.passed:
-        raise StateValidityError(
-            f"minimum eigenvalue {report.min_eigenvalue:.3e} below {PSD_FLOOR:.0e}",
-            report=report,
-        )
+    if herm <= HERMITICITY_TOL and trace_defect <= TRACE_TOL:
+        try:
+            np.linalg.cholesky(entries - PSD_FLOOR * np.eye(entries.shape[0]))
+            return
+        except np.linalg.LinAlgError:
+            pass
+    min_eig = float(np.linalg.eigvalsh((entries + entries.conj().T) / 2.0)[0])
+    if herm > HERMITICITY_TOL:
+        message = f"hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"
+    elif trace_defect > TRACE_TOL:
+        message = f"trace defect {trace_defect:.3e} exceeds {TRACE_TOL:.0e}"
+    elif min_eig < PSD_FLOOR:
+        message = f"minimum eigenvalue {min_eig:.3e} below {PSD_FLOOR:.0e}"
+    else:
+        return  # Cholesky failed within rounding of the floor
+    report = ValidationReport(herm, trace_defect, min_eig, passed=False)
+    raise StateValidityError(message, report=report)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A bipartite mixed state with explicit local dimensions.
 
-    Invariants (enforced at construction unless check=False):
-    Hermitian within 1e-10 elementwise, unit trace within 1e-10,
+    Invariants (enforced at construction unless check=False): finite
+    entries, Hermitian within 1e-10 elementwise, unit trace within 1e-10,
     and smallest eigenvalue >= -1e-9.  Pass check=False only for
     diagnostic loads; such objects still get their shape validated.
     """
@@ -182,15 +172,6 @@ def kron_ab(
     return np.ascontiguousarray(t.reshape(side, side))
 
 
-def tensor(a: DensityMatrix, b: DensityMatrix, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
-    """Tensor product with A parties grouped together and B parties likewise."""
-    side = a.side * b.side
-    if side > cap:
-        raise SizeCapError(side, cap)
-    entries = kron_ab(a.entries, (a.dim_a, a.dim_b), b.entries, (b.dim_a, b.dim_b))
-    return DensityMatrix(a.dim_a * b.dim_a, a.dim_b * b.dim_b, entries)
-
-
 def tensor_power(rho: DensityMatrix, n: int, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -264,25 +245,3 @@ def mix(rho: DensityMatrix, sigma: DensityMatrix, p: float) -> DensityMatrix:
 def schmidt_decompose(psi: PureState) -> SchmidtForm:
     m = psi.amplitudes.reshape(psi.dim_a, psi.dim_b)
     return SchmidtForm(np.linalg.svd(m, compute_uv=False))
-
-
-def apply_one_sided_channel(
-    rho: DensityMatrix, kraus_ops: list[np.ndarray], party: str = "A"
-) -> DensityMatrix:
-    """Apply sum_i (K_i x 1) rho (K_i x 1)^dag (or the B-sided mirror)."""
-    if party not in ("A", "B"):
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    out = np.zeros_like(rho.entries)
-    for k in kraus_ops:
-        k = np.asarray(k, dtype=complex)
-        if party == "A":
-            big = np.kron(k, np.eye(rho.dim_b))
-        else:
-            big = np.kron(np.eye(rho.dim_a), k)
-        out = out + big @ rho.entries @ big.conj().T
-    return DensityMatrix(rho.dim_a, rho.dim_b, out)
-
-
-def validate(rho: DensityMatrix) -> ValidationReport:
-    """Full diagnostic pass; never raises."""
-    return _diagnose(rho.entries)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, StateValidityError
 from .linalg import DensityMatrix, PureState, partial_transpose, schmidt_decompose
+from .sampling import haar_qr
 from .states import bell_basis
 
 EIG_CLAMP_FLOOR = -1e-9
@@ -37,6 +38,8 @@ class MeasureValue:
         object.__setattr__(self, "value", float(self.value))
         if self.kind not in (KIND_EXACT, KIND_LOWER, KIND_UPPER):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if not np.isfinite(self.value):
+            raise ValueError(f"measure values are finite, got {self.value}")
         if self.value < 0.0:
             raise ValueError(f"measure values are non-negative, got {self.value}")
 
@@ -373,11 +376,7 @@ def _coisometry_stream(rng, count, k, r):
     """count random r x k co-isometries; draws are per-restart interleaved
     so the j-th restart sees the same numbers for any total count >= j."""
     g = rng.standard_normal((count, k, r, 2))
-    gc = g[..., 0] + 1j * g[..., 1]
-    q, rr = np.linalg.qr(gc)
-    diag = np.einsum("mii->mi", rr).copy()
-    diag /= np.abs(diag)
-    return (q * diag[:, None, :]).conj().transpose(0, 2, 1)
+    return haar_qr(g[..., 0] + 1j * g[..., 1]).conj().transpose(0, 2, 1)
 
 
 def _compress_start(a, w, kp, fallback_rng):
@@ -390,11 +389,7 @@ def _compress_start(a, w, kp, fallback_rng):
     eigs, vecs = np.linalg.eigh(gram)
     if eigs[0] < 1e-8:
         g = fallback_rng.standard_normal((kp, r, 2))
-        gc = g[..., 0] + 1j * g[..., 1]
-        q, rr = np.linalg.qr(gc)
-        diag = np.diag(rr).copy()
-        diag /= np.abs(diag)
-        return a @ (q * diag).conj().T
+        return a @ haar_qr(g[..., 0] + 1j * g[..., 1]).conj().T
     t = (vecs * (1.0 / np.sqrt(eigs))) @ vecs.conj().T @ s
     return a @ t
 

@@ -10,7 +10,6 @@ mixed state (1-p) rho + p sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -89,15 +88,23 @@ def _binom_pmf(ls: np.ndarray, n: int, p: float) -> np.ndarray:
     return np.exp(logs)
 
 
+def _tail_mass(n: int, p: float, lo: int, hi: int) -> float:
+    """Binomial(n, p) mass outside [lo, hi], summed from the outside terms.
+
+    Summing the outside terms directly stays accurate when the tail is
+    far below the rounding floor of 1 - (inside sum).
+    """
+    outside = np.concatenate([np.arange(0, lo), np.arange(hi + 1, n + 1)])
+    return min(float(np.sum(_binom_pmf(outside, n, p))), 1.0)
+
+
 def binomial_window(
     n: int, p: float, half_width: float | None = None
 ) -> tuple[tuple[int, int], float]:
     """Window [max(0, ceil(np-w)), min(n, floor(np+w))] and its tail mass.
 
     The default half-width n^(2/3) makes the window total at desk-scale
-    n, so nontrivial tails require narrowing it explicitly.  The tail
-    is accumulated from the outside terms directly, which stays accurate
-    when it is far below the rounding floor of 1 - (inside sum).
+    n, so nontrivial tails require narrowing it explicitly.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -112,74 +119,54 @@ def binomial_window(
         raise EmptyWindowError(
             f"window [{lo}, {hi}] for n={n}, p={p}, half_width={w} is empty"
         )
-    outside = np.concatenate([np.arange(0, lo), np.arange(hi + 1, n + 1)])
-    tail = float(np.sum(_binom_pmf(outside, n, p))) if outside.size else 0.0
-    return (lo, hi), min(tail, 1.0)
-
-
-def symmetric_block(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    n: int,
-    l: int,
-    cap: int = DEFAULT_SIZE_CAP,
-) -> DensityMatrix:
-    """Average of all C(n, l) position patterns with l factors sigma."""
-    if (rho.dim_a, rho.dim_b) != (sigma.dim_a, sigma.dim_b):
-        raise DimensionMismatchError("rho and sigma must share dimensions")
-    if not 0 <= l <= n:
-        raise ValueError(f"l must lie in [0, {n}], got {l}")
-    side = rho.side**n
-    if side > cap:
-        raise SizeCapError(side, cap)
-    da, db = rho.dim_a, rho.dim_b
-    acc = np.zeros((side, side), dtype=complex)
-    count = 0
-    for positions in combinations(range(n), l):
-        chosen = set(positions)
-        entries = None
-        cur_da, cur_db = 1, 1
-        for slot in range(n):
-            factor = sigma if slot in chosen else rho
-            if entries is None:
-                entries = factor.entries
-            else:
-                entries = kron_ab(
-                    entries, (cur_da, cur_db), factor.entries, (da, db)
-                )
-            cur_da *= da
-            cur_db *= db
-        acc += entries
-        count += 1
-    return DensityMatrix(rho.dim_a**n, rho.dim_b**n, acc / count)
+    return (lo, hi), _tail_mass(n, p, lo, hi)
 
 
 def build_truncated_mixture(
     spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP
 ) -> TruncatedMixture:
-    """Pi = sum over window of Binomial(n, p)(l) * block(l) / (1 - tail)."""
+    """Pi = sum over window of Binomial(n, p)(l) * block(l) / (1 - tail).
+
+    block(l) averages the C(n, l) placements of l factors sigma among n
+    copies.  The weighted sums S_m(l) = Binomial(m, p)(l) * block_m(l)
+    obey S_m(l) = S_{m-1}(l) x (1-p) rho + S_{m-1}(l-1) x p sigma, so Pi
+    is built copy by copy, keeping only the l that can still reach the
+    window.  The last copy closes the window sum with two krons.
+    """
+    n, p = spec.n, spec.p
     lo, hi = spec.window
-    side = spec.rho.side**spec.n
+    side = spec.rho.side**n
     if side > cap:
         raise SizeCapError(side, cap)
-    inside = np.arange(lo, hi + 1)
-    weights = _binom_pmf(inside, spec.n, spec.p)
-    outside = np.concatenate([np.arange(0, lo), np.arange(hi + 1, spec.n + 1)])
-    tail = float(np.sum(_binom_pmf(outside, spec.n, spec.p))) if outside.size else 0.0
-    tail = min(tail, 1.0)
-    kept = float(np.sum(weights))
+    kept = float(np.sum(_binom_pmf(np.arange(lo, hi + 1), n, p)))
     if kept <= 0.0:
         raise ValueError("window carries no probability mass (tail mass 1)")
+    dims = (spec.rho.dim_a, spec.rho.dim_b)
+    factors = ((0, (1.0 - p) * spec.rho.entries), (1, p * spec.sigma.entries))
+    blocks = {0: np.ones((1, 1), dtype=complex)}
+    for m in range(1, n):
+        prev = (dims[0] ** (m - 1), dims[1] ** (m - 1))
+        blocks = {
+            l: sum(
+                kron_ab(blocks[l - shift], prev, factor, dims)
+                for shift, factor in factors
+                if l - shift in blocks
+            )
+            for l in range(max(0, lo - (n - m)), min(m, hi) + 1)
+        }
+    prev = (dims[0] ** (n - 1), dims[1] ** (n - 1))
     acc = np.zeros((side, side), dtype=complex)
-    for l, weight in zip(inside, weights):
-        block = symmetric_block(spec.rho, spec.sigma, spec.n, int(l), cap=cap)
-        acc += weight * block.entries
-    pi = DensityMatrix(spec.rho.dim_a**spec.n, spec.rho.dim_b**spec.n, acc / kept)
+    for shift, factor in factors:
+        window = [blocks[l] for l in range(lo - shift, hi - shift + 1) if l in blocks]
+        if window:
+            acc += kron_ab(sum(window), prev, factor, dims)
+    acc /= kept
+    pi = DensityMatrix(dims[0] ** n, dims[1] ** n, acc)
     return TruncatedMixture(
         pi=pi,
-        tail_mass=tail,
+        tail_mass=_tail_mass(n, p, lo, hi),
         window=(lo, hi),
-        rho_copies_max=spec.n - lo,
+        rho_copies_max=n - lo,
         sigma_copies_max=hi,
     )
 

@@ -2,8 +2,7 @@
 
 Concentration of pure states into singlets by measuring the type class
 of the Schmidt spectrum, hashing yields after depolarization toward a
-target Bell state, rate records for mixed-state conversion, and the
-rate gain from a catalytic side resource.
+target Bell state, and the rate gain from a catalytic side resource.
 """
 
 from __future__ import annotations
@@ -13,17 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import UndefinedRateError
 from .linalg import DensityMatrix, mix
-from .measures import (
-    KIND_LOWER,
-    MeasureValue,
-    binary_entropy,
-    ec_upper,
-    ed_lower,
-    hashing_yield,
-    twirl_to_bell_diagonal,
-)
+from .measures import hashing_yield, twirl_to_bell_diagonal
 from .states import phi_plus
 
 LOG2 = float(np.log(2.0))
@@ -41,14 +31,6 @@ class YieldCurve:
             raise ValueError("copy counts must be strictly increasing")
         if any(val < 0 for _, val in self.points):
             raise ValueError("yields must be non-negative")
-
-
-@dataclass(frozen=True)
-class ConversionRate:
-    rate: float
-    numerator: MeasureValue
-    denominator: MeasureValue
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -71,6 +53,8 @@ def _check_distribution(weights: np.ndarray) -> np.ndarray:
     weights = np.asarray(weights, dtype=float).ravel()
     if weights.size == 0:
         raise ValueError("distribution must have at least one entry")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("distribution entries must be finite")
     if np.any(weights < -1e-12):
         raise ValueError("distribution entries must be non-negative")
     total = float(np.sum(weights))
@@ -119,26 +103,6 @@ def concentration_curve(schmidt_squares, n_list) -> YieldCurve:
     )
 
 
-def conversion_rate(
-    rho: DensityMatrix, sigma: DensityMatrix, budget: int = 2000, seed: int = 0
-) -> ConversionRate:
-    """Lower bound on copies of sigma reachable per copy of rho.
-
-    Distill rho, then dilute into sigma: the ratio ed_lower(rho) over
-    ec_upper(sigma) survives as a rate lower bound.  Vacuous bounds on
-    either side leave the ratio undefined.
-    """
-    num = ed_lower(rho)
-    den = ec_upper(sigma, budget=budget, seed=seed)
-    if num.value <= 0.0:
-        raise UndefinedRateError("distillable lower bound on rho is vacuous (0)")
-    if den.value <= 0.0:
-        raise UndefinedRateError("cost upper bound on sigma is 0; rate diverges")
-    return ConversionRate(
-        rate=num.value / den.value, numerator=num, denominator=den, kind=KIND_LOWER
-    )
-
-
 def eta_continuity_scan(xi: DensityMatrix, eps_grid) -> list[EtaScanRow]:
     """Hashing yield of (1-eps) phi_plus + eps xi over a grid of eps.
 
@@ -166,11 +130,11 @@ def catalytic_rate(delta: float, ec_sigma: float, ed_rho_p: float) -> CatalyticR
     with k = 1/ec - 1/ed, an improvement whenever sigma is cheaper to
     create than the mixture is to distill.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
-    if ec_sigma <= 0.0:
+    if not ec_sigma > 0.0:
         raise ValueError("ec_sigma must be positive")
-    if ed_rho_p <= 0.0:
+    if not ed_rho_p > 0.0:
         raise ValueError("ed_rho_p must be positive")
     ratio = delta / ec_sigma
     p = ratio / (1.0 + ratio)

@@ -1,4 +1,4 @@
-"""Seeded random states, unitaries and channels for tests and sweeps."""
+"""Seeded random states, isometries and unitaries for tests and sweeps."""
 
 from __future__ import annotations
 
@@ -60,36 +60,26 @@ def random_separable_state(
     return DensityMatrix(dim_a, dim_b, out)
 
 
-def random_unitary(dim: int, seed=None) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    rng = ensure_rng(seed)
-    q, r = np.linalg.qr(_ginibre(dim, dim, rng))
-    phases = np.diag(r).copy()
+def haar_qr(g: np.ndarray) -> np.ndarray:
+    """Q factor of Ginibre draws g, shape (..., rows, cols), with the phase fix.
+
+    Each column of Q is multiplied by the phase of the matching diagonal
+    entry of R, which makes the result Haar-distributed; the leading axes
+    are a batch of independent draws.
+    """
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., None, :]
 
 
 def random_isometry(rows: int, cols: int, seed=None) -> np.ndarray:
     """rows x cols matrix V with V^dag V = identity (requires rows >= cols)."""
     if rows < cols:
         raise ValueError("isometry needs rows >= cols")
-    rng = ensure_rng(seed)
-    q, r = np.linalg.qr(_ginibre(rows, cols, rng))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return haar_qr(_ginibre(rows, cols, ensure_rng(seed)))
 
 
-def random_kraus_set(dim: int, count: int, seed=None) -> list[np.ndarray]:
-    """Kraus operators of a random channel, via a Stinespring isometry."""
-    v = random_isometry(dim * count, dim, seed)
-    return [v[i * dim : (i + 1) * dim, :] for i in range(count)]
-
-
-def random_local_unitary_conjugate(rho: DensityMatrix, seed=None) -> DensityMatrix:
-    """Conjugate by a product unitary u_A x u_B."""
-    rng = ensure_rng(seed)
-    ua = random_unitary(rho.dim_a, rng)
-    ub = random_unitary(rho.dim_b, rng)
-    u = np.kron(ua, ub)
-    return DensityMatrix(rho.dim_a, rho.dim_b, u @ rho.entries @ u.conj().T)
+def random_unitary(dim: int, seed=None) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    return random_isometry(dim, dim, seed)

@@ -4,7 +4,7 @@ A state file is a JSON document with fields dim_a, dim_b and entries,
 where entries is a list of rows and each complex number is a two-element
 [re, im] pair.  Readers reject files violating the density-matrix
 invariants unless force=True, which loads diagnostically (structural
-problems are always rejected).
+problems, such as a bool, NaN or infinite number, are always rejected).
 """
 
 from __future__ import annotations
@@ -74,10 +74,15 @@ def loads_state(text: str, force: bool = False, cap: int = DEFAULT_SIZE_CAP) -> 
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)
+                or not all(type(x) in (int, float) for x in pair)
             ):
                 raise StateFileError(f"entry ({i},{j}) must be a [re, im] pair")
-            entries[i, j] = complex(pair[0], pair[1])
+            try:
+                entries[i, j] = complex(pair[0], pair[1])
+            except OverflowError:  # an integer beyond the float range
+                entries[i, j] = np.inf
+            if not np.isfinite(entries[i, j]):
+                raise StateFileError(f"entry ({i},{j}) must be finite")
     return DensityMatrix(dim_a, dim_b, entries, check=not force)
 
 

@@ -33,14 +33,6 @@ def phi_plus() -> PureState:
     return bell_state("phi_plus")
 
 
-def max_entangled(dim: int) -> PureState:
-    """(1/sqrt(d)) sum_i |ii> on a dim x dim system."""
-    amps = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        amps[i * dim + i] = 1.0
-    return PureState(dim, dim, amps / np.sqrt(dim))
-
-
 def maximally_mixed(dim_a: int, dim_b: int) -> DensityMatrix:
     side = dim_a * dim_b
     return DensityMatrix(dim_a, dim_b, np.eye(side) / side)
@@ -52,28 +44,6 @@ def product_state(vec_a, vec_b) -> PureState:
     a = a / np.linalg.norm(a)
     b = b / np.linalg.norm(b)
     return PureState(len(a), len(b), np.kron(a, b))
-
-
-def separable_mixture(components) -> DensityMatrix:
-    """Convex mixture of product projectors.
-
-    components: iterable of (weight, vec_a, vec_b); weights are
-    renormalized to sum to one.
-    """
-    items = [(float(w), np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-             for w, a, b in components]
-    if not items:
-        raise ValueError("at least one component required")
-    total = sum(w for w, _, _ in items)
-    if total <= 0:
-        raise ValueError("weights must have positive sum")
-    dim_a = len(items[0][1])
-    dim_b = len(items[0][2])
-    out = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-    for w, a, b in items:
-        amps = product_state(a, b).amplitudes
-        out += (w / total) * np.outer(amps, amps.conj())
-    return DensityMatrix(dim_a, dim_b, out)
 
 
 def werner(weight: float) -> DensityMatrix:

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +342,71 @@ def test_catalytic_json(capsys):
     assert payload["p"] == pytest.approx(1 / 6, rel=1e-12)
     assert payload["k"] == pytest.approx(-2.0, rel=1e-12)
     assert payload["factor"] == pytest.approx(0.8, rel=1e-12)
+
+
+# ---- non-finite input ----
+
+
+def run_cli_strict(argv, capsys):
+    """run_cli with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "pair", [[math.nan, 0.0], [math.inf, 0.0], [True, False]], ids=["nan", "inf", "bool"]
+)
+def test_non_finite_state_entries_exit_2(tmp_path, capsys, pair):
+    doc = json.loads(dumps_state(werner(0.9)))
+    doc["entries"][1][1] = pair
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for measure in ("ed_lower", "von_neumann_entropy"):
+        for extra in ([], ["--force"]):
+            code, out, err = run_cli_strict(["measure", str(path), measure, *extra], capsys)
+            assert code == cli.EXIT_INPUT
+            assert out == ""
+            assert err.startswith("error: entry (1,1)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["concentration", "--lambdas", "nan,1", "--n-list", "2"],
+        ["concentration", "--lambdas", "0.5,inf", "--n-list", "2"],
+        ["catalytic", "--delta", "nan", "--ec-sigma", "0.5", "--ed-rho-p", "0.8"],
+        ["catalytic", "--delta", "0.1", "--ec-sigma", "inf", "--ed-rho-p", "0.8"],
+        ["tail-scan", "--p", "nan", "--n-list", "4"],
+        ["eta-scan", "--eps-stop", "inf"],
+        ["measure", "x.json", "eof_2x2", "--tolerance", "nan"],
+    ],
+)
+def test_non_finite_arguments_exit_2(argv, capsys):
+    code, out, err = run_cli_strict(argv, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "finite" in err
+
+
+def test_json_reports_refuse_non_finite_numbers():
+    with pytest.raises(ValueError):
+        cli._json_text({"value": math.nan})
+
+
+def test_console_script_rejects_nan_state(tmp_path):
+    doc = json.loads(dumps_state(werner(0.9)))
+    doc["entries"][1][1] = [math.nan, 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "entbounds", "measure", str(path), "ed_lower"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == "error: entry (1,1) must be finite\n"
 
 
 # ---- console script ----

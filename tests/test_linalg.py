@@ -9,24 +9,18 @@ from entbounds.errors import (
 from entbounds.linalg import (
     DensityMatrix,
     PureState,
-    apply_one_sided_channel,
     kron_ab,
     mix,
     partial_trace,
     partial_transpose,
     schmidt_decompose,
-    tensor,
     tensor_power,
     trace_distance,
     trace_norm,
-    validate,
 )
-from entbounds.sampling import (
-    random_density_matrix,
-    random_kraus_set,
-    random_pure_state,
-)
+from entbounds.sampling import random_density_matrix, random_pure_state
 from entbounds.states import maximally_mixed, phi_plus
+from support import apply_one_sided_channel, random_kraus_set, tensor, validate
 
 
 def test_density_matrix_rejects_wrong_shape():
@@ -51,6 +45,14 @@ def test_density_matrix_rejects_negative_eigenvalue():
     m = np.array([[0.8, 0.45], [0.45, 0.2]], dtype=complex)
     with pytest.raises(StateValidityError):
         DensityMatrix(2, 1, m)
+
+
+def test_density_matrix_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[1, 1] = bad
+        with pytest.raises(StateValidityError, match="finite"):
+            DensityMatrix(2, 1, m)
 
 
 def test_density_matrix_check_false_still_validates_shape():

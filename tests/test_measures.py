@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbounds.errors import DimensionMismatchError, StateValidityError
-from entbounds.linalg import apply_one_sided_channel, mix, tensor_power
+from entbounds.linalg import mix, tensor_power
 from entbounds.measures import (
     BellDiagonalProbs,
     MeasureValue,
@@ -23,12 +23,15 @@ from entbounds.measures import (
 )
 from entbounds.sampling import (
     random_density_matrix,
-    random_kraus_set,
-    random_local_unitary_conjugate,
     random_pure_state,
     random_separable_state,
 )
 from entbounds.states import maximally_mixed, phi_plus, werner
+from support import (
+    apply_one_sided_channel,
+    random_kraus_set,
+    random_local_unitary_conjugate,
+)
 
 PHI = phi_plus().to_density_matrix()
 
@@ -216,6 +219,9 @@ def test_measure_value_validation():
         MeasureValue(-0.1, "exact", "x")
     with pytest.raises(ValueError):
         MeasureValue(0.1, "estimate", "x")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            MeasureValue(bad, "upper_bound", "x")
     assert MeasureValue(np.float64(0.5), "exact", "x").value == 0.5
     assert isinstance(MeasureValue(np.float64(0.5), "exact", "x").value, float)
 

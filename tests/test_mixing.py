@@ -13,7 +13,6 @@ from entbounds.mixing import (
     MixtureSpec,
     binomial_window,
     build_truncated_mixture,
-    symmetric_block,
     tail_mass_scan,
     verify_mixing_bound,
 )
@@ -105,26 +104,43 @@ def test_binomial_window_tail_consistency(n, p, w):
     assert tail <= 2.0 * np.exp(-2.0 * w * w / n) + 1e-12
 
 
-def test_symmetric_block_matches_brute_enumeration():
-    for n, l in ((2, 1), (3, 1), (3, 2), (3, 0)):
-        block = symmetric_block(RHO, SIGMA, n, l)
-        assert np.allclose(block.entries, brute_block(RHO, SIGMA, n, l), atol=1e-13)
+def brute_mixture(rho, sigma, p, n, window):
+    """Pi from the placement enumeration, weighted by exact binomial terms."""
+    lo, hi = window
+    weights = [comb(n, l) * p**l * (1.0 - p) ** (n - l) for l in range(lo, hi + 1)]
+    acc = sum(w * brute_block(rho, sigma, n, l) for w, l in zip(weights, range(lo, hi + 1)))
+    return acc / sum(weights)
 
 
-def test_symmetric_block_role_swap_identity():
-    # choosing positions for sigma is choosing the complement for rho
-    a = symmetric_block(RHO, SIGMA, 3, 1)
-    b = symmetric_block(SIGMA, RHO, 3, 2)
-    assert np.allclose(a.entries, b.entries, atol=1e-14)
+def test_truncated_mixture_matches_enumeration_on_every_window():
+    # edge windows (0, 0) and (n, n) leave one of the two closing sums empty
+    for n in range(1, 5):
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                built = build_truncated_mixture(MixtureSpec(RHO, SIGMA, 0.3, n, (lo, hi)))
+                expected = brute_mixture(RHO, SIGMA, 0.3, n, (lo, hi))
+                assert np.max(np.abs(built.pi.entries - expected)) < 1e-13, (n, lo, hi)
 
 
-def test_symmetric_block_argument_checks():
+def test_truncated_mixture_degenerate_p():
+    for n in (1, 3):
+        at_zero = build_truncated_mixture(MixtureSpec(RHO, SIGMA, 0.0, n, (0, n)))
+        assert np.max(np.abs(at_zero.pi.entries - tensor_power(RHO, n).entries)) < 1e-13
+        at_one = build_truncated_mixture(MixtureSpec(RHO, SIGMA, 1.0, n, (0, n)))
+        assert np.max(np.abs(at_one.pi.entries - tensor_power(SIGMA, n).entries)) < 1e-13
+        assert at_zero.tail_mass == at_one.tail_mass == 0.0
+    # a window the weight cannot reach carries no mass
     with pytest.raises(ValueError):
-        symmetric_block(RHO, SIGMA, 3, 4)
-    with pytest.raises(DimensionMismatchError):
-        symmetric_block(RHO, random_density_matrix(2, 3, seed=1), 2, 1)
-    with pytest.raises(SizeCapError):
-        symmetric_block(RHO, SIGMA, 4, 2, cap=100)
+        build_truncated_mixture(MixtureSpec(RHO, SIGMA, 0.0, 3, (1, 3)))
+
+
+def test_truncated_mixture_role_swap_identity():
+    # choosing positions for sigma is choosing the complement for rho
+    for lo, hi in ((0, 0), (1, 2), (2, 4), (4, 4)):
+        a = build_truncated_mixture(MixtureSpec(RHO, SIGMA, 0.3, 4, (lo, hi)))
+        b = build_truncated_mixture(MixtureSpec(SIGMA, RHO, 0.7, 4, (4 - hi, 4 - lo)))
+        assert np.max(np.abs(a.pi.entries - b.pi.entries)) < 1e-13
+        assert a.tail_mass == pytest.approx(b.tail_mass, abs=1e-15)
 
 
 def test_mixture_spec_validation():

@@ -15,11 +15,11 @@ from entbounds.protocols import (
     catalytic_rate,
     concentration_curve,
     concentration_yield,
-    conversion_rate,
     eta_continuity_scan,
 )
 from entbounds.sampling import random_separable_state
 from entbounds.states import maximally_mixed, phi_plus, werner
+from support import conversion_rate
 
 
 def brute_yield(lams, n):

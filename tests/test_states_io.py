@@ -7,8 +7,6 @@ from entbounds.errors import SizeCapError, StateFileError, StateValidityError
 from entbounds.linalg import partial_transpose, schmidt_decompose, trace_distance
 from entbounds.sampling import (
     random_density_matrix,
-    random_kraus_set,
-    random_local_unitary_conjugate,
     random_product_pure_state,
     random_pure_state,
     random_separable_state,
@@ -20,12 +18,16 @@ from entbounds.states import (
     bell_basis,
     bell_state,
     isotropic_2x3,
-    max_entangled,
     maximally_mixed,
     phi_plus,
     product_state,
-    separable_mixture,
     werner,
+)
+from support import (
+    max_entangled,
+    random_kraus_set,
+    random_local_unitary_conjugate,
+    separable_mixture,
 )
 
 
@@ -169,6 +171,9 @@ def test_dumps_state_structure():
         '{"dim_a": 1, "dim_b": 1, "entries": [[[1.0]]]}',
         '{"dim_a": 1, "dim_b": 1, "entries": [[[1.0, 0.0], [0.0, 0.0]]]}',
         '"just a string"',
+        '{"dim_a": 1, "dim_b": 1, "entries": [[[NaN, 0.0]]]}',
+        '{"dim_a": 1, "dim_b": 1, "entries": [[[1.0, Infinity]]]}',
+        '{"dim_a": 1, "dim_b": 1, "entries": [[[true, false]]]}',
     ],
 )
 def test_loads_state_rejects_malformed_documents(text):
