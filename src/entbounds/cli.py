@@ -286,6 +286,9 @@ def cmd_concentration(args, config: RunConfig) -> int:
 def cmd_eta_scan(args, config: RunConfig) -> int:
     if args.eps_points < 2:
         raise ValueError("eps-points must be at least 2")
+    for flag, eps in (("--eps-start", args.eps_start), ("--eps-stop", args.eps_stop)):
+        if not 0.0 < eps <= 1.0:
+            raise ValueError(f"{flag} must lie in (0, 1], got {eps!r}")
     grid = np.logspace(
         np.log10(args.eps_start), np.log10(args.eps_stop), args.eps_points
     )

@@ -38,10 +38,6 @@ class EmptyWindowError(EntboundsError):
     """A binomial window contains no integers."""
 
 
-class UndefinedRateError(EntboundsError):
-    """A conversion rate is requested where the certified bounds are vacuous."""
-
-
 class BallNotCertifiedError(EntboundsError):
     """A sampled ball leaves the certified-distillable region."""
 

@@ -389,6 +389,17 @@ def test_non_finite_arguments_exit_2(argv, capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--eps-start", "0"), ("--eps-start", "-1e-3"), ("--eps-stop", "1.5"), ("--eps-stop", "-0.0")],
+)
+def test_eta_scan_epsilon_out_of_range_exit_2(flag, value, capsys):
+    code, out, err = run_cli_strict(["eta-scan", f"{flag}={value}"], capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {flag} must lie in (0, 1], got {float(value)!r}\n"
+
+
 def test_json_reports_refuse_non_finite_numbers():
     with pytest.raises(ValueError):
         cli._json_text({"value": math.nan})

@@ -4,10 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbounds.errors import DimensionMismatchError, StateValidityError
-from entbounds.linalg import mix, tensor_power
+from entbounds.linalg import DensityMatrix, mix, tensor_power
 from entbounds.measures import (
     BellDiagonalProbs,
     MeasureValue,
+    _coisometry_stream,
+    _compress_start,
+    _givens_polish,
+    _objective,
+    _seesaw,
     binary_entropy,
     concurrence_2x2,
     ec_upper,
@@ -26,11 +31,14 @@ from entbounds.sampling import (
     random_pure_state,
     random_separable_state,
 )
-from entbounds.states import maximally_mixed, phi_plus, werner
+from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from support import (
+    _serial_givens_polish,
+    _serial_seesaw,
     apply_one_sided_channel,
     random_kraus_set,
     random_local_unitary_conjugate,
+    serial_eof_upper_general,
 )
 
 PHI = phi_plus().to_density_matrix()
@@ -276,6 +284,76 @@ def test_eof_search_monotone_in_budget_and_deterministic():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     again = eof_upper_general(rho, budget=32, seed=2).value
     assert again == values[-1]
+
+
+def _near_border_2x2() -> DensityMatrix:
+    """First Ginibre draw of rng seed 5 whose Wootters margin
+    l1 - l2 - l3 - l4 lies in [-1e-3, -1e-4]; it is about -3.1e-4.
+
+    The l_i are the singular values of sqrt(rho) (YxY) conj(sqrt(rho)).
+    """
+    yy = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+    rng = np.random.default_rng(5)
+    while True:
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m = g @ g.conj().T
+        rho = DensityMatrix(2, 2, m / np.trace(m).real)
+        w, v = np.linalg.eigh(rho.entries)
+        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        s = np.linalg.svd(root @ yy @ root.conj(), compute_uv=False)
+        if -1e-3 <= s[0] - s[1] - s[2] - s[3] <= -1e-4:
+            return rho
+
+
+@pytest.mark.parametrize(
+    "make, budget, seed",
+    [
+        # 2x2 entangled, 8 record-setting restarts
+        (lambda: random_density_matrix(2, 2, seed=1), 300, 0),
+        # separable just inside the border, 4 records
+        (_near_border_2x2, 300, 0),
+        (lambda: isotropic_2x3(0.8), 60, 7),
+        # 3x3 columns take the eigvalsh route of the column entropies
+        (lambda: random_density_matrix(3, 3, seed=11, rank=4), 32, 2),
+        # 7 records; the first one's seesaw ends at 4.7e-14, so the later
+        # six are never used
+        (lambda: random_separable_state(2, 2, seed=9), 120, 0),
+    ],
+    ids=["entangled_2x2", "near_border_2x2", "isotropic_2x3", "rank4_3x3", "separable_prefix"],
+)
+def test_eof_search_matches_serial_reference(make, budget, seed):
+    rho = make()
+    got = eof_upper_general(rho, budget=budget, seed=seed).value
+    assert got == serial_eof_upper_general(rho, budget=budget, seed=seed)
+
+
+def _search_starts(rho, seed):
+    """The search's square root of rho and four random co-isometries."""
+    eigs, vecs = np.linalg.eigh(rho.entries)
+    return vecs * np.sqrt(eigs), list(_coisometry_stream(np.random.default_rng(seed), 4, 16, 4))
+
+
+def test_stacked_polish_matches_serial_per_start():
+    # the four rows stop after 20, 20, 40 and 16 sweeps
+    a, ws = _search_starts(random_density_matrix(2, 2, seed=1), 3)
+    starts = [_compress_start(a, w, 6, None) for w in ws]
+    totals, polished = _givens_polish(np.stack(starts), 2, 2)
+    for start, total, b in zip(starts, totals, polished):
+        serial_total, serial_b = _serial_givens_polish(start.copy(), 2, 2)
+        assert total == serial_total
+        assert np.array_equal(b, serial_b)
+
+
+def test_stacked_seesaw_matches_serial_per_start():
+    # on a separable state the four rows certify after 112, 97, 114 and
+    # 103 iterations
+    a, ws = _search_starts(random_separable_state(2, 2, seed=9), 0)
+    serial = [_objective(_serial_seesaw(a, 16, 2, 2, w), 2, 2) for w in ws]
+    # shifted by 1, no value is below 1e-9 and every row runs to its end
+    shifted = _seesaw(a, 16, 2, 2, ws, lambda b: 1.0 + _objective(b, 2, 2))
+    assert list(shifted) == [1.0 + v for v in serial]
+    # unshifted, the rows after the first are never used and are dropped
+    assert list(_seesaw(a, 16, 2, 2, ws, lambda b: _objective(b, 2, 2))) == serial[:1]
 
 
 def test_eof_search_argument_validation():

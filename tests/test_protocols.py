@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbounds.errors import UndefinedRateError
 from entbounds.linalg import PureState
 from entbounds.measures import binary_entropy
 from entbounds.protocols import (
@@ -19,7 +18,7 @@ from entbounds.protocols import (
 )
 from entbounds.sampling import random_separable_state
 from entbounds.states import maximally_mixed, phi_plus, werner
-from support import conversion_rate
+from support import UndefinedRateError, conversion_rate
 
 
 def brute_yield(lams, n):
