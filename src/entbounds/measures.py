@@ -9,7 +9,6 @@ directions are never silently mixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -195,14 +194,13 @@ def ed_lower(rho: DensityMatrix) -> MeasureValue:
 
 def ec_upper(
     rho: DensityMatrix,
-    k: int | None = None,
     budget: int = DEFAULT_EOF_BUDGET,
     seed: int = 0,
 ) -> MeasureValue:
     """Upper bound on the preparation cost via entanglement of formation."""
     if (rho.dim_a, rho.dim_b) == (2, 2):
         return MeasureValue(eof_2x2(rho).value, KIND_UPPER, "ec_upper_eof_2x2")
-    general = eof_upper_general(rho, k=k, budget=budget, seed=seed)
+    general = eof_upper_general(rho, budget=budget, seed=seed)
     return MeasureValue(general.value, KIND_UPPER, "ec_upper_eof_search")
 
 
@@ -210,9 +208,9 @@ def ec_upper(
 # decomposition-search upper bound on the entanglement of formation
 #
 # A decomposition of rho into k unnormalized pure columns B (with
-# B B^dag = rho) is parameterized as B = A W, where A is the fixed
-# eigendecomposition square root and W is any r x k co-isometry
-# (W W^dag = 1).  The objective
+# B B^dag = rho) is parameterized as B = A T, where A is the fixed
+# eigendecomposition square root and T is any r x k co-isometry
+# (T T^dag = 1).  The objective
 #     f(B) = sum_i [ q_i log2 q_i - sum_s sigma_is^2 log2 sigma_is^2 ]
 # (q_i the column norms squared, sigma_is the column Schmidt values)
 # equals the average output entanglement entropy of the ensemble.
@@ -254,158 +252,71 @@ def _objective(b: np.ndarray, dim_a: int, dim_b: int) -> float:
     return float(np.sum(_column_entropies(b.T.reshape(k, dim_a, dim_b), dim_a, dim_b)))
 
 
-_PHASES = np.array([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
-_THETAS = np.linspace(-np.pi / 2, np.pi / 2, 9)
-# the 4 x 9 (phase, angle) grid, flattened row by row
-_GRID_T, _GRID_P = (g.reshape(1, -1) for g in np.meshgrid(_THETAS, _PHASES))
-
 SCORE_BLOCK = 256
-SWEEP_LIMIT = 40
-SWEEP_TOL = 1e-10
-SEESAW_ITERS = 4000
-SEESAW_TOL = 1e-15
-SEESAW_STALL_EVERY = 200
+DESCENT_LIMIT = 5000
 
 
-def _pair_eval(u, v, thetas, phis, dim_a, dim_b):
-    """Entropy of each rotated column pair.
+def _gradient(a, t, dim_a, dim_b):
+    """Z with df = 2 Re<Z, dT> for the objective of B = A T.
 
-    u, v hold one column per row, shape (R, d); thetas and phis
-    broadcast to (R, n) and so does the result.
+    For each column M of B, as a dim_a x dim_b block with G = M M^dag and
+    q = tr G, the gradient is A^dag [(log2 q - log2 G) M], the logs taken
+    on the support of G (Audenaert, Verstraete & De Moor, PRA 64, 052304).
     """
-    c = np.cos(thetas)[..., None]
-    s = (np.sin(thetas) * np.exp(1j * phis))[..., None]
-    u, v = u[:, None, :], v[:, None, :]
-    u2 = c * u + s * v
-    v2 = -np.conj(s) * u + c * v
-    shape = u2.shape[:-1] + (dim_a, dim_b)
-    return _column_entropies(u2.reshape(shape), dim_a, dim_b) + _column_entropies(
-        v2.reshape(shape), dim_a, dim_b
-    )
+    k = t.shape[1]
+    m = (a @ t).T.reshape(k, dim_a, dim_b)
+    w, v = np.linalg.eigh(m @ m.conj().transpose(0, 2, 1))
+    log_w = np.log2(np.where(w > 0, w, 1.0))
+    q = np.sum(np.maximum(w, 0.0), axis=-1)
+    log_q = np.log2(np.where(q > 0, q, 1.0))
+    zm = v @ ((log_q[:, None, None] - log_w[..., None]) * (v.conj().transpose(0, 2, 1) @ m))
+    return a.conj().T @ zm.reshape(k, -1).T
 
 
-def _pair_move(u, v, dim_a, dim_b, f0):
-    """Best two-column rotation of each row: a grid, then parabolic refinement.
+def _tangent(z, t):
+    """Projection onto the tangent space of the co-isometries at t."""
+    return z - 0.5 * (z @ t.conj().T + t @ z.conj().T) @ t
 
-    Returns the mask of rows whose best rotation lowers f0 by more than
-    1e-15, and every row's two columns under its best rotation.
+
+def _descend(a, t, dim_a, dim_b):
+    """Riemannian conjugate gradient for f(A T) over co-isometries T (T T^dag = 1).
+
+    Polak-Ribiere+ directions, a polar (SVD) retraction and Armijo
+    backtracking to the minimum of the quadratic through f, its slope and
+    the rejected value; each accepted step doubles the next trial step.
+    When no step along a conjugate direction lowers f, the search retries
+    along the gradient; it stops when that fails too, or after
+    DESCENT_LIMIT iterations.  Returns f and T, with f = _objective(A T).
     """
-    rows = np.arange(len(u))
-    idx = np.argmin(_pair_eval(u, v, _GRID_T, _GRID_P, dim_a, dim_b), axis=1)
-    point = [_GRID_T[0, idx], _GRID_P[0, idx]]  # angle, phase
-    steps = [_THETAS[1] - _THETAS[0], np.pi / 4]
-    for _ in range(2):
-        for axis in (0, 1):
-            h, x = steps[axis], point[axis]
-            grid = [point[0][:, None], point[1][:, None]]
-            grid[axis] = xs = np.stack([x - h, x, x + h], axis=1)
-            v3 = _pair_eval(u, v, *grid, dim_a, dim_b)
-            den = v3[:, 0] - 2.0 * v3[:, 1] + v3[:, 2]
-            curved = den > 1e-18
-            ratio = 0.5 * h * (v3[:, 0] - v3[:, 2]) / np.where(curved, den, 1.0)
-            cand = x + np.where(curved, np.clip(ratio, -h, h), 0.0)
-            grid[axis] = cand[:, None]
-            cv = _pair_eval(u, v, *grid, dim_a, dim_b)[:, 0]
-            j = np.argmin(v3, axis=1)
-            low = v3[rows, j]
-            took = cv < low
-            point[axis] = np.where(took, cand, xs[rows, j])
-            best = np.where(took, cv, low)
-        steps = [h / 4.0 for h in steps]
-    c = np.cos(point[0])[:, None]
-    s = (np.sin(point[0]) * np.exp(1j * point[1]))[:, None]
-    return best < f0 - 1e-15, c * u + s * v, -np.conj(s) * u + c * v
-
-
-def _givens_polish(b, dim_a, dim_b):
-    """Cyclic two-column rotations on a stack of decompositions (R, d, k).
-
-    A row stops once a sweep lowers its objective by less than SWEEP_TOL
-    and is left as it is from then on.
-    """
-    count, _, k = b.shape
-    col = _column_entropies(b.transpose(0, 2, 1).reshape(count, k, dim_a, dim_b), dim_a, dim_b)
-    total = np.sum(col, axis=-1)
-    live = np.ones(count, dtype=bool)
-    for _ in range(SWEEP_LIMIT):
-        start = total.copy()
-        for i, j in combinations(range(k), 2):
-            f0 = col[:, i] + col[:, j]
-            active = live & ~(f0 < 1e-15)
-            if not active.any():
-                continue
-            at = slice(None) if active.all() else np.flatnonzero(active)
-            moved, u2, v2 = _pair_move(b[at, :, i], b[at, :, j], dim_a, dim_b, f0[at])
-            if not moved.any():
-                continue
-            if not moved.all():
-                at = np.flatnonzero(active)[moved]
-                u2, v2 = u2[moved], v2[moved]
-            b[at, :, i] = u2
-            b[at, :, j] = v2
-            # column by column: on one 2 x dim_b column _column_entropies
-            # works on numpy scalars, whose |g01| ** 2 can differ in the last
-            # bit from the batched value, and each record must end exactly
-            # as it would refined on its own
-            col[at, i] = [_column_entropies(c.reshape(dim_a, dim_b), dim_a, dim_b) for c in u2]
-            col[at, j] = [_column_entropies(c.reshape(dim_a, dim_b), dim_a, dim_b) for c in v2]
-            total[at] = total[at] - f0[at] + col[at, i] + col[at, j]
-        live &= ~(start - total < SWEEP_TOL)
-        if not live.any():
-            break
-    return total, b
-
-
-def _rank1_truncate(cols: np.ndarray) -> np.ndarray:
-    u, s, vh = np.linalg.svd(cols)
-    return s[..., 0][..., None, None] * (u[..., :, :1] @ vh[..., :1, :])
-
-
-def _seesaw(a, k, dim_a, dim_b, w, score):
-    """Alternate between decompositions B = A W and product-column targets.
-
-    w is a sequence of R co-isometries r x k, one start per row.
-    Each half-step solves its subproblem exactly (rank-1 truncation for
-    the targets, an orthogonal Procrustes polar factor for W), so the
-    column-to-product distance is non-increasing.  It collapses to
-    machine zero exactly when a product-vector decomposition with k
-    terms is reachable, which is what certifies separable inputs.  A row
-    stops there, when SEESAW_STALL_EVERY iterations shrank that distance
-    by less than 0.1%, or after SEESAW_ITERS iterations, and score(B)
-    gives its value.  The rows
-    after the first one valued below 1e-9 are never used, so they stop
-    as soon as that value is known; the values up to it are returned.
-    """
-    w = np.stack(w)
-    count = len(w)
-    values = np.full(count, np.inf)
-    prev = np.full(count, np.inf)
-    live = np.arange(count)
-    for it in range(SEESAW_ITERS):
-        at = slice(None) if live.size == len(w) else live
-        cols = (a @ w[at]).transpose(0, 2, 1).reshape(-1, k, dim_a, dim_b)
-        targets = _rank1_truncate(cols)
-        dist = np.sum(np.abs(cols - targets) ** 2, axis=(1, 2, 3))
-        go = ~(dist < SEESAW_TOL)
-        if it % SEESAW_STALL_EVERY == SEESAW_STALL_EVERY - 1:
-            go &= ~(dist > 0.999 * prev[at])
-            prev[at] = dist
-        if not go.all():
-            for r in live[~go]:
-                values[r] = score(a @ w[r])
-                if values[r] < 1e-9:
-                    count = min(count, r + 1)
-            go &= live < count
-            live, targets = live[go], targets[go]
-            if not live.size:
+    f = _objective(a @ t, dim_a, dim_b)
+    g = _tangent(_gradient(a, t, dim_a, dim_b), t)
+    d = -g
+    step = 1.0
+    steepest = False
+    for _ in range(DESCENT_LIMIT):
+        slope = 2.0 * np.vdot(g, d).real
+        if steepest or not slope < 0.0:
+            d, slope = -g, -2.0 * np.vdot(g, g).real
+        trial = step
+        while True:
+            u, _, vh = np.linalg.svd(t + trial * d, full_matrices=False)
+            t_new = u @ vh
+            f_new = _objective(a @ t_new, dim_a, dim_b)
+            if f_new <= f + 1e-4 * trial * slope or trial < 1e-15:
                 break
-            at = live
-        x = a.conj().T @ targets.reshape(-1, k, dim_a * dim_b).transpose(0, 2, 1)
-        u, _, vh = np.linalg.svd(x, full_matrices=False)
-        w[at] = u @ vh
-    else:
-        values[live] = [score(a @ w[r]) for r in live]
-    return values[:count]
+            vertex = -slope * trial * trial / (2.0 * (f_new - f - slope * trial))
+            trial = min(max(vertex, 0.1 * trial), 0.5 * trial)
+        if not f_new < f:
+            if steepest:
+                break
+            steepest = True
+            continue
+        steepest = False
+        g_new = _tangent(_gradient(a, t_new, dim_a, dim_b), t_new)
+        beta = max(0.0, np.vdot(g_new, g_new - _tangent(g, t_new)).real / np.vdot(g, g).real)
+        t, f, g, d = t_new, f_new, g_new, -g_new + beta * _tangent(d, t_new)
+        step = 2.0 * trial
+    return f, t
 
 
 def _coisometry_stream(rng, count, k, r):
@@ -415,7 +326,7 @@ def _coisometry_stream(rng, count, k, r):
     return haar_qr(g[..., 0] + 1j * g[..., 1]).conj().transpose(0, 2, 1)
 
 
-def _compress_start(a, w, kp, fallback_rng):
+def _compress_start(w, kp, fallback_rng):
     """Restrict a co-isometry to its kp heaviest columns and repair it."""
     r = w.shape[0]
     norms = np.sum(np.abs(w) ** 2, axis=0)
@@ -425,41 +336,34 @@ def _compress_start(a, w, kp, fallback_rng):
     eigs, vecs = np.linalg.eigh(gram)
     if eigs[0] < 1e-8:
         g = fallback_rng.standard_normal((kp, r, 2))
-        return a @ haar_qr(g[..., 0] + 1j * g[..., 1]).conj().T
-    t = (vecs * (1.0 / np.sqrt(eigs))) @ vecs.conj().T @ s
-    return a @ t
+        return haar_qr(g[..., 0] + 1j * g[..., 1]).conj().T
+    return (vecs * (1.0 / np.sqrt(eigs))) @ vecs.conj().T @ s
 
 
 def eof_upper_general(
     rho: DensityMatrix,
-    k: int | None = None,
     budget: int = DEFAULT_EOF_BUDGET,
     seed: int = 0,
 ) -> MeasureValue:
     """Upper bound on the entanglement of formation by decomposition search.
 
-    Seeded random-restart co-isometries are scored in vectorized blocks.
-    Every restart that improves on all previous base scores (a record) is
-    refined: two-column rotations on a compressed active set, plus the
-    product-seesaw push.  The records are refined together, as one stack
-    per stage, after all restarts are scored; the value is the one of
-    refining each record in turn until one of them ends below 1e-9.  It
-    is monotonically non-increasing in budget and is always a valid upper
-    bound because every candidate is an explicit decomposition of rho.
+    Seeded random-restart co-isometries with side^2 columns are scored in
+    vectorized blocks.  Every restart that improves on all previous base
+    scores (a record) is compressed to rank + 2 columns and refined by
+    Riemannian conjugate gradient, record by record, until one of them
+    ends below 1e-9.  The result is monotonically non-increasing in
+    budget and is always a valid upper bound because every candidate is
+    an explicit decomposition of rho.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
     dim_a, dim_b = rho.dim_a, rho.dim_b
-    side = rho.side
-    if k is None:
-        k = side * side
+    k = rho.side * rho.side
     eigs, vecs = np.linalg.eigh((rho.entries + rho.entries.conj().T) / 2.0)
     keep = eigs > 1e-12
     lam = eigs[keep]
     basis = vecs[:, keep]
     rank = int(lam.size)
-    if k < rank:
-        raise ValueError(f"k={k} is below the state rank {rank}")
     a = basis * np.sqrt(lam)
     if rank == 1:
         value = max(float(_column_entropies(a.T.reshape(1, dim_a, dim_b), dim_a, dim_b)[0]), 0.0)
@@ -482,29 +386,14 @@ def eof_upper_general(
             best_base = float(scores[idx])
             records.append(ws[idx])
         done += m
-
-    def score(b):
-        return _objective(b, dim_a, dim_b) if _decomposition_ok(b, rho.entries) else np.inf
-
-    # The seesaw's cost is mostly its many small SVDs, which stacking does
-    # not save, and on a separable input the first record's seesaw often
-    # certifies alone.  So it runs first, and the others only if needed.
-    pushed = _seesaw(a, k, dim_a, dim_b, records[:1], score)
-    if len(records) > 1 and not pushed[0] < 1e-9:
-        pushed = np.concatenate([pushed, _seesaw(a, k, dim_a, dim_b, records[1:], score)])
-    starts = np.stack([_compress_start(a, w, kp, fallback_rng) for w in records[: len(pushed)]])
-    polished = [
-        val if _decomposition_ok(p, rho.entries) else np.inf
-        for val, p in zip(*_givens_polish(starts, dim_a, dim_b))
-    ]
-    best_val = np.inf
-    for polished_val, pushed_val in zip(polished, pushed):
-        if best_val < 1e-9:
-            break
-        best_val = min(best_val, polished_val, pushed_val)
-    return MeasureValue(
-        max(min(best_val, best_base), 0.0), KIND_UPPER, "eof_upper_general"
-    )
+    best_val = best_base
+    for w in records:
+        value, t = _descend(a, _compress_start(w, kp, fallback_rng), dim_a, dim_b)
+        if _decomposition_ok(a @ t, rho.entries):
+            best_val = min(best_val, value)
+            if value < 1e-9:
+                break
+    return MeasureValue(max(best_val, 0.0), KIND_UPPER, "eof_upper_general")
 
 
 def _decomposition_ok(b: np.ndarray, rho_entries: np.ndarray) -> bool:

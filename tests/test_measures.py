@@ -8,11 +8,9 @@ from entbounds.linalg import DensityMatrix, mix, tensor_power
 from entbounds.measures import (
     BellDiagonalProbs,
     MeasureValue,
-    _coisometry_stream,
-    _compress_start,
-    _givens_polish,
+    _descend,
+    _gradient,
     _objective,
-    _seesaw,
     binary_entropy,
     concurrence_2x2,
     ec_upper,
@@ -31,15 +29,8 @@ from entbounds.sampling import (
     random_pure_state,
     random_separable_state,
 )
-from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
-from support import (
-    _serial_givens_polish,
-    _serial_seesaw,
-    apply_one_sided_channel,
-    random_kraus_set,
-    random_local_unitary_conjugate,
-    serial_eof_upper_general,
-)
+from entbounds.states import maximally_mixed, phi_plus, werner
+from support import apply_one_sided_channel, random_kraus_set, random_local_unitary_conjugate
 
 PHI = phi_plus().to_density_matrix()
 
@@ -305,63 +296,48 @@ def _near_border_2x2() -> DensityMatrix:
             return rho
 
 
-@pytest.mark.parametrize(
-    "make, budget, seed",
-    [
-        # 2x2 entangled, 8 record-setting restarts
-        (lambda: random_density_matrix(2, 2, seed=1), 300, 0),
-        # separable just inside the border, 4 records
-        (_near_border_2x2, 300, 0),
-        (lambda: isotropic_2x3(0.8), 60, 7),
-        # 3x3 columns take the eigvalsh route of the column entropies
-        (lambda: random_density_matrix(3, 3, seed=11, rank=4), 32, 2),
-        # 7 records; the first one's seesaw ends at 4.7e-14, so the later
-        # six are never used
-        (lambda: random_separable_state(2, 2, seed=9), 120, 0),
-    ],
-    ids=["entangled_2x2", "near_border_2x2", "isotropic_2x3", "rank4_3x3", "separable_prefix"],
-)
-def test_eof_search_matches_serial_reference(make, budget, seed):
-    rho = make()
-    got = eof_upper_general(rho, budget=budget, seed=seed).value
-    assert got == serial_eof_upper_general(rho, budget=budget, seed=seed)
+def test_eof_search_certifies_near_border_state():
+    assert eof_upper_general(_near_border_2x2(), budget=120, seed=0).value <= 1e-9
 
 
-def _search_starts(rho, seed):
-    """The search's square root of rho and four random co-isometries."""
-    eigs, vecs = np.linalg.eigh(rho.entries)
-    return vecs * np.sqrt(eigs), list(_coisometry_stream(np.random.default_rng(seed), 4, 16, 4))
+def _decomposition_with_product_column(dim_a, dim_b, k, rng):
+    """A = sqrt of rho = B B^dag and the co-isometry T with A T = B, for a
+    random B of k columns whose first column is a product vector."""
+    side = dim_a * dim_b
+    b = rng.standard_normal((side, k)) + 1j * rng.standard_normal((side, k))
+    x = rng.standard_normal(dim_a) + 1j * rng.standard_normal(dim_a)
+    y = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
+    b[:, 0] = np.kron(x, y)
+    b /= np.linalg.norm(b)
+    eigs, vecs = np.linalg.eigh(b @ b.conj().T)
+    a = vecs * np.sqrt(eigs)
+    return a, np.linalg.solve(a, b)
 
 
-def test_stacked_polish_matches_serial_per_start():
-    # the four rows stop after 20, 20, 40 and 16 sweeps
-    a, ws = _search_starts(random_density_matrix(2, 2, seed=1), 3)
-    starts = [_compress_start(a, w, 6, None) for w in ws]
-    totals, polished = _givens_polish(np.stack(starts), 2, 2)
-    for start, total, b in zip(starts, totals, polished):
-        serial_total, serial_b = _serial_givens_polish(start.copy(), 2, 2)
-        assert total == serial_total
-        assert np.array_equal(b, serial_b)
-
-
-def test_stacked_seesaw_matches_serial_per_start():
-    # on a separable state the four rows certify after 112, 97, 114 and
-    # 103 iterations
-    a, ws = _search_starts(random_separable_state(2, 2, seed=9), 0)
-    serial = [_objective(_serial_seesaw(a, 16, 2, 2, w), 2, 2) for w in ws]
-    # shifted by 1, no value is below 1e-9 and every row runs to its end
-    shifted = _seesaw(a, 16, 2, 2, ws, lambda b: 1.0 + _objective(b, 2, 2))
-    assert list(shifted) == [1.0 + v for v in serial]
-    # unshifted, the rows after the first are never used and are dropped
-    assert list(_seesaw(a, 16, 2, 2, ws, lambda b: _objective(b, 2, 2))) == serial[:1]
+@pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 3)])
+def test_descent_gradient_and_value(dim_a, dim_b):
+    side = dim_a * dim_b
+    rng = np.random.default_rng(dim_a + dim_b)
+    a, t = _decomposition_with_product_column(dim_a, dim_b, side + 2, rng)
+    assert np.allclose(t @ t.conj().T, np.eye(side), atol=1e-12)
+    z = _gradient(a, t, dim_a, dim_b)
+    h = 1e-6
+    for _ in range(3):
+        e = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
+        central = (
+            _objective(a @ (t + h * e), dim_a, dim_b) - _objective(a @ (t - h * e), dim_a, dim_b)
+        ) / (2 * h)
+        assert central == pytest.approx(2 * np.vdot(z, e).real, rel=1e-6)
+    value, end = _descend(a, t, dim_a, dim_b)
+    assert value == pytest.approx(_objective(a @ end, dim_a, dim_b), abs=1e-12)
+    assert value < _objective(a @ t, dim_a, dim_b)
+    assert np.allclose(end @ end.conj().T, np.eye(side), atol=1e-12)
 
 
 def test_eof_search_argument_validation():
     rho = random_density_matrix(2, 2, seed=12)
     with pytest.raises(ValueError):
         eof_upper_general(rho, budget=0)
-    with pytest.raises(ValueError):
-        eof_upper_general(rho, k=1, budget=10)
 
 
 def test_ec_upper_dispatch():
