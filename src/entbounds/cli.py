@@ -181,7 +181,9 @@ def cmd_tail_scan(args, config: RunConfig) -> int:
     if not ns:
         raise ValueError("n-list must contain at least one copy count")
     rows = tail_mass_scan(args.p, ns, args.half_width)
-    _emit(config, _csv_text(config, *_table(TailScanRow, rows)))
+    table = _table(TailScanRow, rows, drop=("log10_tail_mass",))
+    logs = [f"log10_tail_mass n={r.n}: {r.log10_tail_mass!r}" for r in rows if r.log10_tail_mass is not None]
+    _emit(config, _csv_text(config, *table, extra_comments=logs))
     return EXIT_OK
 
 
@@ -357,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="skip state validation")
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("mixing-verify", parents=[shared], help="check the truncated-mixture trace-distance bound")
+    about = "check T(rho_p^(x n), Pi) <= tail mass; this holds for any correct Pi, so it verifies Pi's construction"
+    p = sub.add_parser("mixing-verify", parents=[shared], help=about, description=about)
     p.add_argument("rho_file")
     p.add_argument("sigma_file")
     p.add_argument("--p", type=finite_float, required=True)

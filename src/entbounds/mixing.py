@@ -9,10 +9,11 @@ mixed state (1-p) rho + p sigma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .errors import DimensionMismatchError, EmptyWindowError, SizeCapError
 from .linalg import (
@@ -73,29 +74,59 @@ class TailScanRow:
     window_hi: int
     tail_mass: float
     hoeffding_bound: float
+    log10_tail_mass: float | None = None  # set where tail or bound underflows
 
 
-def _binom_pmf(ls: np.ndarray, n: int, p: float) -> np.ndarray:
-    """Binomial weights via log-space accumulation; exact at p = 0 and 1."""
+def _binom_reach(n: int, p: float) -> np.ndarray:
+    """Indices whose Binomial(n, p) term can be nonzero in float64.
+
+    Hoeffding puts each term farther than sqrt(L n / 2) from n p below
+    e^-L, and L = 783 is 38 nats under the smallest subnormal double,
+    e^-744.4: a margin far beyond the rounding error of _binom_logpmf.
+    """
+    t = math.sqrt(783.0 * n / 2.0)
+    return np.arange(max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t)) + 1)
+
+
+def _binom_logpmf(ls, n: int, p: float) -> np.ndarray:
+    """Log binomial weights; their exp is exact at p = 0 and 1."""
     ls = np.asarray(ls, dtype=float)
-    logs = (
+    return (
         gammaln(n + 1)
         - gammaln(ls + 1)
         - gammaln(n - ls + 1)
         + xlogy(ls, p)
         + xlog1py(n - ls, -p)
     )
-    return np.exp(logs)
 
 
 def _tail_mass(n: int, p: float, lo: int, hi: int) -> float:
     """Binomial(n, p) mass outside [lo, hi], summed from the outside terms.
 
     Summing the outside terms directly stays accurate when the tail is
-    far below the rounding floor of 1 - (inside sum).
+    far below the rounding floor of 1 - (inside sum).  Only terms in the
+    reach can be nonzero, so time and memory are O(sqrt(n)).
     """
-    outside = np.concatenate([np.arange(0, lo), np.arange(hi + 1, n + 1)])
-    return min(float(np.sum(_binom_pmf(outside, n, p))), 1.0)
+    ks = _binom_reach(n, p)
+    outside = ks[(ks < lo) | (ks > hi)]
+    return min(float(np.sum(np.exp(_binom_logpmf(outside, n, p)))), 1.0)
+
+
+def _log10_tail(n: int, p: float, lo: int, hi: int) -> float:
+    """log10 of the Binomial(n, p) mass outside [lo, hi], for 0 < p < 1.
+
+    The log-pmf is concave, so past a window edge whose term ratio is r
+    the terms after the first m sum to at most r^m/(1-r) times the edge
+    term.  Each side sums the m terms that make that at most 2^-53.
+    """
+    sides = []
+    for edge, step in ((lo - 1, -1), (hi + 1, 1)):
+        if 0 <= edge <= n:
+            first, second = _binom_logpmf([edge, edge + step], n, p)
+            m = (53 * math.log(2) - math.log1p(-math.exp(second - first))) / (first - second)
+            stop = edge + step * max(math.ceil(m), 1)
+            sides.append(np.arange(edge, min(max(stop, -1), n + 1), step))
+    return float(logsumexp(_binom_logpmf(np.concatenate(sides), n, p))) / math.log(10)
 
 
 def binomial_window(
@@ -138,7 +169,7 @@ def build_truncated_mixture(
     side = spec.rho.side**n
     if side > cap:
         raise SizeCapError(side, cap)
-    kept = float(np.sum(_binom_pmf(np.arange(lo, hi + 1), n, p)))
+    kept = float(np.sum(np.exp(_binom_logpmf(np.arange(lo, hi + 1), n, p))))
     if kept <= 0.0:
         raise ValueError("window carries no probability mass (tail mass 1)")
     dims = (spec.rho.dim_a, spec.rho.dim_b)
@@ -194,12 +225,21 @@ def verify_mixing_bound(
 def tail_mass_scan(
     p: float, n_list, half_width: float | None = None
 ) -> list[TailScanRow]:
-    """Scalar-only tail masses with the matching Hoeffding ceilings."""
+    """Scalar-only tail masses with the matching Hoeffding ceilings.
+
+    Where the window leaves out positive mass, a tail or ceiling that
+    underflows reads as the smallest positive double (still an upper
+    bound) and the row carries log10 of the tail.
+    """
     rows = []
     for n in n_list:
         n = int(n)
         (lo, hi), tail = binomial_window(n, p, half_width)
         w = float(n) ** (2.0 / 3.0) if half_width is None else float(half_width)
         hoeffding = 2.0 * float(np.exp(-2.0 * w * w / n))
-        rows.append(TailScanRow(n, lo, hi, tail, hoeffding))
+        log10_tail = None
+        if 0.0 < p < 1.0 and (lo > 0 or hi < n) and min(tail, hoeffding) == 0.0:
+            log10_tail = _log10_tail(n, p, lo, hi)
+            tail, hoeffding = max(tail, math.ulp(0.0)), max(hoeffding, math.ulp(0.0))
+        rows.append(TailScanRow(n, lo, hi, tail, hoeffding, log10_tail))
     return rows

@@ -14,6 +14,7 @@ from scipy.special import gammaln
 
 from .linalg import DensityMatrix, mix
 from .measures import hashing_yield, twirl_to_bell_diagonal
+from .mixing import _binom_reach
 from .states import phi_plus
 
 LOG2 = float(np.log(2.0))
@@ -69,28 +70,28 @@ def concentration_yield(schmidt_squares, n: int) -> float:
     The expected log of the multinomial coefficient splits over the
     marginals: E[log2 C(n; k)] = log2 n! - sum_i E[log2 k_i!] with
     k_i ~ Binomial(n, lambda_i), which is exact and linear in the
-    number of Schmidt terms.
+    number of Schmidt terms.  Each expectation runs over the binomial reach.
     """
     lam = _check_distribution(schmidt_squares)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    ks = np.arange(n + 1)
-    log2_fact = gammaln(ks + 1.0) / LOG2
     expected = gammaln(n + 1.0) / LOG2
     for li in lam:
         if li == 0.0:
             continue
         if li == 1.0:
-            expected -= log2_fact[n]
+            expected -= gammaln(n + 1.0) / LOG2
             continue
+        ks = _binom_reach(n, li)
+        log_fact = gammaln(ks + 1.0)
         logs = (
             gammaln(n + 1.0)
-            - gammaln(ks + 1.0)
+            - log_fact
             - gammaln(n - ks + 1.0)
             + ks * np.log(li)
             + (n - ks) * np.log1p(-li)
         )
-        expected -= float(np.exp(logs) @ log2_fact)
+        expected -= float(np.exp(logs) @ (log_fact / LOG2))
     return float(max(expected / n, 0.0))
 
 

@@ -1,5 +1,6 @@
 """Helpers that only the tests use: channels, tensor products, named
-states, a non-raising validation report and a conversion-rate record.
+states, a non-raising validation report, a conversion-rate record and
+full-range references for the binomial sums.
 
 They build on entbounds and are not part of its API.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, xlog1py, xlogy
 
 from entbounds.errors import EntboundsError, SizeCapError
 from entbounds.linalg import (
@@ -22,6 +24,7 @@ from entbounds.linalg import (
     kron_ab,
 )
 from entbounds.measures import KIND_LOWER, MeasureValue, ec_upper, ed_lower
+from entbounds.protocols import LOG2, _check_distribution
 from entbounds.sampling import ensure_rng, random_isometry, random_unitary
 from entbounds.states import product_state
 
@@ -143,3 +146,49 @@ def conversion_rate(
         rate=num.value / den.value, numerator=num, denominator=den, kind=KIND_LOWER
     )
 
+
+
+# Full-range references: every binomial term over 0..n, O(n) in time and
+# memory, as the package summed them before it cut the sums to the reach.
+
+
+def full_range_binom_pmf(ls, n: int, p: float) -> np.ndarray:
+    """Binomial weights via log-space accumulation; exact at p = 0 and 1."""
+    ls = np.asarray(ls, dtype=float)
+    logs = (
+        gammaln(n + 1)
+        - gammaln(ls + 1)
+        - gammaln(n - ls + 1)
+        + xlogy(ls, p)
+        + xlog1py(n - ls, -p)
+    )
+    return np.exp(logs)
+
+
+def full_range_tail_mass(n: int, p: float, lo: int, hi: int) -> float:
+    """Binomial(n, p) mass outside [lo, hi], summed over every outside term."""
+    outside = np.concatenate([np.arange(0, lo), np.arange(hi + 1, n + 1)])
+    return min(float(np.sum(full_range_binom_pmf(outside, n, p))), 1.0)
+
+
+def full_range_concentration_yield(schmidt_squares, n: int) -> float:
+    """Expected singlets per copy, each binomial expectation over 0..n."""
+    lam = _check_distribution(schmidt_squares)
+    ks = np.arange(n + 1)
+    log2_fact = gammaln(ks + 1.0) / LOG2
+    expected = gammaln(n + 1.0) / LOG2
+    for li in lam:
+        if li == 0.0:
+            continue
+        if li == 1.0:
+            expected -= log2_fact[n]
+            continue
+        logs = (
+            gammaln(n + 1.0)
+            - gammaln(ks + 1.0)
+            - gammaln(n - ks + 1.0)
+            + ks * np.log(li)
+            + (n - ks) * np.log1p(-li)
+        )
+        expected -= float(np.exp(logs) @ log2_fact)
+    return float(max(expected / n, 0.0))

@@ -178,6 +178,23 @@ def test_tail_scan_matches_library(capsys):
         assert float(cells[4]) == pytest.approx(row.hoeffding_bound, rel=1e-12)
 
 
+def test_tail_scan_underflow_prints_no_exact_zero(capsys):
+    code, out, _ = run_cli(
+        ["tail-scan", "--p", "0.5", "--n-list", "1000000", "--half-width", "30000"], capsys
+    )
+    assert code == cli.EXIT_OK
+    comments = [ln for ln in out.splitlines() if ln.startswith("# log10_tail_mass")]
+    data_lines = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
+    assert data_lines[0] == "n,window_lo,window_hi,tail_mass,hoeffding_bound"
+    n, lo, hi, tail, hoeffding = data_lines[1].split(",")
+    assert (n, lo, hi) == ("1000000", "470000", "530000")
+    assert float(tail) > 0.0 and float(hoeffding) > 0.0
+    assert len(comments) == 1 and comments[0].startswith("# log10_tail_mass n=1000000: ")
+    # mpmath at 40 digits, summing outward from both edges until a term
+    # falls below 1e-35 of the sum: log10 tail = -784.1022102784062
+    assert float(comments[0].split(": ")[1]) == pytest.approx(-784.1022102784062, abs=1e-6)
+
+
 # ---- ball-scan ----
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -11,12 +12,15 @@ from entbounds.errors import DimensionMismatchError, EmptyWindowError, SizeCapEr
 from entbounds.linalg import DensityMatrix, kron_ab, mix, tensor_power, trace_distance
 from entbounds.mixing import (
     MixtureSpec,
+    _binom_reach,
     binomial_window,
     build_truncated_mixture,
     tail_mass_scan,
     verify_mixing_bound,
 )
+from entbounds.protocols import concentration_yield
 from entbounds.sampling import random_density_matrix
+from support import full_range_binom_pmf, full_range_tail_mass
 
 RHO = random_density_matrix(2, 2, seed=100)
 SIGMA = random_density_matrix(2, 2, seed=101)
@@ -204,3 +208,49 @@ def test_tail_mass_scan_custom_half_width():
     rows = tail_mass_scan(0.3, [100], half_width=5)
     assert rows[0].hoeffding_bound == pytest.approx(2 * np.exp(-0.5), rel=1e-12)
     assert rows[0].tail_mass <= rows[0].hoeffding_bound
+
+
+@pytest.mark.parametrize("n", [1, 7, 60, 10**3, 10**5, 10**6])
+@pytest.mark.parametrize(
+    "p", [0.0, 2.2e-308, 1e-9, 0.0641, 0.3, 0.5, 0.97, 1.0 - 1e-12, 1.0]
+)
+def test_binom_reach_drops_only_exact_zeros(n, p):
+    reach = _binom_reach(n, p)
+    assert np.array_equal(reach, np.arange(reach[0], reach[-1] + 1))
+    dropped = np.concatenate([np.arange(0, reach[0]), np.arange(reach[-1] + 1, n + 1)])
+    assert np.all(full_range_binom_pmf(dropped, n, p) == 0.0)
+
+
+@pytest.mark.parametrize("half_width", [None, 600.0])
+@pytest.mark.parametrize("p", [1e-9, 0.0641, 0.3, 0.5, 0.97])
+def test_tail_mass_matches_full_range_reference(p, half_width):
+    # only the grouping of the sum changes, never the set of nonzero terms
+    for n in (10, 20, 100, 200, 1000, 2000, 10**4, 2 * 10**4, 10**5, 2 * 10**5, 10**6, 2 * 10**6):
+        (lo, hi), tail = binomial_window(n, p, half_width)
+        expected = full_range_tail_mass(n, p, lo, hi)
+        assert abs(tail - expected) <= 1e-14 * expected, (n, tail, expected)
+
+
+def test_scalar_scans_stay_small_at_ten_million():
+    # the full-range sums traced 378 MiB (tail) and 458 MiB (concentration)
+    for scan in (
+        lambda: tail_mass_scan(0.6013, [10**7]),
+        lambda: concentration_yield([0.616, 0.216, 0.168], 10**7),
+    ):
+        tracemalloc.start()
+        try:
+            scan()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
+
+
+def test_tail_mass_scan_underflow_reads_positive_with_log10():
+    (row,) = tail_mass_scan(0.5, [10**6], half_width=30000)
+    assert (row.window_lo, row.window_hi) == (470000, 530000)
+    assert row.tail_mass == row.hoeffding_bound == np.nextafter(0.0, 1.0)
+    assert row.log10_tail_mass == pytest.approx(-784.10221028, abs=1e-6)
+    # a row whose window is total has an exact zero tail and no log10
+    (row,) = tail_mass_scan(0.5, [20], half_width=600)
+    assert (row.tail_mass, row.hoeffding_bound, row.log10_tail_mass) == (0.0, 0.0, None)

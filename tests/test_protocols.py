@@ -18,7 +18,7 @@ from entbounds.protocols import (
 )
 from entbounds.sampling import random_separable_state
 from entbounds.states import maximally_mixed, phi_plus, werner
-from support import UndefinedRateError, conversion_rate
+from support import UndefinedRateError, conversion_rate, full_range_concentration_yield
 
 
 def brute_yield(lams, n):
@@ -53,6 +53,15 @@ def test_concentration_yield_frozen_values():
     assert concentration_yield([1.0, 0.0], 9) == 0.0
     big = concentration_yield([0.5, 0.5], 2**16)
     assert big == pytest.approx(0.9998619517379357, abs=1e-11)
+
+
+@pytest.mark.parametrize(
+    "lams", [[0.5, 0.5], [0.0641, 0.9359], [0.97, 0.03], [0.616, 0.216, 0.168], [0.2, 0.3, 0.5]]
+)
+def test_concentration_yield_matches_full_range_reference(lams):
+    for n in (1, 2, 7, 60, 1000, 10**4, 10**5):
+        expected = full_range_concentration_yield(lams, n)
+        assert abs(concentration_yield(lams, n) - expected) <= 1e-14, (n, expected)
 
 
 def test_concentration_yield_increases_toward_entropy():
