@@ -73,6 +73,10 @@ CASES = {
     ),
     "border_scan_2x2": (["border-scan", "--system", "2x2", "--grid", "11"], ()),
     "border_scan_2x3": (["border-scan", "--system", "2x3", "--grid", "11"], ()),
+    "border_scan_2x3_eof": (
+        ["border-scan", "--system", "2x3", "--grid", "3", "--include-eof", "--budget", "20"],
+        (),
+    ),
     "ball_scan": (
         [
             "ball-scan", "werner09.json", "--epsilon", "1e-3", "--samples", "12",
