@@ -5,10 +5,10 @@ Measure behavior crossing the separability border
 
 import numpy as np
 
-from entbounds import border_scan_2x2, border_scan_2xn
+from entbounds import border_scan, eof_2x2, isotropic_2x3, werner
 
 # Werner path: the border sits at weight 1/3
-rows = border_scan_2x2(param_grid=np.linspace(0.25, 0.45, 9))
+rows = border_scan(werner, np.linspace(0.25, 0.45, 9), eof_2x2)
 print("two-qubit Werner path")
 print(f"{'w':>8} {'eof':>12} {'log_neg':>12} {'ppt_margin':>12}")
 for row in rows:
@@ -16,7 +16,7 @@ for row in rows:
 print()
 
 # qubit-qutrit isotropic path: the border sits at q = 1/4
-rows = border_scan_2xn(param_grid=np.linspace(0.1, 0.4, 7))
+rows = border_scan(isotropic_2x3, np.linspace(0.1, 0.4, 7))
 print("qubit-qutrit isotropic path")
 print(f"{'q':>8} {'log_neg':>12} {'ppt_margin':>12}")
 for row in rows:

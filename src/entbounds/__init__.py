@@ -5,183 +5,64 @@ measures and certified lower/upper surrogates for distillation and
 creation cost, truncated-binomial mixing of state ensembles, finite-copy
 protocol rates, and trace-distance balls with corridor and border scans.
 All entropic quantities are base 2 (ebits).
+
+The package exports the names the demos use; everything else is
+imported from its submodule.
 """
 
-from .errors import (
-    BallNotCertifiedError,
-    DimensionMismatchError,
-    EmptyWindowError,
-    EntboundsError,
-    SizeCapError,
-    StateFileError,
-    StateValidityError,
+from .continuity import (
+    BallSpec,
+    ball_constants,
+    border_scan,
+    corridor_consistency_check,
+    lipschitz_bound,
+    sample_ball,
 )
-from .linalg import (
-    DEFAULT_SIZE_CAP,
-    DensityMatrix,
-    PureState,
-    SchmidtForm,
-    ValidationReport,
-    mix,
-    partial_trace,
-    partial_transpose,
-    schmidt_decompose,
-    tensor_power,
-    trace_distance,
-    trace_norm,
-)
-from .measures import (
-    BellDiagonalProbs,
-    MeasureValue,
-    PptVerdict,
-    binary_entropy,
-    concurrence_2x2,
-    ec_upper,
-    ed_lower,
-    entropy_of_entanglement,
-    eof_2x2,
-    eof_upper_general,
-    hashing_yield,
-    is_ppt,
-    log_negativity,
-    twirl_to_bell_diagonal,
-    von_neumann_entropy,
-)
+from .linalg import tensor_power, trace_distance
+from .measures import ec_upper, ed_lower, eof_2x2, log_negativity
 from .mixing import (
-    MixingReport,
     MixtureSpec,
-    TailScanRow,
-    TruncatedMixture,
     binomial_window,
     build_truncated_mixture,
     tail_mass_scan,
     verify_mixing_bound,
 )
 from .protocols import (
-    CatalyticRate,
-    EtaScanRow,
-    YieldCurve,
     catalytic_rate,
     concentration_curve,
     concentration_yield,
     eta_continuity_scan,
 )
-from .continuity import (
-    BallConstants,
-    BallSpec,
-    BorderRow2x2,
-    BorderRow2xN,
-    CorridorReport,
-    CorridorRow,
-    ball_constants,
-    border_scan_2x2,
-    border_scan_2xn,
-    corridor_consistency_check,
-    kappa,
-    lipschitz_bound,
-    sample_ball,
-)
-from .sampling import (
-    ensure_rng,
-    random_density_matrix,
-    random_product_pure_state,
-    random_pure_state,
-    random_separable_state,
-    random_unitary,
-)
-from .states import (
-    BELL_LABELS,
-    bell_basis,
-    bell_state,
-    isotropic_2x3,
-    maximally_mixed,
-    phi_plus,
-    product_state,
-    werner,
-)
-from .stateio import dumps_state, load_state, loads_state, save_state
+from .states import isotropic_2x3, maximally_mixed, phi_plus, werner
+from .stateio import dumps_state
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BELL_LABELS",
-    "BallConstants",
-    "BallNotCertifiedError",
     "BallSpec",
-    "BellDiagonalProbs",
-    "BorderRow2x2",
-    "BorderRow2xN",
-    "CatalyticRate",
-    "CorridorReport",
-    "CorridorRow",
-    "DEFAULT_SIZE_CAP",
-    "DensityMatrix",
-    "DimensionMismatchError",
-    "EmptyWindowError",
-    "EntboundsError",
-    "EtaScanRow",
-    "MeasureValue",
-    "MixingReport",
     "MixtureSpec",
-    "PptVerdict",
-    "PureState",
-    "SchmidtForm",
-    "SizeCapError",
-    "StateFileError",
-    "StateValidityError",
-    "TailScanRow",
-    "TruncatedMixture",
-    "ValidationReport",
-    "YieldCurve",
     "ball_constants",
-    "bell_basis",
-    "bell_state",
-    "binary_entropy",
     "binomial_window",
-    "border_scan_2x2",
-    "border_scan_2xn",
+    "border_scan",
     "build_truncated_mixture",
     "catalytic_rate",
     "concentration_curve",
     "concentration_yield",
-    "concurrence_2x2",
     "corridor_consistency_check",
     "dumps_state",
     "ec_upper",
     "ed_lower",
-    "ensure_rng",
-    "entropy_of_entanglement",
     "eof_2x2",
-    "eof_upper_general",
     "eta_continuity_scan",
-    "hashing_yield",
-    "is_ppt",
     "isotropic_2x3",
-    "kappa",
     "lipschitz_bound",
-    "load_state",
-    "loads_state",
     "log_negativity",
     "maximally_mixed",
-    "mix",
-    "partial_trace",
-    "partial_transpose",
     "phi_plus",
-    "product_state",
-    "random_density_matrix",
-    "random_product_pure_state",
-    "random_pure_state",
-    "random_separable_state",
-    "random_unitary",
     "sample_ball",
-    "save_state",
-    "schmidt_decompose",
     "tail_mass_scan",
     "tensor_power",
     "trace_distance",
-    "trace_norm",
-    "twirl_to_bell_diagonal",
     "verify_mixing_bound",
-    "von_neumann_entropy",
     "werner",
 ]

@@ -15,17 +15,15 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .continuity import (
     BallSpec,
-    BorderRow2x2,
-    BorderRow2xN,
     CorridorRow,
     ball_constants,
-    border_scan_2x2,
-    border_scan_2xn,
+    border_scan,
     corridor_consistency_check,
     lipschitz_bound,
     sample_ball,
@@ -58,7 +56,7 @@ from .mixing import (
 )
 from .protocols import catalytic_rate, concentration_curve, eta_continuity_scan
 from .stateio import atomic_write_text, load_state
-from .states import maximally_mixed
+from .states import isotropic_2x3, maximally_mixed, werner
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -254,18 +252,16 @@ def cmd_ball_scan(args, config: RunConfig) -> int:
 def cmd_border_scan(args, config: RunConfig) -> int:
     if args.grid < 2:
         raise ValueError("grid must contain at least 2 points")
-    grid = np.linspace(0.0, 1.0, args.grid)
     if args.system == "2x2":
-        table = _table(BorderRow2x2, border_scan_2x2(param_grid=grid))
+        family, eof, header = werner, eof_2x2, ["param", "eof", "log_neg", "ppt_margin"]
     else:
-        rows = border_scan_2xn(
-            param_grid=grid,
-            include_eof_search=args.include_eof,
-            budget=args.budget,
-            seed=config.seed,
-        )
-        table = _table(BorderRow2xN, rows, drop=() if args.include_eof else ("eof_upper",))
-    _emit(config, _csv_text(config, *table))
+        family, eof, header = isotropic_2x3, None, ["param", "log_neg", "ppt_margin"]
+        if args.include_eof:
+            eof = partial(eof_upper_general, budget=args.budget, seed=config.seed)
+            header.append("eof_upper")
+    rows = border_scan(family, np.linspace(0.0, 1.0, args.grid), eof)
+    table = [[getattr(row, "eof" if name == "eof_upper" else name) for name in header] for row in rows]
+    _emit(config, _csv_text(config, header, table))
     return EXIT_OK
 
 

@@ -12,13 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import BallNotCertifiedError, EntboundsError, StateValidityError
 from .linalg import DensityMatrix, mix, trace_distance
-from .measures import DEFAULT_EOF_BUDGET, ec_upper, ed_lower, eof_2x2, eof_upper_general, is_ppt, log_negativity
+from .measures import DEFAULT_EOF_BUDGET, MeasureValue, ec_upper, ed_lower, is_ppt, log_negativity
 from .sampling import ensure_rng, random_density_matrix
-from .states import isotropic_2x3, werner
 
 MAX_DIRECTION_RETRIES = 200
 
@@ -72,19 +69,11 @@ class CorridorReport:
 
 
 @dataclass(frozen=True)
-class BorderRow2x2:
-    param: float
-    eof: float
-    log_neg: float
-    ppt_margin: float
-
-
-@dataclass(frozen=True)
-class BorderRow2xN:
+class BorderRow:
     param: float
     log_neg: float
     ppt_margin: float
-    eof_upper: float | None = None
+    eof: float | None
 
 
 def surface_count(sample_count: int) -> int:
@@ -144,15 +133,12 @@ def ball_constants(
     ed_fn: Callable[[DensityMatrix], float] | None = None,
     ec_fn: Callable[[DensityMatrix], float] | None = None,
     budget: int = DEFAULT_EOF_BUDGET,
-    conservative: bool = False,
 ) -> BallConstants:
     """Sampled surrogate extrema over the ball and the derived constants.
 
     The minimum of the distillation lower bound and the maximum of the
     cost upper bound run over the center plus the samples.  They are
-    estimates of the true extrema, hence provenance "sampled"; the
-    conservative mode widens both by an empirical Lipschitz estimate
-    times the radius, which may lose certification on wide balls.
+    estimates of the true extrema, hence provenance "sampled".
     """
     ed_fn = ed_fn or _default_ed
     ec_fn = ec_fn or _make_ec(budget, spec.seed)
@@ -164,9 +150,8 @@ def ball_constants(
             "center has vacuous distillation lower bound; shrink epsilon "
             "or pick a certified-distillable center"
         )
-    ec_center = ec_fn(spec.center)
     ed_values = [ed_center]
-    ec_values = [ec_center]
+    ec_values = [ec_fn(spec.center)]
     for index, state in enumerate(samples):
         ed_value = ed_fn(state)
         if ed_value <= 0.0:
@@ -177,30 +162,8 @@ def ball_constants(
             )
         ed_values.append(ed_value)
         ec_values.append(ec_fn(state))
-    ed_min = min(ed_values)
-    ec_max = max(ec_values)
-    provenance = "sampled"
-    if conservative:
-        slopes_ed = []
-        slopes_ec = []
-        for state, ed_value, ec_value in zip(samples, ed_values[1:], ec_values[1:]):
-            t = trace_distance(spec.center, state)
-            if t < 1e-13:
-                continue
-            slopes_ed.append(abs(ed_value - ed_center) / t)
-            slopes_ec.append(abs(ec_value - ec_center) / t)
-        widen_ed = max(slopes_ed, default=0.0) * spec.epsilon
-        widen_ec = max(slopes_ec, default=0.0) * spec.epsilon
-        ed_min = ed_min - widen_ed
-        ec_max = ec_max + widen_ec
-        provenance = "sampled_conservative"
-        if ed_min <= 0.0:
-            raise BallNotCertifiedError(
-                "conservative widening drops the distillation floor to 0; "
-                "shrink epsilon or add samples"
-            )
-    ed_min = float(ed_min)
-    ec_max = float(ec_max)
+    ed_min = float(min(ed_values))
+    ec_max = float(max(ec_values))
     r = min(ed_min / ec_max, 1.0)
     reversible = r == 1.0
     delta = 0.0 if reversible else ec_max * (1.0 - r) / r
@@ -210,7 +173,7 @@ def ball_constants(
         r=r,
         delta=delta,
         epsilon=spec.epsilon,
-        provenance=provenance,
+        provenance="sampled",
         reversible=reversible,
     )
 
@@ -238,12 +201,9 @@ def lipschitz_bound(
     center: DensityMatrix,
     other: DensityMatrix,
     constants: BallConstants,
-    epsilon: float | None = None,
 ) -> float:
     """delta / epsilon times T(center, other) for states inside the ball."""
-    epsilon = constants.epsilon if epsilon is None else float(epsilon)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    epsilon = constants.epsilon
     t = trace_distance(center, other)
     if t > epsilon + 1e-9:
         raise ValueError(
@@ -311,69 +271,30 @@ def corridor_consistency_check(
     )
 
 
-def border_scan_2x2(
-    family: Callable[[float], DensityMatrix] | None = None,
-    param_grid=None,
-) -> list[BorderRow2x2]:
-    """Closed-form measures along a parameterized 2x2 path.
+def border_scan(
+    family: Callable[[float], DensityMatrix],
+    param_grid,
+    eof: Callable[[DensityMatrix], MeasureValue] | None = None,
+) -> list[BorderRow]:
+    """Log-negativity, PPT margin and an optional eof along a 2 x N path.
 
-    The default family is the Werner path, whose partial transpose
-    changes sign at singlet weight 1/3.
+    The eof column holds eof(state).value, or None without eof: the
+    Wootters closed form for two qubits, the seeded search elsewhere.
     """
-    family = family or werner
-    grid = np.linspace(0.0, 1.0, 41) if param_grid is None else param_grid
     rows = []
-    for param in grid:
-        param = float(param)
-        state = family(param)
-        if not isinstance(state, DensityMatrix):
-            raise TypeError("family must produce DensityMatrix values")
-        if (state.dim_a, state.dim_b) != (2, 2):
-            raise ValueError("family must produce two-qubit states")
-        rows.append(
-            BorderRow2x2(
-                param=param,
-                eof=eof_2x2(state).value,
-                log_neg=log_negativity(state).value,
-                ppt_margin=is_ppt(state).margin,
-            )
-        )
-    return rows
-
-
-def border_scan_2xn(
-    family: Callable[[float], DensityMatrix] | None = None,
-    param_grid=None,
-    include_eof_search: bool = False,
-    budget: int = DEFAULT_EOF_BUDGET,
-    seed: int = 0,
-) -> list[BorderRow2xN]:
-    """Negativity border scan for 2 x N paths; no closed-form cost here.
-
-    The default family mixes a maximally entangled two-qubit block into
-    the 2x3 maximally mixed state; its partial transpose changes sign
-    at weight 1/4.  The search-based cost bound is off by default since
-    it costs seconds per grid point.
-    """
-    family = family or isotropic_2x3
-    grid = np.linspace(0.0, 1.0, 41) if param_grid is None else param_grid
-    rows = []
-    for param in grid:
+    for param in param_grid:
         param = float(param)
         state = family(param)
         if not isinstance(state, DensityMatrix):
             raise TypeError("family must produce DensityMatrix values")
         if state.dim_a != 2:
             raise ValueError("family must keep the first party a qubit")
-        eof_value = None
-        if include_eof_search:
-            eof_value = eof_upper_general(state, budget=budget, seed=seed).value
         rows.append(
-            BorderRow2xN(
+            BorderRow(
                 param=param,
                 log_neg=log_negativity(state).value,
                 ppt_margin=is_ppt(state).margin,
-                eof_upper=eof_value,
+                eof=None if eof is None else eof(state).value,
             )
         )
     return rows

@@ -104,9 +104,8 @@ class PureState:
     dim_a: int
     dim_b: int
     amplitudes: np.ndarray
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool) -> None:
+    def __post_init__(self) -> None:
         if self.dim_a < 1 or self.dim_b < 1:
             raise StateValidityError("local dimensions must be positive integers")
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
@@ -116,12 +115,9 @@ class PureState:
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        if check:
-            defect = abs(np.linalg.norm(amps) - 1.0)
-            if defect > NORM_TOL:
-                raise StateValidityError(
-                    f"norm defect {defect:.3e} exceeds {NORM_TOL:.0e}"
-                )
+        defect = abs(np.linalg.norm(amps) - 1.0)
+        if defect > NORM_TOL:
+            raise StateValidityError(f"norm defect {defect:.3e} exceeds {NORM_TOL:.0e}")
 
     def to_density_matrix(self) -> DensityMatrix:
         entries = np.outer(self.amplitudes, self.amplitudes.conj())
@@ -133,23 +129,20 @@ class SchmidtForm:
     """Non-increasing Schmidt coefficients; squares sum to one."""
 
     coefficients: np.ndarray
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool) -> None:
+    def __post_init__(self) -> None:
         coeffs = np.array(self.coefficients, dtype=float).reshape(-1)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-        if check:
-            if coeffs.size == 0 or np.any(coeffs < 0):
-                raise StateValidityError("coefficients must be non-negative")
-            if np.any(np.diff(coeffs) > 0):
-                raise StateValidityError("coefficients must be non-increasing")
-            defect = abs(float(np.sum(coeffs**2)) - 1.0)
-            if defect > NORM_TOL:
-                raise StateValidityError(
-                    f"squared coefficients sum defect {defect:.3e} exceeds "
-                    f"{NORM_TOL:.0e}"
-                )
+        if coeffs.size == 0 or np.any(coeffs < 0):
+            raise StateValidityError("coefficients must be non-negative")
+        if np.any(np.diff(coeffs) > 0):
+            raise StateValidityError("coefficients must be non-increasing")
+        defect = abs(float(np.sum(coeffs**2)) - 1.0)
+        if defect > NORM_TOL:
+            raise StateValidityError(
+                f"squared coefficients sum defect {defect:.3e} exceeds {NORM_TOL:.0e}"
+            )
 
 
 def kron_ab(

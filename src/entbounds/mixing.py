@@ -10,6 +10,7 @@ mixed state (1-p) rho + p sigma.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,10 +228,12 @@ def tail_mass_scan(
 ) -> list[TailScanRow]:
     """Scalar-only tail masses with the matching Hoeffding ceilings.
 
-    Where the window leaves out positive mass, a tail or ceiling that
-    underflows reads as the smallest positive double (still an upper
-    bound) and the row carries log10 of the tail.
+    Where the window leaves out positive mass, a tail or ceiling below
+    the smallest normal double has lost precision or underflowed to 0;
+    it reads as that double (still an upper bound) and the row carries
+    log10 of the tail.
     """
+    tiny = sys.float_info.min
     rows = []
     for n in n_list:
         n = int(n)
@@ -238,8 +241,8 @@ def tail_mass_scan(
         w = float(n) ** (2.0 / 3.0) if half_width is None else float(half_width)
         hoeffding = 2.0 * float(np.exp(-2.0 * w * w / n))
         log10_tail = None
-        if 0.0 < p < 1.0 and (lo > 0 or hi < n) and min(tail, hoeffding) == 0.0:
+        if 0.0 < p < 1.0 and (lo > 0 or hi < n) and min(tail, hoeffding) < tiny:
             log10_tail = _log10_tail(n, p, lo, hi)
-            tail, hoeffding = max(tail, math.ulp(0.0)), max(hoeffding, math.ulp(0.0))
+            tail, hoeffding = max(tail, tiny), max(hoeffding, tiny)
         rows.append(TailScanRow(n, lo, hi, tail, hoeffding, log10_tail))
     return rows

@@ -10,8 +10,7 @@ from entbounds import cli
 from entbounds.continuity import (
     BallSpec,
     ball_constants,
-    border_scan_2x2,
-    border_scan_2xn,
+    border_scan,
     corridor_consistency_check,
     kappa,
     sample_ball,
@@ -35,7 +34,7 @@ from entbounds.sampling import (
     random_pure_state,
     random_separable_state,
 )
-from entbounds.states import maximally_mixed, phi_plus, werner
+from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from entbounds.stateio import dumps_state
 
 
@@ -159,7 +158,7 @@ def test_criterion_05_measure_instantiations():
 
 
 def test_criterion_06_border_continuity():
-    rows = border_scan_2x2(param_grid=np.linspace(0.0, 1.0, 200))
+    rows = border_scan(werner, np.linspace(0.0, 1.0, 200), eof_2x2)
     for row in rows:
         if row.param <= 1 / 3:
             assert row.eof <= 1e-9
@@ -168,10 +167,10 @@ def test_criterion_06_border_continuity():
     log_negs = [row.log_neg for row in rows]
     assert all(b >= a - 1e-12 for a, b in zip(eofs, eofs[1:]))
     assert all(b >= a - 1e-12 for a, b in zip(log_negs, log_negs[1:]))
-    near = border_scan_2x2(param_grid=[1 / 3 + 1e-4])[0]
+    near = border_scan(werner, [1 / 3 + 1e-4], eof_2x2)[0]
     assert near.eof <= 1e-3
     assert near.log_neg <= 1e-3
-    rows_2x3 = border_scan_2xn(param_grid=np.linspace(0.0, 1.0, 200))
+    rows_2x3 = border_scan(isotropic_2x3, np.linspace(0.0, 1.0, 200))
     for row in rows_2x3:
         assert (row.log_neg <= 1e-9) == (row.ppt_margin >= -1e-9)
 

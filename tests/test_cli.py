@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,6 +194,33 @@ def test_tail_scan_underflow_prints_no_exact_zero(capsys):
     # mpmath at 40 digits, summing outward from both edges until a term
     # falls below 1e-35 of the sum: log10 tail = -784.1022102784062
     assert float(comments[0].split(": ")[1]) == pytest.approx(-784.1022102784062, abs=1e-6)
+
+
+# mpmath at 40 digits, summing outward from the upper edge until a term
+# falls below 1e-35 of the sum and doubling by symmetry: the tail of
+# Binomial(1e6, 1/2) outside the window, rounded up, and its log10.
+SUBNORMAL_TAILS = {
+    19100: ("2.2694478935929913e-319", -318.6440797841856),
+    19210: ("4.9115768292556980e-323", -322.3087790581201),
+}
+
+
+@pytest.mark.parametrize("half_width", sorted(SUBNORMAL_TAILS))
+def test_tail_scan_subnormal_tail_prints_an_upper_bound(half_width, capsys):
+    code, out, _ = run_cli(
+        ["tail-scan", "--p", "0.5", "--n-list", "1000000", "--half-width", str(half_width)],
+        capsys,
+    )
+    assert code == cli.EXIT_OK
+    true_tail, true_log10 = SUBNORMAL_TAILS[half_width]
+    comments = [ln for ln in out.splitlines() if ln.startswith("# log10_tail_mass")]
+    data_lines = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
+    _, _, _, tail, hoeffding = data_lines[1].split(",")
+    # exact rational comparison: a subnormal keeps too few digits to round safely
+    assert Fraction(float(tail)) >= Fraction(true_tail)
+    assert Fraction(float(hoeffding)) >= Fraction(true_tail)
+    assert len(comments) == 1
+    assert float(comments[0].split(": ")[1]) == pytest.approx(true_log10, abs=1e-9)
 
 
 # ---- ball-scan ----

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,17 +8,16 @@ from hypothesis import strategies as st
 from entbounds.continuity import (
     BallSpec,
     ball_constants,
-    border_scan_2x2,
-    border_scan_2xn,
+    border_scan,
     corridor_consistency_check,
     kappa,
     lipschitz_bound,
     sample_ball,
     surface_count,
 )
-from entbounds.errors import BallNotCertifiedError
+from entbounds.errors import BallNotCertifiedError, DimensionMismatchError
 from entbounds.linalg import DensityMatrix, mix, trace_distance
-from entbounds.measures import ec_upper, ed_lower
+from entbounds.measures import ec_upper, ed_lower, eof_2x2, eof_upper_general
 from entbounds.sampling import random_density_matrix
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 
@@ -159,16 +160,6 @@ def test_ball_constants_reversible_flag_with_injected_surrogates():
     assert constants.delta == 0.0
 
 
-def test_ball_constants_conservative_mode_widens():
-    spec = BallSpec(center=werner(0.95), epsilon=1e-4, sample_count=30, seed=6)
-    plain = ball_constants(spec)
-    wide = ball_constants(spec, conservative=True)
-    assert wide.provenance == "sampled_conservative"
-    assert wide.ed_min_lower <= plain.ed_min_lower
-    assert wide.ec_max_upper >= plain.ec_max_upper
-    assert wide.delta >= plain.delta - 1e-12
-
-
 # ---- affine family and Lipschitz ----
 
 
@@ -263,7 +254,7 @@ def test_corridor_reverse_mix_flag():
 
 
 def test_border_2x2_werner_threshold():
-    rows = border_scan_2x2(param_grid=np.linspace(0, 1, 101))
+    rows = border_scan(werner, np.linspace(0, 1, 101), eof_2x2)
     for row in rows:
         expected_c = max(0.0, (3 * row.param - 1) / 2)
         if expected_c == 0.0:
@@ -277,36 +268,35 @@ def test_border_2x2_werner_threshold():
 
 
 def test_border_2x2_continuity_near_threshold():
-    rows = border_scan_2x2(param_grid=[1 / 3 + 1e-4])
+    rows = border_scan(werner, [1 / 3 + 1e-4], eof_2x2)
     assert rows[0].eof <= 1e-3
     assert rows[0].log_neg <= 1e-3
 
 
 def test_border_2x2_rejects_bad_family():
     with pytest.raises(TypeError):
-        border_scan_2x2(family=lambda p: np.eye(4) / 4, param_grid=[0.1])
-    with pytest.raises(ValueError):
-        border_scan_2x2(family=lambda p: maximally_mixed(2, 3), param_grid=[0.1])
+        border_scan(lambda p: np.eye(4) / 4, [0.1], eof_2x2)
+    with pytest.raises(DimensionMismatchError):
+        border_scan(lambda p: maximally_mixed(2, 3), [0.1], eof_2x2)
 
 
 def test_border_2xn_margin_matches_closed_form():
-    rows = border_scan_2xn(param_grid=np.linspace(0, 1, 41))
+    rows = border_scan(isotropic_2x3, np.linspace(0, 1, 41))
     for row in rows:
         assert row.ppt_margin == pytest.approx(
             (1 - row.param) / 6 - row.param / 2, abs=1e-12
         )
         assert (row.log_neg <= 1e-9) == (row.ppt_margin >= -1e-9)
-        assert row.eof_upper is None
+        assert row.eof is None
 
 
 def test_border_2xn_optional_eof_column():
-    rows = border_scan_2xn(
-        param_grid=[0.0, 0.9], include_eof_search=True, budget=60, seed=0
-    )
-    assert rows[0].eof_upper <= 1e-6  # maximally mixed is separable
-    assert rows[1].eof_upper > 0.1
+    eof = partial(eof_upper_general, budget=60, seed=0)
+    rows = border_scan(isotropic_2x3, [0.0, 0.9], eof)
+    assert rows[0].eof <= 1e-6  # maximally mixed is separable
+    assert rows[1].eof > 0.1
 
 
 def test_border_2xn_requires_qubit_first_party():
     with pytest.raises(ValueError):
-        border_scan_2xn(family=lambda p: maximally_mixed(3, 3), param_grid=[0.2])
+        border_scan(lambda p: maximally_mixed(3, 3), [0.2])
