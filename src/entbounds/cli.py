@@ -31,6 +31,7 @@ from .continuity import (
 )
 from .errors import (
     BallNotCertifiedError,
+    DimensionMismatchError,
     EmptyWindowError,
     SizeCapError,
     StateFileError,
@@ -186,6 +187,8 @@ def cmd_tail_scan(args, config: RunConfig) -> int:
 
 
 def cmd_ball_scan(args, config: RunConfig) -> int:
+    if args.p_points < 2:
+        raise ValueError("p-points must be at least 2")
     center = load_state(args.center_file, cap=config.size_cap)
     spec = BallSpec(
         center=center,
@@ -355,7 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="skip state validation")
     p.set_defaults(func=cmd_measure)
 
-    about = "check T(rho_p^(x n), Pi) <= tail mass; this holds for any correct Pi, so it verifies Pi's construction"
+    about = (
+        "check T(rho_p^(x n), Pi) <= tail mass; this holds for any correct Pi, so it verifies "
+        "Pi's construction. T is taken block by block over the sectors of the copy swaps "
+        "(1 2), (3 4), ..., and sqrt(side) times the Frobenius norm of the part off those "
+        "blocks is added, so the printed T never falls below the true distance"
+    )
     p = sub.add_parser("mixing-verify", parents=[shared], help=about, description=about)
     p.add_argument("rho_file")
     p.add_argument("sigma_file")
@@ -441,7 +449,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return EXIT_INPUT
-    except (StateFileError, EmptyWindowError, ValueError, OSError) as exc:
+    except (StateFileError, DimensionMismatchError, EmptyWindowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -23,7 +23,7 @@ from .linalg import (
     kron_ab,
     mix,
     tensor_power,
-    trace_distance,
+    trace_norm,
 )
 
 
@@ -203,17 +203,88 @@ def build_truncated_mixture(
     )
 
 
+def _swap_sectors(dims: tuple[int, int], n: int) -> tuple[np.ndarray, ...]:
+    """Q, the orthogonal basis change that splits each swapped pair of copies.
+
+    Copies 2k and 2k+1 (k < n // 2) span C^d x C^d, d = d_A d_B, which
+    splits into the d(d+1)/2 symmetric vectors |ii> and
+    (|ij> + |ji>)/sqrt 2 and the d(d-1)/2 antisymmetric ones
+    (|ij> - |ji>)/sqrt 2, for i < j; an unpaired last copy keeps its
+    basis.  A sector picks the symmetric or the antisymmetric part of
+    every pair, and the rows of Q run sector by sector.  Row r of Q is
+    sum_t coef[t, r] e_{src[t, r]} over 2^(n // 2) terms, src in the
+    package's bipartite ordering.  Returns the sector sizes, src, coef.
+    """
+    da, db = dims
+    d = da * db
+    i, j = np.triu_indices(d)
+    ia, ja = np.triu_indices(d, 1)
+    h = math.sqrt(0.5)
+    # rows of one pair: symmetric, then antisymmetric; |ii> has one term
+    pair_src = np.array([np.r_[i * d + j, ia * d + ja], np.r_[j * d + i, ja * d + ia]])
+    pair_coef = np.array(
+        [
+            np.r_[np.where(i == j, 1.0, h), np.full(ia.size, h)],
+            np.r_[np.where(i == j, 0.0, h), np.full(ia.size, -h)],
+        ]
+    )
+    pair_half = (np.arange(d * d) >= i.size).astype(int)
+    src, coef, sector = np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)), np.zeros(1, dtype=int)
+    for _ in range(n // 2):
+        terms = 2 * src.shape[0]
+        src = (src[:, None, :, None] * d * d + pair_src[None, :, None, :]).reshape(terms, -1)
+        coef = (coef[:, None, :, None] * pair_coef[None, :, None, :]).reshape(terms, -1)
+        sector = (2 * sector[:, None] + pair_half).ravel()
+    if n % 2:
+        src = (src[:, :, None] * d + np.arange(d)).reshape(src.shape[0], -1)
+        coef, sector = np.repeat(coef, d, axis=1), np.repeat(sector, d)
+    order = np.argsort(sector, kind="stable")
+    # copy-major c_1 ... c_n (c_k = a_k d_B + b_k) -> a_1 ... a_n b_1 ... b_n
+    axes = [k + party * n for k in range(n) for party in (0, 1)]
+    to_bipartite = np.arange(d**n).reshape((da,) * n + (db,) * n).transpose(axes).ravel()
+    return np.bincount(sector), to_bipartite[src[:, order]], coef[:, order]
+
+
+def _swap_sector_distance(diff: np.ndarray, dims: tuple[int, int], n: int) -> float:
+    """Upper bound on tr|diff| / 2 from the blocks of B = Q diff Q^T.
+
+    A diff that commutes with the disjoint copy swaps is block-diagonal
+    in the sectors of _swap_sectors.  Pinching alone could only lower
+    the trace norm, so the part of B off the sector blocks enters as
+    sqrt(N) times its Frobenius norm, N the side: then
+    T = (sum of block trace norms + sqrt(N) ||off||_F) / 2 is never below
+    tr|diff| / 2, and for a copy-symmetric diff the off part is rounding.
+    Q is applied by index gathers, one band of sector rows at a time.
+    """
+    sizes, src, coef = _swap_sectors(dims, n)
+    norms, off = 0.0, 0.0
+    start = 0
+    for size in sizes:
+        rows = slice(start, start + size)
+        band = sum(c[rows, None] * diff[s[rows]] for s, c in zip(src, coef))
+        band = sum(band[:, s] * c for s, c in zip(src, coef))
+        norms += trace_norm(band[:, rows])
+        band[:, rows] = 0.0
+        off += float(np.vdot(band, band).real)
+        start += size
+    return 0.5 * (norms + math.sqrt(diff.shape[0] * off))
+
+
 def verify_mixing_bound(
     spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP, tol: float = 1e-9
 ) -> MixingReport:
     """Check T(((1-p)rho + p sigma)^(x n), Pi) <= tail_mass + tol.
 
     The tail bound is stated against T, which already includes the 1/2
-    of the trace-norm convention.
+    of the trace-norm convention.  T is taken block by block over the
+    copy-swap sectors (_swap_sector_distance): an upper bound on the
+    trace distance, equal to it up to rounding when Pi is copy-symmetric,
+    and capped at 1, the largest distance between two states.
     """
     truncated = build_truncated_mixture(spec, cap=cap)
     reference = tensor_power(mix(spec.rho, spec.sigma, spec.p), spec.n, cap=cap)
-    t = trace_distance(reference, truncated.pi)
+    diff = reference.entries - truncated.pi.entries
+    t = min(_swap_sector_distance(diff, (spec.rho.dim_a, spec.rho.dim_b), spec.n), 1.0)
     bound = truncated.tail_mass + tol
     return MixingReport(
         trace_distance=t,

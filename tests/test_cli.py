@@ -12,7 +12,7 @@ from entbounds import cli
 from entbounds.measures import ec_upper, eof_2x2
 from entbounds.mixing import tail_mass_scan
 from entbounds.protocols import concentration_curve
-from entbounds.states import maximally_mixed, phi_plus, werner
+from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from entbounds.stateio import dumps_state
 
 
@@ -160,6 +160,20 @@ def test_mixing_verify_empty_window(werner_file, phi_file, capsys):
     assert "window" in err.lower()
 
 
+def test_mixing_verify_dimension_mismatch_exit_2(werner_file, tmp_path):
+    iso = tmp_path / "iso23.json"
+    iso.write_text(dumps_state(isotropic_2x3(0.5)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "entbounds", "mixing-verify",
+         werner_file, str(iso), "--p", "0.3", "--n", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == "error: rho and sigma must share dimensions\n"
+
+
 # ---- tail-scan ----
 
 
@@ -296,6 +310,18 @@ def test_ball_scan_zero_samples(werner_file, capsys):
         ["ball-scan", werner_file, "--epsilon", "1e-3", "--samples", "0"], capsys
     )
     assert code == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_ball_scan_rejects_fewer_than_two_p_points(werner_file, points, capsys):
+    # 0 points certified an empty corridor; 1 point checked p = 0 only
+    code, out, err = run_cli(
+        ["ball-scan", werner_file, "--epsilon", "1e-3", "--samples", "3", "--p-points", points],
+        capsys,
+    )
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == "error: p-points must be at least 2\n"
 
 
 # ---- border-scan ----

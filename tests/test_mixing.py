@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 from math import comb
 
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from entbounds.errors import DimensionMismatchError, EmptyWindowError, SizeCapError
-from entbounds.linalg import DensityMatrix, kron_ab, mix, tensor_power, trace_distance
+from entbounds import mixing
+from entbounds.linalg import DensityMatrix, kron_ab, mix, tensor_power, trace_distance, trace_norm
 from entbounds.mixing import (
     MixtureSpec,
     _binom_reach,
+    _swap_sectors,
     binomial_window,
     build_truncated_mixture,
     tail_mass_scan,
@@ -186,6 +189,89 @@ def test_verify_mixing_bound_truncated_windows():
         assert report.passed
         assert report.trace_distance <= report.tail_mass + 1e-9
         assert report.trace_distance > 1e-6  # truncation actually bites
+
+
+def random_spec(dim_a, dim_b, n, seed):
+    """Seeded states, weight and window with positive mass in the window."""
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(dim_a, dim_b, seed=rng)
+    sigma = random_density_matrix(dim_a, dim_b, seed=rng)
+    lo = int(rng.integers(0, n + 1))
+    hi = int(rng.integers(lo, n + 1))
+    return MixtureSpec(rho, sigma, float(rng.uniform(0.1, 0.9)), n, (lo, hi))
+
+
+def dense_distance(spec, pi):
+    reference = tensor_power(mix(spec.rho, spec.sigma, spec.p), spec.n)
+    return 0.5 * trace_norm(reference.entries - pi.entries)
+
+
+@pytest.mark.parametrize(
+    "dims,n,sizes",
+    [
+        ((2, 2), 5, [400, 240, 240, 144]),
+        ((2, 3), 4, [441, 315, 315, 225]),
+        ((2, 2), 6, [1000, 600, 600, 360, 600, 360, 360, 216]),
+    ],
+)
+def test_swap_sector_sizes(dims, n, sizes):
+    assert list(_swap_sectors(dims, n)[0]) == sizes
+
+
+@pytest.mark.parametrize("dims,n", [((2, 2), 1), ((2, 2), 2), ((2, 2), 3), ((2, 3), 2), ((1, 3), 3)])
+def test_swap_sector_basis_is_orthogonal_and_block_diagonalises_powers(dims, n):
+    sizes, src, coef = _swap_sectors(dims, n)
+    side = (dims[0] * dims[1]) ** n
+    q = np.zeros((side, side))
+    for s, c in zip(src, coef):
+        q[np.arange(side), s] += c
+    assert np.max(np.abs(q @ q.T - np.eye(side))) < 1e-15
+    rho = random_density_matrix(*dims, seed=n)
+    b = q @ tensor_power(rho, n).entries @ q.T
+    edges = np.cumsum(np.r_[0, sizes])
+    for lo, hi in zip(edges, edges[1:]):
+        b[lo:hi, lo:hi] = 0.0
+    assert np.max(np.abs(b)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "dims,n", [((2, 2), n) for n in range(1, 6)] + [((2, 3), n) for n in range(1, 5)]
+)
+def test_block_trace_distance_matches_dense(dims, n):
+    for seed in range(3 if n < 4 else 1):
+        spec = random_spec(*dims, n, seed=100 * n + seed)
+        report = verify_mixing_bound(spec)
+        expected = dense_distance(spec, build_truncated_mixture(spec).pi)
+        assert abs(report.trace_distance - expected) <= 1e-13, (seed, report, expected)
+
+
+def swap_breaking(truncated, dim_a, eps=1e-6):
+    """Pi plus eps (|0><y| + |y><0|), y = |1> on the A side of copy 1 only.
+
+    Swapping copies 1 and 2 moves y, so the perturbed Pi is not
+    copy-symmetric, and part of the perturbation lies between sectors.
+    """
+    pi = truncated.pi
+    y = pi.side // dim_a
+    entries = np.array(pi.entries)
+    entries[0, y] += eps
+    entries[y, 0] += eps
+    return replace(truncated, pi=DensityMatrix(pi.dim_a, pi.dim_b, entries, check=False))
+
+
+@pytest.mark.parametrize("dims,n", [((2, 2), 2), ((2, 2), 3), ((2, 2), 4), ((2, 3), 2), ((2, 3), 3)])
+def test_swap_breaking_pi_never_reads_closer(dims, n, monkeypatch):
+    for seed in range(2):
+        spec = random_spec(*dims, n, seed=700 + seed)
+        broken = swap_breaking(build_truncated_mixture(spec), dims[0])
+        monkeypatch.setattr(mixing, "build_truncated_mixture", lambda *_, **__: broken)
+        report = verify_mixing_bound(spec)
+        assert report.trace_distance >= dense_distance(spec, broken.pi) - 1e-15
+    # with a full window Pi is the n-fold power, and the broken one fails
+    spec = replace(spec, window=(0, n))
+    broken = swap_breaking(build_truncated_mixture(spec), dims[0])
+    monkeypatch.setattr(mixing, "build_truncated_mixture", lambda *_, **__: broken)
+    assert not verify_mixing_bound(spec).passed
 
 
 def test_verify_mixing_bound_respects_cap():
