@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from entbounds.errors import DimensionMismatchError, EmptyWindowError, SizeCapError
 from entbounds import mixing
+from entbounds.errors import DimensionMismatchError, EmptyWindowError, SizeCapError
 from entbounds.linalg import DensityMatrix, kron_ab, mix, tensor_power, trace_distance, trace_norm
 from entbounds.mixing import (
     MixtureSpec,
