@@ -71,7 +71,6 @@ class RunConfig:
     size_cap: int
     tolerance: float | None
     out: str | None
-    fmt: str | None
     invocation: str
 
     def audit(self) -> dict:
@@ -149,7 +148,7 @@ def cmd_measure(args, config: RunConfig) -> int:
     state = load_state(args.state_file, force=args.force, cap=config.size_cap)
     fn = MEASURES[args.measure]
     record = fn(state, args.budget, config.seed).as_record()
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         text = _csv_text(config, list(record), [list(record.values())])
     else:
         text = _json_text({"audit": config.audit(), **record})
@@ -340,10 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the default 1e-9 certification slack",
     )
     shared.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    shared.add_argument(
-        "--format", choices=["csv", "json"], default=None, dest="fmt",
-        help="output format where a command supports both",
-    )
 
     parser = argparse.ArgumentParser(
         prog="entbounds",
@@ -356,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure", choices=sorted(MEASURES))
     p.add_argument("--budget", type=int, default=2000, help="search restarts for ec_upper paths")
     p.add_argument("--force", action="store_true", help="skip state validation")
+    p.add_argument("--format", choices=["csv", "json"], default="json", dest="fmt", help="report format")
     p.set_defaults(func=cmd_measure)
 
     about = (
@@ -427,7 +423,6 @@ def main(argv=None) -> int:
         size_cap=args.cap,
         tolerance=args.tolerance,
         out=args.out,
-        fmt=args.fmt,
         invocation="entbounds " + " ".join(argv),
     )
     try:

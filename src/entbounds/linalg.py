@@ -8,6 +8,7 @@ package assumes this ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -68,8 +69,10 @@ class DensityMatrix:
 
     Invariants (enforced at construction unless check=False): finite
     entries, Hermitian within 1e-10 elementwise, unit trace within 1e-10,
-    and smallest eigenvalue >= -1e-9.  Pass check=False only for
-    diagnostic loads; such objects still get their shape validated.
+    and smallest eigenvalue >= -1e-9.  check=False serves `--force`
+    loads and the n-copy operators built from validated states
+    (tensor_power and the truncated mixture), which are Hermitian and
+    PSD by construction; such objects still get their shape validated.
     """
 
     dim_a: int
@@ -145,38 +148,39 @@ class SchmidtForm:
             )
 
 
-def kron_ab(
-    entries_a: np.ndarray,
-    dims_a: tuple[int, int],
-    entries_b: np.ndarray,
-    dims_b: tuple[int, int],
-) -> np.ndarray:
-    """Kronecker product regrouped across the A|B cut.
+def ab_order(copy_dims: list[tuple[int, int]], n: int = 1, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+    """Position of each A|B basis vector in a plain Kronecker product.
 
-    The plain Kronecker product orders the joint basis as
-    |a1 b1 a2 b2>; the bipartite convention needs |a1 a2 b1 b2>.
+    np.kron over copies with local dims copy_dims, repeated n times,
+    orders the joint basis copy by copy, |a1 b1 a2 b2 ...>; the bipartite
+    convention needs |a1 a2 ... b1 b2 ...>.  For such a product k,
+    k[np.ix_(order, order)] is the same operator in bipartite order.
+    Raises SizeCapError, before forming the side, when it exceeds cap.
     """
-    da1, db1 = dims_a
-    da2, db2 = dims_b
-    k = np.kron(entries_a, entries_b)
-    side = da1 * db1 * da2 * db2
-    t = k.reshape(da1, db1, da2, db2, da1, db1, da2, db2)
-    t = t.transpose(0, 2, 1, 3, 4, 6, 5, 7)
-    return np.ascontiguousarray(t.reshape(side, side))
+    side = math.prod(da * db for da, db in copy_dims)
+    if side ** min(n, cap.bit_length()) > cap:
+        raise SizeCapError(f"{side}^{n}" if n > 1 else side, cap)
+    shape = [d for dims in copy_dims for d in dims] * n
+    # unit axes move nothing, and 33 copies of a 1x1 state would pass numpy's 64 axes
+    moved = [k for k, d in enumerate(shape) if d > 1]
+    axes = sorted(range(len(moved)), key=lambda i: moved[i] % 2)  # A axes, then B axes
+    return np.arange(side**n).reshape([shape[k] for k in moved]).transpose(axes).ravel()
 
 
 def tensor_power(rho: DensityMatrix, n: int, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
+    """rho^(x n) in bipartite order, built without a second validation.
+
+    Its eigenvalues are products of rho's, so it is Hermitian and PSD
+    because rho is; its trace is tr(rho)^n, whose defect grows with n
+    past TRACE_TOL even for a valid rho.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if rho.side**n > cap:
-        raise SizeCapError(rho.side**n, cap)
+    order = ab_order([(rho.dim_a, rho.dim_b)], n, cap)
     entries = rho.entries
-    da, db = rho.dim_a, rho.dim_b
     for _ in range(n - 1):
-        entries = kron_ab(entries, (da, db), rho.entries, (rho.dim_a, rho.dim_b))
-        da *= rho.dim_a
-        db *= rho.dim_b
-    return DensityMatrix(da, db, entries)
+        entries = np.kron(entries, rho.entries)
+    return DensityMatrix(rho.dim_a**n, rho.dim_b**n, entries[np.ix_(order, order)], check=False)
 
 
 def partial_trace(rho: DensityMatrix, party: str) -> np.ndarray:

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
-from .errors import DimensionMismatchError, EmptyWindowError, SizeCapError
+from .errors import DimensionMismatchError, EmptyWindowError
 from .linalg import (
     DEFAULT_SIZE_CAP,
     DensityMatrix,
-    kron_ab,
+    ab_order,
     mix,
     tensor_power,
     trace_norm,
@@ -163,37 +163,37 @@ def build_truncated_mixture(
     copies.  The weighted sums S_m(l) = Binomial(m, p)(l) * block_m(l)
     obey S_m(l) = S_{m-1}(l) x (1-p) rho + S_{m-1}(l-1) x p sigma, so Pi
     is built copy by copy, keeping only the l that can still reach the
-    window.  The last copy closes the window sum with two krons.
+    window.  The last copy closes the window sum with two krons.  The
+    krons run in copy order, and one regroup puts Pi in bipartite order.
+    A nonnegative sum of products of validated states, Pi is Hermitian
+    and PSD by construction, so it is not validated again; the check on
+    it is verify_mixing_bound.
     """
     n, p = spec.n, spec.p
     lo, hi = spec.window
-    side = spec.rho.side**n
-    if side > cap:
-        raise SizeCapError(side, cap)
+    dims = (spec.rho.dim_a, spec.rho.dim_b)
+    order = ab_order([dims], n, cap)
     kept = float(np.sum(np.exp(_binom_logpmf(np.arange(lo, hi + 1), n, p))))
     if kept <= 0.0:
         raise ValueError("window carries no probability mass (tail mass 1)")
-    dims = (spec.rho.dim_a, spec.rho.dim_b)
     factors = ((0, (1.0 - p) * spec.rho.entries), (1, p * spec.sigma.entries))
     blocks = {0: np.ones((1, 1), dtype=complex)}
     for m in range(1, n):
-        prev = (dims[0] ** (m - 1), dims[1] ** (m - 1))
         blocks = {
             l: sum(
-                kron_ab(blocks[l - shift], prev, factor, dims)
+                np.kron(blocks[l - shift], factor)
                 for shift, factor in factors
                 if l - shift in blocks
             )
             for l in range(max(0, lo - (n - m)), min(m, hi) + 1)
         }
-    prev = (dims[0] ** (n - 1), dims[1] ** (n - 1))
-    acc = np.zeros((side, side), dtype=complex)
+    acc = np.zeros((order.size, order.size), dtype=complex)
     for shift, factor in factors:
         window = [blocks[l] for l in range(lo - shift, hi - shift + 1) if l in blocks]
         if window:
-            acc += kron_ab(sum(window), prev, factor, dims)
+            acc += np.kron(sum(window), factor)
     acc /= kept
-    pi = DensityMatrix(dims[0] ** n, dims[1] ** n, acc)
+    pi = DensityMatrix(dims[0] ** n, dims[1] ** n, acc[np.ix_(order, order)], check=False)
     return TruncatedMixture(
         pi=pi,
         tail_mass=_tail_mass(n, p, lo, hi),
@@ -215,8 +215,7 @@ def _swap_sectors(dims: tuple[int, int], n: int) -> tuple[np.ndarray, ...]:
     sum_t coef[t, r] e_{src[t, r]} over 2^(n // 2) terms, src in the
     package's bipartite ordering.  Returns the sector sizes, src, coef.
     """
-    da, db = dims
-    d = da * db
+    d = dims[0] * dims[1]
     i, j = np.triu_indices(d)
     ia, ja = np.triu_indices(d, 1)
     h = math.sqrt(0.5)
@@ -239,9 +238,8 @@ def _swap_sectors(dims: tuple[int, int], n: int) -> tuple[np.ndarray, ...]:
         src = (src[:, :, None] * d + np.arange(d)).reshape(src.shape[0], -1)
         coef, sector = np.repeat(coef, d, axis=1), np.repeat(sector, d)
     order = np.argsort(sector, kind="stable")
-    # copy-major c_1 ... c_n (c_k = a_k d_B + b_k) -> a_1 ... a_n b_1 ... b_n
-    axes = [k + party * n for k in range(n) for party in (0, 1)]
-    to_bipartite = np.arange(d**n).reshape((da,) * n + (db,) * n).transpose(axes).ravel()
+    # src counts copy by copy; the callers checked this side against the cap
+    to_bipartite = np.argsort(ab_order([dims], n, cap=d**n))
     return np.bincount(sector), to_bipartite[src[:, order]], coef[:, order]
 
 

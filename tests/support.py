@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
-from entbounds.errors import EntboundsError, SizeCapError
+from entbounds.errors import EntboundsError
 from entbounds.linalg import (
     DEFAULT_SIZE_CAP,
     HERMITICITY_TOL,
@@ -21,7 +21,7 @@ from entbounds.linalg import (
     DensityMatrix,
     PureState,
     ValidationReport,
-    kron_ab,
+    ab_order,
 )
 from entbounds.measures import KIND_LOWER, MeasureValue, ec_upper, ed_lower
 from entbounds.protocols import LOG2, _check_distribution
@@ -31,10 +31,8 @@ from entbounds.states import product_state
 
 def tensor(a: DensityMatrix, b: DensityMatrix, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
     """Tensor product with A parties grouped together and B parties likewise."""
-    side = a.side * b.side
-    if side > cap:
-        raise SizeCapError(side, cap)
-    entries = kron_ab(a.entries, (a.dim_a, a.dim_b), b.entries, (b.dim_a, b.dim_b))
+    order = ab_order([(a.dim_a, a.dim_b), (b.dim_a, b.dim_b)], cap=cap)
+    entries = np.kron(a.entries, b.entries)[np.ix_(order, order)]
     return DensityMatrix(a.dim_a * b.dim_a, a.dim_b * b.dim_b, entries)
 
 

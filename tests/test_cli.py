@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from entbounds import cli
+from entbounds.linalg import DensityMatrix
 from entbounds.measures import ec_upper, eof_2x2
 from entbounds.mixing import tail_mass_scan
 from entbounds.protocols import concentration_curve
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
-from entbounds.stateio import dumps_state
+from entbounds.stateio import dumps_state, load_state
 
 
 @pytest.fixture
@@ -111,8 +112,6 @@ def test_mixing_verify_passes(werner_file, phi_file, capsys):
             "0.5",
             "--n",
             "3",
-            "--format",
-            "json",
         ],
         capsys,
     )
@@ -139,6 +138,30 @@ def test_mixing_verify_cap(werner_file, phi_file, capsys):
     )
     assert code == cli.EXIT_CAP
     assert err.strip()
+
+
+@pytest.mark.parametrize("n", [1000, 8000])
+def test_mixing_verify_huge_n_hits_the_cap(werner_file, phi_file, n, capsys):
+    code, out, err = run_cli_strict(
+        ["mixing-verify", werner_file, phi_file, "--p", "0.5", "--n", str(n)], capsys
+    )
+    assert code == cli.EXIT_CAP
+    assert out == ""
+    assert err == f"error: matrix side 4^{n} exceeds size cap 4096\n"
+
+
+def test_mixing_verify_accepts_trace_defect_within_tolerance(tmp_path, capsys):
+    # each copy adds its trace defect, so rho_p^(x 3) and Pi sit near 2e-10
+    rho = DensityMatrix(2, 2, werner(0.9).entries * (1.0 + 9e-11))
+    rho_path, sigma_path = tmp_path / "rho.json", tmp_path / "sigma.json"
+    rho_path.write_text(dumps_state(rho))
+    sigma_path.write_text(dumps_state(maximally_mixed(2, 2)))
+    assert abs(load_state(str(rho_path)).entries.trace() - 1.0) > 8e-11
+    code, out, err = run_cli_strict(
+        ["mixing-verify", str(rho_path), str(sigma_path), "--p", "0.3", "--n", "3"], capsys
+    )
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(out)["passed"] is True
 
 
 def test_mixing_verify_empty_window(werner_file, phi_file, capsys):
@@ -175,6 +198,13 @@ def test_mixing_verify_dimension_mismatch_exit_2(werner_file, tmp_path):
 
 
 # ---- tail-scan ----
+
+
+def test_format_is_a_measure_option(capsys):
+    code, out, err = run_cli(["tail-scan", "--p", "0.5", "--n-list", "4", "--format", "json"], capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "--format" in err
 
 
 def test_tail_scan_matches_library(capsys):
@@ -403,8 +433,6 @@ def test_catalytic_json(capsys):
             "0.5",
             "--ed-rho-p",
             "0.25",
-            "--format",
-            "json",
         ],
         capsys,
     )

@@ -9,7 +9,7 @@ from entbounds.errors import (
 from entbounds.linalg import (
     DensityMatrix,
     PureState,
-    kron_ab,
+    ab_order,
     mix,
     partial_trace,
     partial_transpose,
@@ -81,12 +81,13 @@ def test_pure_state_norm_enforced():
         PureState(2, 1, np.array([1.0, 1.0]))
 
 
-def test_kron_ab_matches_manual_reordering():
-    # two qubits on each side: |a1 a2 b1 b2> ordering must hold
+def test_ab_order_matches_manual_reordering():
+    # two copies: |a1 a2 b1 b2> ordering must hold
     rng = np.random.default_rng(0)
     a = random_density_matrix(2, 3, seed=rng)
     b = random_density_matrix(2, 2, seed=rng)
-    joint = kron_ab(a.entries, (2, 3), b.entries, (2, 2))
+    order = ab_order([(2, 3), (2, 2)])
+    joint = np.kron(a.entries, b.entries)[np.ix_(order, order)]
     # brute force: permutation matrix built from index arithmetic
     da1, db1, da2, db2 = 2, 3, 2, 2
     side = da1 * db1 * da2 * db2
@@ -122,6 +123,12 @@ def test_tensor_power_respects_cap():
     rho = maximally_mixed(2, 2)
     with pytest.raises(SizeCapError):
         tensor_power(rho, 7)
+
+
+def test_tensor_power_of_trivial_state_beyond_numpy_axis_limit():
+    # 40 copies of a 1x1 state: 80 unit axes, more than numpy's 64
+    power = tensor_power(DensityMatrix(1, 1, [[1.0]]), 40)
+    assert (power.dim_a, power.dim_b, power.entries.tolist()) == (1, 1, [[1.0]])
 
 
 def test_partial_trace_of_pure_state_marginals_share_spectrum():

@@ -12,7 +12,16 @@ from scipy.stats import binom
 
 from entbounds import mixing
 from entbounds.errors import DimensionMismatchError, EmptyWindowError, SizeCapError
-from entbounds.linalg import DensityMatrix, kron_ab, mix, tensor_power, trace_distance, trace_norm
+from entbounds.linalg import (
+    HERMITICITY_TOL,
+    PSD_FLOOR,
+    DensityMatrix,
+    ab_order,
+    mix,
+    tensor_power,
+    trace_distance,
+    trace_norm,
+)
 from entbounds.mixing import (
     MixtureSpec,
     _binom_reach,
@@ -32,22 +41,16 @@ SIGMA = random_density_matrix(2, 2, seed=101)
 
 def brute_block(rho, sigma, n, l):
     """Average over explicit 0/1 strings instead of position subsets."""
-    side = rho.side**n
-    acc = np.zeros((side, side), dtype=complex)
+    order = ab_order([(rho.dim_a, rho.dim_b)], n)
+    acc = np.zeros((order.size, order.size), dtype=complex)
     count = 0
     for pattern in product((0, 1), repeat=n):
         if sum(pattern) != l:
             continue
-        entries = None
-        dims = (1, 1)
+        entries = np.ones((1, 1))
         for bit in pattern:
-            factor = sigma if bit else rho
-            if entries is None:
-                entries = factor.entries
-            else:
-                entries = kron_ab(entries, dims, factor.entries, (2, 2))
-            dims = (dims[0] * 2, dims[1] * 2)
-        acc += entries
+            entries = np.kron(entries, (sigma if bit else rho).entries)
+        acc += entries[np.ix_(order, order)]
         count += 1
     return acc / count
 
@@ -243,6 +246,23 @@ def test_block_trace_distance_matches_dense(dims, n):
         report = verify_mixing_bound(spec)
         expected = dense_distance(spec, build_truncated_mixture(spec).pi)
         assert abs(report.trace_distance - expected) <= 1e-13, (seed, report, expected)
+
+
+@pytest.mark.parametrize(
+    "dims,n", [((2, 2), n) for n in range(1, 6)] + [((2, 3), n) for n in range(1, 5)]
+)
+def test_unvalidated_n_copy_operators_are_states(dims, n):
+    """Pi and the tensor power skip validation; check what it would check."""
+    spec = random_spec(*dims, n, seed=300 + n)
+    narrow, _ = binomial_window(n, spec.p, half_width=0.6)
+    operators = [tensor_power(mix(spec.rho, spec.sigma, spec.p), n)]
+    for window in (narrow, (0, n)):
+        operators.append(build_truncated_mixture(replace(spec, window=window)).pi)
+    for op in operators:
+        m = op.entries
+        assert np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL
+        assert np.linalg.eigvalsh(m)[0] >= PSD_FLOOR
+        assert abs(m.trace() - 1.0) <= 1e-12
 
 
 def swap_breaking(truncated, dim_a, eps=1e-6):
