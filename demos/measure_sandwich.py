@@ -10,7 +10,7 @@ import numpy as np
 
 from entbounds import ec_upper, ed_lower, eof_2x2, log_negativity, phi_plus, werner
 
-phi = phi_plus().to_density_matrix()
+phi = phi_plus()
 print("maximally entangled pair:")
 print("  ed_lower =", ed_lower(phi).value)
 print("  ec_upper =", ec_upper(phi).value)

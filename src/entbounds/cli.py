@@ -31,10 +31,8 @@ from .continuity import (
 )
 from .errors import (
     BallNotCertifiedError,
-    DimensionMismatchError,
-    EmptyWindowError,
+    EntboundsError,
     SizeCapError,
-    StateFileError,
     StateValidityError,
 )
 from .linalg import DEFAULT_SIZE_CAP, trace_distance
@@ -332,13 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SIZE_CAP,
         help="largest matrix side accepted before aborting with exit 3",
     )
-    shared.add_argument(
+    shared.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    certified = argparse.ArgumentParser(add_help=False, parents=[shared])
+    certified.add_argument(
         "--tolerance",
         type=finite_float,
         default=None,
         help="override the default 1e-9 certification slack",
     )
-    shared.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
     parser = argparse.ArgumentParser(
         prog="entbounds",
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(1 2), (3 4), ..., and sqrt(side) times the Frobenius norm of the part off those "
         "blocks is added, so the printed T never falls below the true distance"
     )
-    p = sub.add_parser("mixing-verify", parents=[shared], help=about, description=about)
+    p = sub.add_parser("mixing-verify", parents=[certified], help=about, description=about)
     p.add_argument("rho_file")
     p.add_argument("sigma_file")
     p.add_argument("--p", type=finite_float, required=True)
@@ -374,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-width", type=finite_float, default=None)
     p.set_defaults(func=cmd_tail_scan)
 
-    p = sub.add_parser("ball-scan", parents=[shared], help="sample a trace-distance ball and certify the corridor")
+    p = sub.add_parser("ball-scan", parents=[certified], help="sample a trace-distance ball and certify the corridor")
     p.add_argument("center_file")
     p.add_argument("--epsilon", type=finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
@@ -421,21 +420,15 @@ def main(argv=None) -> int:
     config = RunConfig(
         seed=args.seed,
         size_cap=args.cap,
-        tolerance=args.tolerance,
+        tolerance=getattr(args, "tolerance", None),
         out=args.out,
         invocation="entbounds " + " ".join(argv),
     )
     try:
         return args.func(args, config)
-    except SizeCapError as exc:
+    except (EntboundsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except BallNotCertifiedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
-    except StateValidityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.report is not None:
+        if isinstance(exc, StateValidityError) and exc.report is not None:
             print(
                 "  hermiticity defect: "
                 f"{exc.report.hermiticity_defect!r}\n"
@@ -443,10 +436,9 @@ def main(argv=None) -> int:
                 f"  min eigenvalue: {exc.report.min_eigenvalue!r}",
                 file=sys.stderr,
             )
-        return EXIT_INPUT
-    except (StateFileError, DimensionMismatchError, EmptyWindowError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, SizeCapError):
+            return EXIT_CAP
+        return EXIT_CERTIFICATION if isinstance(exc, BallNotCertifiedError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

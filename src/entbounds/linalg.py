@@ -8,7 +8,6 @@ package assumes this ordering.
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from .errors import DimensionMismatchError, SizeCapError, StateValidityError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-9
-NORM_TOL = 1e-12
 DEFAULT_SIZE_CAP = 4096
 
 
@@ -100,67 +98,19 @@ class DensityMatrix:
         return self.dim_a * self.dim_b
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """A bipartite pure state as a unit-norm amplitude vector."""
+def ab_order(dims: tuple[int, int], n: int, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+    """Position of each A|B basis vector in a plain Kronecker power.
 
-    dim_a: int
-    dim_b: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise StateValidityError("local dimensions must be positive integers")
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (self.dim_a * self.dim_b,):
-            raise StateValidityError(
-                f"amplitude vector must have length {self.dim_a * self.dim_b}"
-            )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        defect = abs(np.linalg.norm(amps) - 1.0)
-        if defect > NORM_TOL:
-            raise StateValidityError(f"norm defect {defect:.3e} exceeds {NORM_TOL:.0e}")
-
-    def to_density_matrix(self) -> DensityMatrix:
-        entries = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(self.dim_a, self.dim_b, entries)
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtForm:
-    """Non-increasing Schmidt coefficients; squares sum to one."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.array(self.coefficients, dtype=float).reshape(-1)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-        if coeffs.size == 0 or np.any(coeffs < 0):
-            raise StateValidityError("coefficients must be non-negative")
-        if np.any(np.diff(coeffs) > 0):
-            raise StateValidityError("coefficients must be non-increasing")
-        defect = abs(float(np.sum(coeffs**2)) - 1.0)
-        if defect > NORM_TOL:
-            raise StateValidityError(
-                f"squared coefficients sum defect {defect:.3e} exceeds {NORM_TOL:.0e}"
-            )
-
-
-def ab_order(copy_dims: list[tuple[int, int]], n: int = 1, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
-    """Position of each A|B basis vector in a plain Kronecker product.
-
-    np.kron over copies with local dims copy_dims, repeated n times,
-    orders the joint basis copy by copy, |a1 b1 a2 b2 ...>; the bipartite
-    convention needs |a1 a2 ... b1 b2 ...>.  For such a product k,
+    np.kron over n copies with local dims (d_A, d_B) orders the joint
+    basis copy by copy, |a1 b1 a2 b2 ...>; the bipartite convention
+    needs |a1 a2 ... b1 b2 ...>.  For such a product k,
     k[np.ix_(order, order)] is the same operator in bipartite order.
     Raises SizeCapError, before forming the side, when it exceeds cap.
     """
-    side = math.prod(da * db for da, db in copy_dims)
+    side = dims[0] * dims[1]
     if side ** min(n, cap.bit_length()) > cap:
         raise SizeCapError(f"{side}^{n}" if n > 1 else side, cap)
-    shape = [d for dims in copy_dims for d in dims] * n
+    shape = list(dims) * n
     # unit axes move nothing, and 33 copies of a 1x1 state would pass numpy's 64 axes
     moved = [k for k, d in enumerate(shape) if d > 1]
     axes = sorted(range(len(moved)), key=lambda i: moved[i] % 2)  # A axes, then B axes
@@ -176,7 +126,7 @@ def tensor_power(rho: DensityMatrix, n: int, cap: int = DEFAULT_SIZE_CAP) -> Den
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    order = ab_order([(rho.dim_a, rho.dim_b)], n, cap)
+    order = ab_order((rho.dim_a, rho.dim_b), n, cap)
     entries = rho.entries
     for _ in range(n - 1):
         entries = np.kron(entries, rho.entries)
@@ -237,8 +187,3 @@ def mix(rho: DensityMatrix, sigma: DensityMatrix, p: float) -> DensityMatrix:
         raise ValueError(f"p must lie in [-1, 1], got {p}")
     entries = (1.0 - p) * rho.entries + p * sigma.entries
     return DensityMatrix(rho.dim_a, rho.dim_b, entries)
-
-
-def schmidt_decompose(psi: PureState) -> SchmidtForm:
-    m = psi.amplitudes.reshape(psi.dim_a, psi.dim_b)
-    return SchmidtForm(np.linalg.svd(m, compute_uv=False))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, StateValidityError
-from .linalg import DensityMatrix, PureState, partial_transpose, schmidt_decompose
+from .linalg import DensityMatrix, partial_transpose
 from .sampling import haar_qr
 from .states import bell_basis
 
@@ -96,12 +96,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
         )
     # an eigenvalue a rounding error above 1 would push the sum below 0
     return max(_shannon(np.clip(eigs, 0.0, None)), 0.0)
-
-
-def entropy_of_entanglement(psi: PureState) -> MeasureValue:
-    """Shannon entropy (base 2) of the squared Schmidt coefficients."""
-    squares = schmidt_decompose(psi).coefficients ** 2
-    return MeasureValue(_shannon(squares), KIND_EXACT, "entropy_of_entanglement")
 
 
 def is_ppt(rho: DensityMatrix) -> PptVerdict:

@@ -55,9 +55,6 @@ class MixtureSpec:
 class TruncatedMixture:
     pi: DensityMatrix
     tail_mass: float
-    window: tuple[int, int]
-    rho_copies_max: int
-    sigma_copies_max: int
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,7 @@ def build_truncated_mixture(
     n, p = spec.n, spec.p
     lo, hi = spec.window
     dims = (spec.rho.dim_a, spec.rho.dim_b)
-    order = ab_order([dims], n, cap)
+    order = ab_order(dims, n, cap)
     kept = float(np.sum(np.exp(_binom_logpmf(np.arange(lo, hi + 1), n, p))))
     if kept <= 0.0:
         raise ValueError("window carries no probability mass (tail mass 1)")
@@ -194,13 +191,7 @@ def build_truncated_mixture(
             acc += np.kron(sum(window), factor)
     acc /= kept
     pi = DensityMatrix(dims[0] ** n, dims[1] ** n, acc[np.ix_(order, order)], check=False)
-    return TruncatedMixture(
-        pi=pi,
-        tail_mass=_tail_mass(n, p, lo, hi),
-        window=(lo, hi),
-        rho_copies_max=n - lo,
-        sigma_copies_max=hi,
-    )
+    return TruncatedMixture(pi=pi, tail_mass=_tail_mass(n, p, lo, hi))
 
 
 def _swap_sectors(dims: tuple[int, int], n: int) -> tuple[np.ndarray, ...]:
@@ -239,7 +230,7 @@ def _swap_sectors(dims: tuple[int, int], n: int) -> tuple[np.ndarray, ...]:
         coef, sector = np.repeat(coef, d, axis=1), np.repeat(sector, d)
     order = np.argsort(sector, kind="stable")
     # src counts copy by copy; the callers checked this side against the cap
-    to_bipartite = np.argsort(ab_order([dims], n, cap=d**n))
+    to_bipartite = np.argsort(ab_order(dims, n, cap=d**n))
     return np.bincount(sector), to_bipartite[src[:, order]], coef[:, order]
 
 

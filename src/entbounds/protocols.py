@@ -112,7 +112,7 @@ def eta_continuity_scan(xi: DensityMatrix, eps_grid) -> list[EtaScanRow]:
     """
     if (xi.dim_a, xi.dim_b) != (2, 2):
         raise ValueError("contamination state must be two-qubit")
-    target = phi_plus().to_density_matrix()
+    target = phi_plus()
     rows = []
     for eps in eps_grid:
         eps = float(eps)

@@ -1,10 +1,10 @@
-"""Seeded random states, isometries and unitaries for tests and sweeps."""
+"""Seeded random density matrices and the phase-fixed QR that makes Ginibre draws Haar."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState
+from .linalg import DensityMatrix
 
 
 def ensure_rng(seed) -> np.random.Generator:
@@ -29,37 +29,6 @@ def random_density_matrix(
     return DensityMatrix(dim_a, dim_b, m / m.trace())
 
 
-def random_pure_state(dim_a: int, dim_b: int, seed=None) -> PureState:
-    rng = ensure_rng(seed)
-    v = _ginibre(dim_a * dim_b, 1, rng).reshape(-1)
-    return PureState(dim_a, dim_b, v / np.linalg.norm(v))
-
-
-def random_product_pure_state(dim_a: int, dim_b: int, seed=None) -> PureState:
-    rng = ensure_rng(seed)
-    a = _ginibre(dim_a, 1, rng).reshape(-1)
-    b = _ginibre(dim_b, 1, rng).reshape(-1)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    return PureState(dim_a, dim_b, np.kron(a, b))
-
-
-def random_separable_state(
-    dim_a: int, dim_b: int, seed=None, terms: int | None = None
-) -> DensityMatrix:
-    """Convex mixture of random product projectors (separable by construction)."""
-    rng = ensure_rng(seed)
-    if terms is None:
-        terms = 2 * dim_a * dim_b
-    weights = rng.dirichlet(np.ones(terms))
-    side = dim_a * dim_b
-    out = np.zeros((side, side), dtype=complex)
-    for w in weights:
-        amps = random_product_pure_state(dim_a, dim_b, rng).amplitudes
-        out += w * np.outer(amps, amps.conj())
-    return DensityMatrix(dim_a, dim_b, out)
-
-
 def haar_qr(g: np.ndarray) -> np.ndarray:
     """Q factor of Ginibre draws g, shape (..., rows, cols), with the phase fix.
 
@@ -71,15 +40,3 @@ def haar_qr(g: np.ndarray) -> np.ndarray:
     phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
     return q * phases[..., None, :]
-
-
-def random_isometry(rows: int, cols: int, seed=None) -> np.ndarray:
-    """rows x cols matrix V with V^dag V = identity (requires rows >= cols)."""
-    if rows < cols:
-        raise ValueError("isometry needs rows >= cols")
-    return haar_qr(_ginibre(rows, cols, ensure_rng(seed)))
-
-
-def random_unitary(dim: int, seed=None) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    return random_isometry(dim, dim, seed)

@@ -41,10 +41,6 @@ def dumps_state(rho: DensityMatrix) -> str:
     return json.dumps(doc, indent=1)
 
 
-def save_state(path: str, rho: DensityMatrix) -> None:
-    atomic_write_text(path, dumps_state(rho) + "\n")
-
-
 def loads_state(text: str, force: bool = False, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
     try:
         doc = json.loads(text)

@@ -4,46 +4,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState
+from .linalg import DensityMatrix
 
 _SQRT2 = np.sqrt(2.0)
 
-BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
-
-
-def bell_state(label: str) -> PureState:
-    """One of the four Bell states of a two-qubit system."""
-    amps = {
-        "phi_plus": np.array([1, 0, 0, 1]) / _SQRT2,
-        "phi_minus": np.array([1, 0, 0, -1]) / _SQRT2,
-        "psi_plus": np.array([0, 1, 1, 0]) / _SQRT2,
-        "psi_minus": np.array([0, 1, -1, 0]) / _SQRT2,
-    }
-    if label not in amps:
-        raise ValueError(f"unknown Bell label {label!r}; choose from {BELL_LABELS}")
-    return PureState(2, 2, amps[label])
+# Bell states as columns: phi_plus, phi_minus, psi_plus, psi_minus
+_BELL = (
+    np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]]) / _SQRT2
+).astype(complex)
+_BELL.setflags(write=False)
 
 
 def bell_basis() -> np.ndarray:
-    """Unitary whose columns are the Bell states, in BELL_LABELS order."""
-    return np.column_stack([bell_state(lab).amplitudes for lab in BELL_LABELS])
+    """Unitary whose columns are phi_plus, phi_minus, psi_plus and psi_minus."""
+    return _BELL.copy()
 
 
-def phi_plus() -> PureState:
-    return bell_state("phi_plus")
+def _bell_projector(column: int) -> np.ndarray:
+    amps = _BELL[:, column]
+    return np.outer(amps, amps.conj())
+
+
+def phi_plus() -> DensityMatrix:
+    """The maximally entangled two-qubit state (|00> + |11>)/sqrt 2."""
+    return DensityMatrix(2, 2, _bell_projector(0))
 
 
 def maximally_mixed(dim_a: int, dim_b: int) -> DensityMatrix:
     side = dim_a * dim_b
     return DensityMatrix(dim_a, dim_b, np.eye(side) / side)
-
-
-def product_state(vec_a, vec_b) -> PureState:
-    a = np.asarray(vec_a, dtype=complex).reshape(-1)
-    b = np.asarray(vec_b, dtype=complex).reshape(-1)
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    return PureState(len(a), len(b), np.kron(a, b))
 
 
 def werner(weight: float) -> DensityMatrix:
@@ -53,9 +42,7 @@ def werner(weight: float) -> DensityMatrix:
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {weight}")
-    singlet = bell_state("psi_minus").amplitudes
-    proj = np.outer(singlet, singlet.conj())
-    return DensityMatrix(2, 2, weight * proj + (1.0 - weight) * np.eye(4) / 4.0)
+    return DensityMatrix(2, 2, weight * _bell_projector(3) + (1.0 - weight) * np.eye(4) / 4.0)
 
 
 def isotropic_2x3(q: float) -> DensityMatrix:

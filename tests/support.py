@@ -1,6 +1,7 @@
-"""Helpers that only the tests use: channels, tensor products, named
-states, a non-raising validation report, a conversion-rate record and
-full-range references for the binomial sums.
+"""Helpers that only the tests use: seeded random amplitudes, unitaries
+and separable states, channels, tensor products, named states, an
+entanglement-entropy reference, a non-raising validation report, a
+conversion-rate record and full-range references for the binomial sums.
 
 They build on entbounds and are not part of its API.
 """
@@ -12,27 +13,90 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
-from entbounds.errors import EntboundsError
+from entbounds.errors import EntboundsError, SizeCapError
 from entbounds.linalg import (
     DEFAULT_SIZE_CAP,
     HERMITICITY_TOL,
     PSD_FLOOR,
     TRACE_TOL,
     DensityMatrix,
-    PureState,
     ValidationReport,
-    ab_order,
 )
 from entbounds.measures import KIND_LOWER, MeasureValue, ec_upper, ed_lower
 from entbounds.protocols import LOG2, _check_distribution
-from entbounds.sampling import ensure_rng, random_isometry, random_unitary
-from entbounds.states import product_state
+from entbounds.sampling import _ginibre, ensure_rng, haar_qr
+
+
+def random_isometry(rows: int, cols: int, seed=None) -> np.ndarray:
+    """rows x cols matrix V with V^dag V = identity (requires rows >= cols)."""
+    if rows < cols:
+        raise ValueError("isometry needs rows >= cols")
+    return haar_qr(_ginibre(rows, cols, ensure_rng(seed)))
+
+
+def random_unitary(dim: int, seed=None) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    return random_isometry(dim, dim, seed)
+
+
+def random_pure_amplitudes(dim_a: int, dim_b: int, seed=None) -> np.ndarray:
+    """Unit vector on C^dim_a x C^dim_b from one Ginibre column."""
+    v = _ginibre(dim_a * dim_b, 1, ensure_rng(seed)).reshape(-1)
+    return v / np.linalg.norm(v)
+
+
+def product_amplitudes(vec_a, vec_b) -> np.ndarray:
+    """Normalized vec_a x normalized vec_b."""
+    a = np.asarray(vec_a, dtype=complex).reshape(-1)
+    b = np.asarray(vec_b, dtype=complex).reshape(-1)
+    return np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+
+
+def random_product_amplitudes(dim_a: int, dim_b: int, seed=None) -> np.ndarray:
+    rng = ensure_rng(seed)
+    a = _ginibre(dim_a, 1, rng).reshape(-1)
+    b = _ginibre(dim_b, 1, rng).reshape(-1)
+    return product_amplitudes(a, b)
+
+
+def pure_state(dim_a: int, dim_b: int, amps) -> DensityMatrix:
+    """The projector onto a unit amplitude vector."""
+    amps = np.asarray(amps, dtype=complex)
+    return DensityMatrix(dim_a, dim_b, np.outer(amps, amps.conj()))
+
+
+def random_separable_state(
+    dim_a: int, dim_b: int, seed=None, terms: int | None = None
+) -> DensityMatrix:
+    """Convex mixture of random product projectors (separable by construction)."""
+    rng = ensure_rng(seed)
+    if terms is None:
+        terms = 2 * dim_a * dim_b
+    weights = rng.dirichlet(np.ones(terms))
+    side = dim_a * dim_b
+    out = np.zeros((side, side), dtype=complex)
+    for w in weights:
+        amps = random_product_amplitudes(dim_a, dim_b, rng)
+        out += w * np.outer(amps, amps.conj())
+    return DensityMatrix(dim_a, dim_b, out)
+
+
+def entanglement_entropy(amps, dim_a: int, dim_b: int) -> float:
+    """Shannon entropy (base 2) of the squared singular values of amps as a dim_a x dim_b matrix."""
+    squares = np.linalg.svd(np.reshape(amps, (dim_a, dim_b)), compute_uv=False) ** 2
+    squares = squares[squares > 0]
+    return float(-np.sum(squares * np.log2(squares)))
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
     """Tensor product with A parties grouped together and B parties likewise."""
-    order = ab_order([(a.dim_a, a.dim_b), (b.dim_a, b.dim_b)], cap=cap)
-    entries = np.kron(a.entries, b.entries)[np.ix_(order, order)]
+    side = a.side * b.side
+    if side > cap:
+        raise SizeCapError(side, cap)
+    dims = (a.dim_a, a.dim_b, b.dim_a, b.dim_b)
+    # np.kron orders the basis |a1 b1 a2 b2>; the convention needs |a1 a2 b1 b2>
+    joint = np.kron(a.entries, b.entries).reshape(dims + dims)
+    entries = joint.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(side, side)
     return DensityMatrix(a.dim_a * b.dim_a, a.dim_b * b.dim_b, entries)
 
 
@@ -83,12 +147,12 @@ def random_local_unitary_conjugate(rho: DensityMatrix, seed=None) -> DensityMatr
     return DensityMatrix(rho.dim_a, rho.dim_b, u @ rho.entries @ u.conj().T)
 
 
-def max_entangled(dim: int) -> PureState:
-    """(1/sqrt(d)) sum_i |ii> on a dim x dim system."""
+def max_entangled(dim: int) -> np.ndarray:
+    """Amplitudes of (1/sqrt(d)) sum_i |ii> on a dim x dim system."""
     amps = np.zeros(dim * dim, dtype=complex)
     for i in range(dim):
         amps[i * dim + i] = 1.0
-    return PureState(dim, dim, amps / np.sqrt(dim))
+    return amps / np.sqrt(dim)
 
 
 def separable_mixture(components) -> DensityMatrix:
@@ -108,7 +172,7 @@ def separable_mixture(components) -> DensityMatrix:
     dim_b = len(items[0][2])
     out = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
     for w, a, b in items:
-        amps = product_state(a, b).amplitudes
+        amps = product_amplitudes(a, b)
         out += (w / total) * np.outer(amps, amps.conj())
     return DensityMatrix(dim_a, dim_b, out)
 

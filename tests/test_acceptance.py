@@ -21,7 +21,6 @@ from entbounds.measures import (
     concurrence_2x2,
     ec_upper,
     ed_lower,
-    entropy_of_entanglement,
     eof_2x2,
     eof_upper_general,
     log_negativity,
@@ -29,13 +28,16 @@ from entbounds.measures import (
 )
 from entbounds.mixing import MixtureSpec, binomial_window, tail_mass_scan, verify_mixing_bound
 from entbounds.protocols import concentration_yield, eta_continuity_scan
-from entbounds.sampling import (
-    random_density_matrix,
-    random_pure_state,
-    random_separable_state,
-)
+from entbounds.sampling import random_density_matrix
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from entbounds.stateio import dumps_state
+from support import (
+    entanglement_entropy,
+    max_entangled,
+    pure_state,
+    random_pure_amplitudes,
+    random_separable_state,
+)
 
 
 def test_criterion_01_mixing_sweep():
@@ -137,9 +139,8 @@ def test_criterion_05_measure_instantiations():
             assert log_negativity(power).value == pytest.approx(
                 n * base, abs=1e-8
             )
-    phi = phi_plus()
-    phi_dm = phi.to_density_matrix()
-    assert entropy_of_entanglement(phi).value == pytest.approx(1.0, abs=1e-10)
+    phi_dm = phi_plus()
+    assert entanglement_entropy(max_entangled(2), 2, 2) == pytest.approx(1.0, abs=1e-10)
     assert eof_2x2(phi_dm).value == pytest.approx(1.0, abs=1e-10)
     assert concurrence_2x2(phi_dm) == pytest.approx(1.0, abs=1e-10)
     assert log_negativity(phi_dm).value == pytest.approx(1.0, abs=1e-10)
@@ -151,9 +152,9 @@ def test_criterion_05_measure_instantiations():
         assert ed_lower(sep).value <= 1e-6
         assert eof_upper_general(sep, budget=200, seed=0).value <= 1e-6
     for _ in range(50):
-        psi = random_pure_state(2, 2, seed=rng)
-        assert eof_2x2(psi.to_density_matrix()).value == pytest.approx(
-            entropy_of_entanglement(psi).value, abs=1e-9
+        amps = random_pure_amplitudes(2, 2, seed=rng)
+        assert eof_2x2(pure_state(2, 2, amps)).value == pytest.approx(
+            entanglement_entropy(amps, 2, 2), abs=1e-9
         )
 
 

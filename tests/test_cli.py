@@ -27,7 +27,7 @@ def werner_file(tmp_path):
 @pytest.fixture
 def phi_file(tmp_path):
     path = tmp_path / "phi.json"
-    path.write_text(dumps_state(phi_plus().to_density_matrix()))
+    path.write_text(dumps_state(phi_plus()))
     return str(path)
 
 
@@ -207,6 +207,16 @@ def test_format_is_a_measure_option(capsys):
     assert "--format" in err
 
 
+def test_tolerance_is_an_option_of_the_two_certifying_commands(capsys):
+    code, out, err = run_cli(["tail-scan", "--p", "0.5", "--n-list", "4", "--tolerance", "1e-3"], capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "--tolerance" in err
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    takes = {name for name, p in sub.choices.items() if "--tolerance" in p._option_string_actions}
+    assert takes == {"mixing-verify", "ball-scan"}
+
+
 def test_tail_scan_matches_library(capsys):
     code, out, _ = run_cli(
         ["tail-scan", "--p", "0.3", "--n-list", "10,100,1000"], capsys
@@ -333,6 +343,16 @@ def test_ball_scan_not_certified(tmp_path, capsys):
     )
     assert code == cli.EXIT_CERTIFICATION
     assert "certif" in err.lower()
+
+
+def test_ball_scan_unplaceable_sample_exit_2(werner_file, capsys):
+    # at epsilon 1 no direction draw lands a sample inside the state space
+    code, out, err = run_cli(
+        ["ball-scan", werner_file, "--epsilon", "1", "--samples", "1"], capsys
+    )
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == "error: could not place ball sample 0 after 200 direction draws\n"
 
 
 def test_ball_scan_zero_samples(werner_file, capsys):
@@ -478,7 +498,7 @@ def test_non_finite_state_entries_exit_2(tmp_path, capsys, pair):
         ["catalytic", "--delta", "0.1", "--ec-sigma", "inf", "--ed-rho-p", "0.8"],
         ["tail-scan", "--p", "nan", "--n-list", "4"],
         ["eta-scan", "--eps-stop", "inf"],
-        ["measure", "x.json", "eof_2x2", "--tolerance", "nan"],
+        ["mixing-verify", "x.json", "y.json", "--p", "0.3", "--n", "2", "--tolerance", "nan"],
     ],
 )
 def test_non_finite_arguments_exit_2(argv, capsys):
@@ -524,7 +544,7 @@ def test_console_script_rejects_nan_state(tmp_path):
 
 def test_console_script_runs(tmp_path):
     path = tmp_path / "phi.json"
-    path.write_text(dumps_state(phi_plus().to_density_matrix()))
+    path.write_text(dumps_state(phi_plus()))
     proc = subprocess.run(
         [
             sys.executable,

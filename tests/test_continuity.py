@@ -123,7 +123,7 @@ def test_ball_constants_on_narrow_werner_ball():
 
 
 def test_ball_constants_near_maximally_entangled_center():
-    center = phi_plus().to_density_matrix()
+    center = phi_plus()
     spec = BallSpec(center=center, epsilon=1e-3, sample_count=20, seed=7)
     constants = ball_constants(spec)
     assert constants.ed_min_lower > 0.98
@@ -241,7 +241,7 @@ def test_corridor_reverse_mix_flag():
     report = corridor_consistency_check(center, sigma, constants, [0.0, 0.5, 1.0])
     assert [row.reverse_mix_available for row in report.rows] == [True, True, True]
     # weight p - 1 = -0.5 pushes a pure center outside the state cone
-    pure = phi_plus().to_density_matrix()
+    pure = phi_plus()
     spec2 = BallSpec(center=pure, epsilon=5e-2, sample_count=5, seed=17)
     constants2 = ball_constants(spec2)
     report2 = corridor_consistency_check(

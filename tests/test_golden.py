@@ -30,7 +30,7 @@ STATES = {
     "werner09.json": lambda: werner(0.9),
     # entangled, with no zero entries: exercises every closed form
     "mixed.json": lambda: mix(
-        phi_plus().to_density_matrix(), random_density_matrix(2, 2, seed=11), 0.1
+        phi_plus(), random_density_matrix(2, 2, seed=11), 0.1
     ),
     "ginibre.json": lambda: random_density_matrix(2, 2, seed=5),
 }

@@ -8,19 +8,24 @@ from entbounds.errors import (
 )
 from entbounds.linalg import (
     DensityMatrix,
-    PureState,
     ab_order,
     mix,
     partial_trace,
     partial_transpose,
-    schmidt_decompose,
     tensor_power,
     trace_distance,
     trace_norm,
 )
-from entbounds.sampling import random_density_matrix, random_pure_state
+from entbounds.sampling import random_density_matrix
 from entbounds.states import maximally_mixed, phi_plus
-from support import apply_one_sided_channel, random_kraus_set, tensor, validate
+from support import (
+    apply_one_sided_channel,
+    pure_state,
+    random_kraus_set,
+    random_pure_amplitudes,
+    tensor,
+    validate,
+)
 
 
 def test_density_matrix_rejects_wrong_shape():
@@ -76,20 +81,15 @@ def test_validate_reports_defects_without_raising():
     assert report.hermiticity_defect == 0.0
 
 
-def test_pure_state_norm_enforced():
-    with pytest.raises(StateValidityError):
-        PureState(2, 1, np.array([1.0, 1.0]))
-
-
 def test_ab_order_matches_manual_reordering():
     # two copies: |a1 a2 b1 b2> ordering must hold
     rng = np.random.default_rng(0)
     a = random_density_matrix(2, 3, seed=rng)
-    b = random_density_matrix(2, 2, seed=rng)
-    order = ab_order([(2, 3), (2, 2)])
+    b = random_density_matrix(2, 3, seed=rng)
+    order = ab_order((2, 3), 2)
     joint = np.kron(a.entries, b.entries)[np.ix_(order, order)]
     # brute force: permutation matrix built from index arithmetic
-    da1, db1, da2, db2 = 2, 3, 2, 2
+    da1, db1, da2, db2 = 2, 3, 2, 3
     side = da1 * db1 * da2 * db2
     perm = np.zeros((side, side))
     for i1 in range(da1):
@@ -101,6 +101,7 @@ def test_ab_order_matches_manual_reordering():
                     perm[dst, src] = 1.0
     expected = perm @ np.kron(a.entries, b.entries) @ perm.T
     assert np.allclose(joint, expected, atol=1e-14)
+    assert np.allclose(tensor(a, b).entries, expected, atol=1e-14)
 
 
 def test_tensor_dims_and_cap():
@@ -132,8 +133,7 @@ def test_tensor_power_of_trivial_state_beyond_numpy_axis_limit():
 
 
 def test_partial_trace_of_pure_state_marginals_share_spectrum():
-    psi = random_pure_state(2, 3, seed=7)
-    rho = psi.to_density_matrix()
+    rho = pure_state(2, 3, random_pure_amplitudes(2, 3, seed=7))
     ra = partial_trace(rho, "B")
     rb = partial_trace(rho, "A")
     ea = np.sort(np.linalg.eigvalsh(ra))[::-1]
@@ -160,7 +160,7 @@ def test_partial_transpose_is_an_involution():
 
 
 def test_partial_transpose_of_phi_plus_has_half_spectrum():
-    rho = phi_plus().to_density_matrix()
+    rho = phi_plus()
     eigs = np.sort(np.linalg.eigvalsh(partial_transpose(rho)))
     assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
@@ -205,28 +205,12 @@ def test_mix_negative_weight_extends_only_when_positive():
     # extrapolation weight -1 is allowed by the domain but must still
     # land on a state; mixing away from the maximally mixed state fails
     r1 = maximally_mixed(2, 2)
-    pure = phi_plus().to_density_matrix()
+    pure = phi_plus()
     with pytest.raises(StateValidityError):
         mix(r1, pure, -1.0)
     near = mix(r1, pure, 0.01)
     recovered = mix(near, pure, -0.01 / 0.99)
     assert np.allclose(recovered.entries, r1.entries, atol=1e-12)
-
-
-def test_schmidt_decompose_matches_svd_and_reconstructs():
-    psi = random_pure_state(3, 4, seed=10)
-    form = schmidt_decompose(psi)
-    sv = np.linalg.svd(psi.amplitudes.reshape(3, 4), compute_uv=False)
-    assert np.allclose(form.coefficients, sv, atol=1e-12)
-    assert np.sum(form.coefficients**2) == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.diff(form.coefficients) <= 1e-15)
-
-
-def test_schmidt_of_product_state_is_rank_one():
-    psi = PureState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
-    form = schmidt_decompose(psi)
-    assert form.coefficients[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(form.coefficients[1:] < 1e-12)
 
 
 def test_one_sided_channel_preserves_state_and_party():

@@ -15,7 +15,6 @@ from entbounds.measures import (
     concurrence_2x2,
     ec_upper,
     ed_lower,
-    entropy_of_entanglement,
     eof_2x2,
     eof_upper_general,
     hashing_yield,
@@ -24,15 +23,20 @@ from entbounds.measures import (
     twirl_to_bell_diagonal,
     von_neumann_entropy,
 )
-from entbounds.sampling import (
-    random_density_matrix,
-    random_pure_state,
+from entbounds.sampling import random_density_matrix
+from entbounds.states import maximally_mixed, phi_plus, werner
+from support import (
+    apply_one_sided_channel,
+    entanglement_entropy,
+    max_entangled,
+    pure_state,
+    random_kraus_set,
+    random_local_unitary_conjugate,
+    random_pure_amplitudes,
     random_separable_state,
 )
-from entbounds.states import maximally_mixed, phi_plus, werner
-from support import apply_one_sided_channel, random_kraus_set, random_local_unitary_conjugate
 
-PHI = phi_plus().to_density_matrix()
+PHI = phi_plus()
 
 
 # ---- scalar entropies ----
@@ -65,13 +69,13 @@ def test_von_neumann_entropy_pure_and_mixed():
 
 
 def test_entropy_of_entanglement_oracles():
-    assert entropy_of_entanglement(phi_plus()).value == pytest.approx(1.0, abs=1e-12)
-    psi = random_pure_state(2, 3, seed=1)
-    rho = psi.to_density_matrix()
+    assert entanglement_entropy(max_entangled(2), 2, 2) == pytest.approx(1.0, abs=1e-12)
+    amps = random_pure_amplitudes(2, 3, seed=1)
+    rho = pure_state(2, 3, amps)
     from entbounds.linalg import partial_trace
 
     marginal = von_neumann_entropy(partial_trace(rho, "B"))
-    assert entropy_of_entanglement(psi).value == pytest.approx(marginal, abs=1e-10)
+    assert entanglement_entropy(amps, 2, 3) == pytest.approx(marginal, abs=1e-10)
 
 
 # ---- negativity and PPT ----
@@ -130,8 +134,7 @@ def test_concurrence_on_pure_states_matches_marginal_purity():
     from entbounds.linalg import partial_trace
 
     for seed in range(30):
-        psi = random_pure_state(2, 2, seed=seed)
-        rho = psi.to_density_matrix()
+        rho = pure_state(2, 2, random_pure_amplitudes(2, 2, seed=seed))
         ra = partial_trace(rho, "B")
         oracle = np.sqrt(max(0.0, 2.0 * (1.0 - float(np.trace(ra @ ra).real))))
         assert concurrence_2x2(rho) == pytest.approx(oracle, abs=1e-9)
@@ -246,10 +249,9 @@ def test_measures_invariant_under_local_unitaries():
 
 
 def test_eof_search_exact_on_pure_states():
-    psi = random_pure_state(2, 2, seed=7)
-    rho = psi.to_density_matrix()
-    got = eof_upper_general(rho, budget=1, seed=0)
-    assert got.value == pytest.approx(entropy_of_entanglement(psi).value, abs=1e-9)
+    amps = random_pure_amplitudes(2, 2, seed=7)
+    got = eof_upper_general(pure_state(2, 2, amps), budget=1, seed=0)
+    assert got.value == pytest.approx(entanglement_entropy(amps, 2, 2), abs=1e-9)
     assert got.kind == "upper_bound"
 
 

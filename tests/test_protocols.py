@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbounds.linalg import PureState
 from entbounds.measures import binary_entropy
 from entbounds.protocols import (
     CatalyticRate,
@@ -16,9 +15,14 @@ from entbounds.protocols import (
     concentration_yield,
     eta_continuity_scan,
 )
-from entbounds.sampling import random_separable_state
 from entbounds.states import maximally_mixed, phi_plus, werner
-from support import UndefinedRateError, conversion_rate, full_range_concentration_yield
+from support import (
+    UndefinedRateError,
+    conversion_rate,
+    full_range_concentration_yield,
+    pure_state,
+    random_separable_state,
+)
 
 
 def brute_yield(lams, n):
@@ -104,7 +108,7 @@ def test_yield_curve_invariants():
 
 
 def test_conversion_rate_identity_case():
-    phi = phi_plus().to_density_matrix()
+    phi = phi_plus()
     rate = conversion_rate(phi, phi)
     assert rate.rate == pytest.approx(1.0, abs=1e-10)
     assert rate.kind == "lower_bound"
@@ -118,15 +122,15 @@ def test_conversion_rate_reciprocal_of_cost():
     amps = np.zeros(4)
     amps[0] = np.sqrt(a)
     amps[3] = np.sqrt(1.0 - a)
-    sigma = PureState(2, 2, amps).to_density_matrix()
-    rate = conversion_rate(phi_plus().to_density_matrix(), sigma)
+    sigma = pure_state(2, 2, amps)
+    rate = conversion_rate(phi_plus(), sigma)
     assert rate.rate == pytest.approx(2.0, abs=1e-8)
 
 
 def test_conversion_rate_undefined_for_separable_source():
     sep = random_separable_state(2, 2, seed=1)
     with pytest.raises(UndefinedRateError):
-        conversion_rate(sep, phi_plus().to_density_matrix())
+        conversion_rate(sep, phi_plus())
 
 
 def test_eta_scan_frozen_point_and_monotonicity():

@@ -4,31 +4,30 @@ import numpy as np
 import pytest
 
 from entbounds.errors import SizeCapError, StateFileError, StateValidityError
-from entbounds.linalg import partial_transpose, schmidt_decompose, trace_distance
-from entbounds.sampling import (
-    random_density_matrix,
-    random_product_pure_state,
-    random_pure_state,
-    random_separable_state,
-    random_unitary,
-)
-from entbounds.stateio import dumps_state, load_state, loads_state, save_state
+from entbounds.linalg import partial_transpose, trace_distance
+from entbounds.measures import ed_lower
+from entbounds.sampling import random_density_matrix
+from entbounds.stateio import atomic_write_text, dumps_state, load_state, loads_state
 from entbounds.states import (
-    BELL_LABELS,
     bell_basis,
-    bell_state,
     isotropic_2x3,
     maximally_mixed,
     phi_plus,
-    product_state,
     werner,
 )
 from support import (
     max_entangled,
+    product_amplitudes,
     random_kraus_set,
     random_local_unitary_conjugate,
+    random_product_amplitudes,
+    random_pure_amplitudes,
+    random_separable_state,
+    random_unitary,
     separable_mixture,
 )
+
+BELL_COLUMNS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]).T / np.sqrt(2)
 
 
 # ---- constructed states ----
@@ -37,20 +36,22 @@ from support import (
 def test_bell_states_are_orthonormal():
     basis = bell_basis()
     assert np.allclose(basis.conj().T @ basis, np.eye(4), atol=1e-14)
-    for i, label in enumerate(BELL_LABELS):
-        assert np.allclose(bell_state(label).amplitudes, basis[:, i])
-    with pytest.raises(ValueError):
-        bell_state("sigma_minus")
+    assert np.allclose(basis, BELL_COLUMNS)
+
+
+def test_writing_into_bell_basis_leaves_ed_lower_unchanged():
+    before = ed_lower(werner(0.9)).value
+    bell_basis()[:] = 0.0
+    assert ed_lower(werner(0.9)).value == before
 
 
 def test_phi_plus_amplitudes():
-    amps = phi_plus().amplitudes
-    assert np.allclose(amps, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    amps = BELL_COLUMNS[:, 0]
+    assert np.allclose(phi_plus().entries, np.outer(amps, amps))
 
 
 def test_max_entangled_schmidt_is_flat():
-    psi = max_entangled(3)
-    coeffs = schmidt_decompose(psi).coefficients
+    coeffs = np.linalg.svd(max_entangled(3).reshape(3, 3), compute_uv=False)
     assert np.allclose(coeffs, np.full(3, 1 / np.sqrt(3)), atol=1e-12)
 
 
@@ -60,9 +61,9 @@ def test_maximally_mixed_is_identity_over_dim():
 
 
 def test_product_state_has_schmidt_rank_one():
-    psi = product_state([1.0, 1.0], [1.0, 0.0, 1.0])
-    assert (psi.dim_a, psi.dim_b) == (2, 3)
-    coeffs = schmidt_decompose(psi).coefficients
+    amps = product_amplitudes([1.0, 1.0], [1.0, 0.0, 1.0])
+    assert amps.shape == (6,)
+    coeffs = np.linalg.svd(amps.reshape(2, 3), compute_uv=False)
     assert coeffs[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -75,8 +76,8 @@ def test_separable_mixture_weights_renormalize():
 
 def test_werner_interpolates_singlet_and_identity():
     assert np.allclose(werner(0.0).entries, np.eye(4) / 4)
-    singlet = bell_state("psi_minus").to_density_matrix()
-    assert np.allclose(werner(1.0).entries, singlet.entries, atol=1e-14)
+    singlet = BELL_COLUMNS[:, 3]
+    assert np.allclose(werner(1.0).entries, np.outer(singlet, singlet), atol=1e-14)
     # partial transpose minimum eigenvalue crosses zero at weight 1/3
     for w in (0.0, 0.2, 1 / 3, 0.4, 1.0):
         margin = np.linalg.eigvalsh(partial_transpose(werner(w)))[0]
@@ -120,8 +121,8 @@ def test_random_kraus_set_is_complete():
 
 
 def test_random_product_pure_state_is_product():
-    psi = random_product_pure_state(2, 3, seed=4)
-    coeffs = schmidt_decompose(psi).coefficients
+    amps = random_product_amplitudes(2, 3, seed=4)
+    coeffs = np.linalg.svd(amps.reshape(2, 3), compute_uv=False)
     assert coeffs[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -140,8 +141,8 @@ def test_random_local_unitary_conjugate_preserves_spectrum():
 
 
 def test_random_pure_state_normalized():
-    psi = random_pure_state(3, 3, seed=8)
-    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    amps = random_pure_amplitudes(3, 3, seed=8)
+    assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---- state files ----
@@ -150,7 +151,7 @@ def test_random_pure_state_normalized():
 def test_state_roundtrip_is_exact(tmp_path):
     rho = random_density_matrix(2, 3, seed=9)
     path = tmp_path / "state.json"
-    save_state(str(path), rho)
+    atomic_write_text(str(path), dumps_state(rho) + "\n")
     back = load_state(str(path))
     assert (back.dim_a, back.dim_b) == (2, 3)
     assert np.array_equal(back.entries, rho.entries)
