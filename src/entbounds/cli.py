@@ -13,8 +13,9 @@ import csv
 import io
 import json
 import math
+import shlex
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from functools import partial
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_SIZE_CAP, trace_distance
 from .measures import (
+    DEFAULT_EOF_BUDGET,
     MeasureValue,
     concurrence_2x2,
     ec_upper,
@@ -61,23 +63,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_CERTIFICATION = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    size_cap: int
-    tolerance: float | None
-    out: str | None
-    invocation: str
-
-    def audit(self) -> dict:
-        return {
-            "invocation": self.invocation,
-            "seed": self.seed,
-            "size_cap": self.size_cap,
-            "tolerance": self.tolerance,
-        }
 
 
 def _measure_entropy(state, budget, seed):
@@ -121,10 +106,19 @@ def _table(cls, rows, drop=()) -> tuple[list[str], list[list]]:
     return header, [[getattr(row, name) for name in header] for row in rows]
 
 
-def _csv_text(config: RunConfig, header: list[str], rows: list[list], extra_comments=()) -> str:
+def _audit(args) -> dict:
+    return {
+        "invocation": args.invocation,
+        "seed": args.seed,
+        "size_cap": args.cap,
+        "tolerance": args.tolerance,
+    }
+
+
+def _csv_text(args, header: list[str], rows: list[list], extra_comments=()) -> str:
     buffer = io.StringIO()
-    buffer.write(f"# invocation: {config.invocation}\n")
-    buffer.write(f"# seed: {config.seed}\n")
+    buffer.write(f"# invocation: {args.invocation}\n")
+    buffer.write(f"# seed: {args.seed}\n")
     for line in extra_comments:
         buffer.write(f"# {line}\n")
     writer = csv.writer(buffer, lineterminator="\n")
@@ -134,76 +128,75 @@ def _csv_text(config: RunConfig, header: list[str], rows: list[list], extra_comm
     return buffer.getvalue()
 
 
-def _emit(config: RunConfig, text: str, path: str | None = None) -> None:
-    target = path if path is not None else config.out
-    if target is None:
+def _emit(path: str | None, text: str) -> None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        atomic_write_text(target, text)
+        atomic_write_text(path, text)
 
 
-def cmd_measure(args, config: RunConfig) -> int:
-    state = load_state(args.state_file, force=args.force, cap=config.size_cap)
+def cmd_measure(args) -> int:
+    state = load_state(args.state_file, force=args.force, cap=args.cap)
     fn = MEASURES[args.measure]
-    record = fn(state, args.budget, config.seed).as_record()
+    record = fn(state, args.budget, args.seed).as_record()
     if args.fmt == "csv":
-        text = _csv_text(config, list(record), [list(record.values())])
+        text = _csv_text(args, list(record), [list(record.values())])
     else:
-        text = _json_text({"audit": config.audit(), **record})
-    _emit(config, text)
+        text = _json_text({"audit": _audit(args), **record})
+    _emit(args.out, text)
     return EXIT_OK
 
 
-def cmd_mixing_verify(args, config: RunConfig) -> int:
-    rho = load_state(args.rho_file, cap=config.size_cap)
-    sigma = load_state(args.sigma_file, cap=config.size_cap)
+def cmd_mixing_verify(args) -> int:
+    rho = load_state(args.rho_file, cap=args.cap)
+    sigma = load_state(args.sigma_file, cap=args.cap)
     window, _ = binomial_window(args.n, args.p, args.half_width)
     spec = MixtureSpec(rho=rho, sigma=sigma, p=args.p, n=args.n, window=window)
-    tol = 1e-9 if config.tolerance is None else config.tolerance
-    report = verify_mixing_bound(spec, cap=config.size_cap, tol=tol)
+    tol = 1e-9 if args.tolerance is None else args.tolerance
+    report = verify_mixing_bound(spec, cap=args.cap, tol=tol)
     payload = {
-        "audit": config.audit(),
+        "audit": _audit(args),
         "p": args.p,
         "n": args.n,
         "window": list(window),
         **asdict(report),
     }
-    _emit(config, _json_text(payload))
+    _emit(args.out, _json_text(payload))
     return EXIT_OK if report.passed else EXIT_CERTIFICATION
 
 
-def cmd_tail_scan(args, config: RunConfig) -> int:
+def cmd_tail_scan(args) -> int:
     ns = [int(x) for x in args.n_list.split(",") if x.strip()]
     if not ns:
         raise ValueError("n-list must contain at least one copy count")
     rows = tail_mass_scan(args.p, ns, args.half_width)
     table = _table(TailScanRow, rows, drop=("log10_tail_mass",))
     logs = [f"log10_tail_mass n={r.n}: {r.log10_tail_mass!r}" for r in rows if r.log10_tail_mass is not None]
-    _emit(config, _csv_text(config, *table, extra_comments=logs))
+    _emit(args.out, _csv_text(args, *table, extra_comments=logs))
     return EXIT_OK
 
 
-def cmd_ball_scan(args, config: RunConfig) -> int:
+def cmd_ball_scan(args) -> int:
     if args.p_points < 2:
         raise ValueError("p-points must be at least 2")
-    center = load_state(args.center_file, cap=config.size_cap)
+    center = load_state(args.center_file, cap=args.cap)
     spec = BallSpec(
         center=center,
         epsilon=args.epsilon,
         sample_count=args.samples,
-        seed=config.seed,
+        seed=args.seed,
     )
     samples = sample_ball(spec)
     constants = ball_constants(spec, samples=samples, budget=args.budget)
     sigma_surface = samples[0]
-    tol = 1e-9 if config.tolerance is None else config.tolerance
+    tol = 1e-9 if args.tolerance is None else args.tolerance
     corridor = corridor_consistency_check(
         center,
         sigma_surface,
         constants,
         np.linspace(0.0, 1.0, args.p_points),
         budget=args.budget,
-        seed=config.seed,
+        seed=args.seed,
         tolerance=tol,
     )
     lipschitz_rows = []
@@ -218,7 +211,7 @@ def cmd_ball_scan(args, config: RunConfig) -> int:
             }
         )
     payload = {
-        "audit": config.audit(),
+        "audit": _audit(args),
         "center_file": args.center_file,
         "epsilon": args.epsilon,
         "sample_count": args.samples,
@@ -230,26 +223,16 @@ def cmd_ball_scan(args, config: RunConfig) -> int:
         },
         "lipschitz": lipschitz_rows,
     }
-    text = _json_text(payload)
-    if config.out is None:
-        _emit(config, text)
-    else:
-        stem = config.out
-        if stem.endswith(".json"):
-            stem = stem[: -len(".json")]
-        _emit(config, text, path=config.out)
-        corridor_csv = _csv_text(config, *_table(CorridorRow, corridor.rows))
-        _emit(config, corridor_csv, path=stem + "_corridor.csv")
-        lipschitz_csv = _csv_text(
-            config,
-            list(lipschitz_rows[0]),
-            [list(row.values()) for row in lipschitz_rows],
-        )
-        _emit(config, lipschitz_csv, path=stem + "_lipschitz.csv")
+    _emit(args.out, _json_text(payload))
+    if args.out is not None:
+        stem = args.out.removesuffix(".json")
+        _emit(stem + "_corridor.csv", _csv_text(args, *_table(CorridorRow, corridor.rows)))
+        lipschitz_table = list(lipschitz_rows[0]), [list(row.values()) for row in lipschitz_rows]
+        _emit(stem + "_lipschitz.csv", _csv_text(args, *lipschitz_table))
     return EXIT_OK if corridor.all_passed else EXIT_CERTIFICATION
 
 
-def cmd_border_scan(args, config: RunConfig) -> int:
+def cmd_border_scan(args) -> int:
     if args.grid < 2:
         raise ValueError("grid must contain at least 2 points")
     if args.system == "2x2":
@@ -257,31 +240,31 @@ def cmd_border_scan(args, config: RunConfig) -> int:
     else:
         family, eof, header = isotropic_2x3, None, ["param", "log_neg", "ppt_margin"]
         if args.include_eof:
-            eof = partial(eof_upper_general, budget=args.budget, seed=config.seed)
+            eof = partial(eof_upper_general, budget=args.budget, seed=args.seed)
             header.append("eof_upper")
     rows = border_scan(family, np.linspace(0.0, 1.0, args.grid), eof)
     table = [[getattr(row, "eof" if name == "eof_upper" else name) for name in header] for row in rows]
-    _emit(config, _csv_text(config, header, table))
+    _emit(args.out, _csv_text(args, header, table))
     return EXIT_OK
 
 
-def cmd_concentration(args, config: RunConfig) -> int:
+def cmd_concentration(args) -> int:
     lambdas = [finite_float(x) for x in args.lambdas.split(",") if x.strip()]
     ns = [int(x) for x in args.n_list.split(",") if x.strip()]
     if not lambdas or not ns:
         raise ValueError("lambdas and n-list must be non-empty")
     curve = concentration_curve(lambdas, ns)
     text = _csv_text(
-        config,
+        args,
         ["n", "value", "asymptote"],
         [[n, value, curve.asymptote] for n, value in curve.points],
         extra_comments=[f"protocol: {curve.protocol}"],
     )
-    _emit(config, text)
+    _emit(args.out, text)
     return EXIT_OK
 
 
-def cmd_eta_scan(args, config: RunConfig) -> int:
+def cmd_eta_scan(args) -> int:
     if args.eps_points < 2:
         raise ValueError("eps-points must be at least 2")
     for flag, eps in (("--eps-start", args.eps_start), ("--eps-stop", args.eps_stop)):
@@ -293,7 +276,7 @@ def cmd_eta_scan(args, config: RunConfig) -> int:
     xi = (
         maximally_mixed(2, 2)
         if args.xi_file is None
-        else load_state(args.xi_file, cap=config.size_cap)
+        else load_state(args.xi_file, cap=args.cap)
     )
     rows = eta_continuity_scan(xi, grid)
     slopes = [
@@ -302,7 +285,7 @@ def cmd_eta_scan(args, config: RunConfig) -> int:
     ]
     fitted = max(slopes, default=0.0)
     text = _csv_text(
-        config,
+        args,
         ["epsilon", "value", "bound"],
         [[r.epsilon, r.value, 1.0 - r.value] for r in rows],
         extra_comments=[
@@ -310,14 +293,14 @@ def cmd_eta_scan(args, config: RunConfig) -> int:
             f"fitted_lipschitz: {fitted!r}",
         ],
     )
-    _emit(config, text)
+    _emit(args.out, text)
     return EXIT_OK
 
 
-def cmd_catalytic(args, config: RunConfig) -> int:
+def cmd_catalytic(args) -> int:
     record = catalytic_rate(args.delta, args.ec_sigma, args.ed_rho_p)
-    payload = {"audit": config.audit(), **asdict(record)}
-    _emit(config, _json_text(payload))
+    payload = {"audit": _audit(args), **asdict(record)}
+    _emit(args.out, _json_text(payload))
     return EXIT_OK
 
 
@@ -343,12 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entbounds",
         description="Bipartite entanglement bounds: measures, mixing, balls, scans.",
     )
+    # subcommands without --tolerance still report "tolerance": null
+    parser.set_defaults(tolerance=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("measure", parents=[shared], help="evaluate one measure on a state file")
     p.add_argument("state_file")
     p.add_argument("measure", choices=sorted(MEASURES))
-    p.add_argument("--budget", type=int, default=2000, help="search restarts for ec_upper paths")
+    p.add_argument("--budget", type=int, default=DEFAULT_EOF_BUDGET, help="search restarts for ec_upper paths")
     p.add_argument("--force", action="store_true", help="skip state validation")
     p.add_argument("--format", choices=["csv", "json"], default="json", dest="fmt", help="report format")
     p.set_defaults(func=cmd_measure)
@@ -378,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--p-points", type=int, default=20)
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=int, default=DEFAULT_EOF_BUDGET)
     p.set_defaults(func=cmd_ball_scan)
 
     p = sub.add_parser("border-scan", parents=[shared], help="measure table along a separability border path")
@@ -417,15 +402,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return EXIT_INPUT if code not in (0, None) else EXIT_OK
-    config = RunConfig(
-        seed=args.seed,
-        size_cap=args.cap,
-        tolerance=getattr(args, "tolerance", None),
-        out=args.out,
-        invocation="entbounds " + " ".join(argv),
-    )
+    args.invocation = "entbounds " + shlex.join(argv)
     try:
-        return args.func(args, config)
+        return args.func(args)
     except (EntboundsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, StateValidityError) and exc.report is not None:

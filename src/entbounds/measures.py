@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, StateValidityError
-from .linalg import DensityMatrix, partial_transpose
+from .linalg import PSD_FLOOR, DensityMatrix, partial_transpose
 from .sampling import haar_qr
 from .states import bell_basis
 
-EIG_CLAMP_FLOOR = -1e-9
 DEFAULT_EOF_BUDGET = 2000
 
 KIND_EXACT = "exact"
@@ -90,9 +89,9 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     m = np.asarray(rho, dtype=complex)
     sym = (m + m.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(sym)
-    if eigs[0] < EIG_CLAMP_FLOOR:
+    if eigs[0] < PSD_FLOOR:
         raise StateValidityError(
-            f"eigenvalue {eigs[0]:.3e} below clamp floor {EIG_CLAMP_FLOOR:.0e}"
+            f"eigenvalue {eigs[0]:.3e} below clamp floor {PSD_FLOOR:.0e}"
         )
     # an eigenvalue a rounding error above 1 would push the sum below 0
     return max(_shannon(np.clip(eigs, 0.0, None)), 0.0)
@@ -102,7 +101,7 @@ def is_ppt(rho: DensityMatrix) -> PptVerdict:
     """Positivity of the partial transpose, with the minimum eigenvalue as margin."""
     pt = partial_transpose(rho)
     margin = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[0])
-    return PptVerdict(margin >= EIG_CLAMP_FLOOR, margin)
+    return PptVerdict(margin >= PSD_FLOOR, margin)
 
 
 def log_negativity(rho: DensityMatrix) -> MeasureValue:
@@ -156,7 +155,7 @@ def twirl_to_bell_diagonal(rho: DensityMatrix) -> BellDiagonalProbs:
         raise DimensionMismatchError("twirl_to_bell_diagonal requires a 2x2 system")
     basis = bell_basis()
     diag = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, rho.entries, basis))
-    clamped = np.where((diag < 0) & (diag >= EIG_CLAMP_FLOOR), 0.0, diag)
+    clamped = np.where((diag < 0) & (diag >= PSD_FLOOR), 0.0, diag)
     if np.any(clamped < 0):
         raise StateValidityError(
             f"Bell weight {clamped.min():.3e} below clamp floor"
@@ -320,17 +319,17 @@ def _coisometry_stream(rng, count, k, r):
     return haar_qr(g[..., 0] + 1j * g[..., 1]).conj().transpose(0, 2, 1)
 
 
-def _compress_start(w, kp, fallback_rng):
-    """Restrict a co-isometry to its kp heaviest columns and repair it."""
-    r = w.shape[0]
+def _compress_start(w, kp):
+    """Restrict a co-isometry to its kp heaviest columns and repair it.
+
+    The kp = rank + 2 heaviest columns of a Haar co-isometry are full
+    rank almost surely, so the Gram matrix of the kept columns is
+    invertible.
+    """
     norms = np.sum(np.abs(w) ** 2, axis=0)
     keep = np.sort(np.argsort(norms)[::-1][:kp])
     s = w[:, keep]
-    gram = s @ s.conj().T
-    eigs, vecs = np.linalg.eigh(gram)
-    if eigs[0] < 1e-8:
-        g = fallback_rng.standard_normal((kp, r, 2))
-        return haar_qr(g[..., 0] + 1j * g[..., 1]).conj().T
+    eigs, vecs = np.linalg.eigh(s @ s.conj().T)
     return (vecs * (1.0 / np.sqrt(eigs))) @ vecs.conj().T @ s
 
 
@@ -364,7 +363,6 @@ def eof_upper_general(
         return MeasureValue(value, KIND_UPPER, "eof_upper_general")
     kp = min(k, rank + 2)
     rng = np.random.default_rng(seed)
-    fallback_rng = np.random.default_rng([seed, 0x5EED])
     best_base = np.inf
     records = []
     done = 0
@@ -382,7 +380,7 @@ def eof_upper_general(
         done += m
     best_val = best_base
     for w in records:
-        value, t = _descend(a, _compress_start(w, kp, fallback_rng), dim_a, dim_b)
+        value, t = _descend(a, _compress_start(w, kp), dim_a, dim_b)
         if _decomposition_ok(a @ t, rho.entries):
             best_val = min(best_val, value)
             if value < 1e-9:

@@ -1,13 +1,15 @@
 """Helpers that only the tests use: seeded random amplitudes, unitaries
 and separable states, channels, tensor products, named states, an
 entanglement-entropy reference, a non-raising validation report, a
-conversion-rate record and full-range references for the binomial sums.
+conversion-rate record, full-range references for the binomial sums and
+the invocation a report embeds.
 
 They build on entbounds and are not part of its API.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,16 @@ from entbounds.linalg import (
 from entbounds.measures import KIND_LOWER, MeasureValue, ec_upper, ed_lower
 from entbounds.protocols import LOG2, _check_distribution
 from entbounds.sampling import _ginibre, ensure_rng, haar_qr
+
+
+def embedded_invocation(report: str) -> str:
+    """The invocation a JSON audit or a CSV comment header carries."""
+    if report.startswith("{"):
+        return json.loads(report)["audit"]["invocation"]
+    first = report.split("\n", 1)[0]
+    if not first.startswith("# invocation: "):
+        raise ValueError(f"no invocation line: {first!r}")
+    return first.removeprefix("# invocation: ")
 
 
 def random_isometry(rows: int, cols: int, seed=None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,7 @@ from entbounds.mixing import tail_mass_scan
 from entbounds.protocols import concentration_curve
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from entbounds.stateio import dumps_state, load_state
+from support import embedded_invocation
 
 
 @pytest.fixture
@@ -64,6 +66,19 @@ def test_measure_csv_format(werner_file, capsys):
     assert lines[1].startswith("# seed:")
     header = next(ln for ln in lines if not ln.startswith("#"))
     assert "value" in header.split(",")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_invocation_with_a_spaced_path_replays(fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my w.json").write_text(dumps_state(werner(0.9)))
+    code, first, _ = run_cli(["measure", "my w.json", "ed_lower", "--format", fmt], capsys)
+    assert code == cli.EXIT_OK
+    invocation = embedded_invocation(first)
+    program, *argv = shlex.split(invocation)
+    assert program == "entbounds"
+    assert run_cli(argv, capsys) == (cli.EXIT_OK, first, "")
+    assert invocation == "entbounds measure 'my w.json' ed_lower --format " + fmt
 
 
 def test_measure_missing_file_is_input_error(tmp_path, capsys):
@@ -215,6 +230,27 @@ def test_tolerance_is_an_option_of_the_two_certifying_commands(capsys):
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     takes = {name for name, p in sub.choices.items() if "--tolerance" in p._option_string_actions}
     assert takes == {"mixing-verify", "ball-scan"}
+
+
+def test_tolerance_is_read_and_reported(werner_file, phi_file, tmp_path, capsys):
+    argv = ["mixing-verify", werner_file, phi_file, "--p", "0.5", "--n", "3", "--tolerance", "1e-6"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert '"tolerance": 1e-06' in out
+    payload = json.loads(out)
+    assert payload["bound"] == payload["tail_mass"] + 1e-6
+
+    ball = tmp_path / "ball.json"
+    argv = ["ball-scan", werner_file, "--epsilon", "1e-3", "--samples", "4", "--p-points", "2"]
+    code, _, _ = run_cli([*argv, "--tolerance", "0.5", "--out", str(ball)], capsys)
+    assert code == cli.EXIT_OK
+    payload = json.loads(ball.read_text())
+    assert payload["audit"]["tolerance"] == 0.5
+    assert payload["corridor"]["tolerance"] == 0.5
+
+    code, out, _ = run_cli(["catalytic", "--delta", "0.1", "--ec-sigma", "0.5", "--ed-rho-p", "0.8"], capsys)
+    assert code == cli.EXIT_OK
+    assert '"tolerance": null' in out
 
 
 def test_tail_scan_matches_library(capsys):

@@ -4,7 +4,9 @@ Each case runs `entbounds.cli.main` in a fresh working directory that
 holds the input state files, written by `dumps_state`.  Every path in
 the argv is relative, so the invocation embedded in a report does not
 depend on where the test runs.  The case's stdout and any files it
-writes must equal the golden files byte for byte.
+writes must equal the golden files byte for byte.  The replay test runs
+the invocation each golden file embeds, split by `shlex.split`, and
+must reproduce the same bytes.
 
 A golden file changes only in a change that says why.  To rewrite the
 corpus from the current code, run `PYTHONPATH=src python tests/test_golden.py`.
@@ -13,6 +15,7 @@ corpus from the current code, run `PYTHONPATH=src python tests/test_golden.py`.
 import contextlib
 import io
 import os
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from entbounds.linalg import mix
 from entbounds.sampling import random_density_matrix
 from entbounds.stateio import dumps_state
 from entbounds.states import phi_plus, werner
+from support import embedded_invocation
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -87,9 +91,9 @@ CASES = {
 }
 
 
-def render(case: str, workdir: str) -> dict[str, bytes]:
-    """Run one case in workdir; map golden file names to the bytes produced."""
-    argv, files = CASES[case]
+def run_in(workdir: str, argv: list[str]) -> dict[str, bytes]:
+    """Run argv in workdir holding the input states; map "stdout" and each
+    file the run writes to its bytes."""
     for name, make in STATES.items():
         Path(workdir, name).write_text(dumps_state(make()))
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -97,18 +101,36 @@ def render(case: str, workdir: str) -> dict[str, bytes]:
         stdout
     ), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
-    assert code == cli.EXIT_OK, (case, code, stderr.getvalue())
+    assert code == cli.EXIT_OK, (argv, code, stderr.getvalue())
     assert stderr.getvalue() == ""
-    outputs = {f"{case}.stdout": stdout.getvalue().encode()}
-    for name in files:
-        outputs[f"{case}.{name}"] = Path(workdir, name).read_bytes()
-    return outputs
+    written = {p.name: p.read_bytes() for p in Path(workdir).iterdir() if p.name not in STATES}
+    return {"stdout": stdout.getvalue().encode(), **written}
+
+
+def render(case: str, workdir: str) -> dict[str, bytes]:
+    """Run one case in workdir; map golden file names to the bytes produced."""
+    argv, files = CASES[case]
+    outputs = run_in(workdir, argv)
+    assert set(outputs) == {"stdout", *files}
+    return {f"{case}.{name}": blob for name, blob in outputs.items()}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_report(case, tmp_path):
     for name, blob in render(case, str(tmp_path)).items():
         assert blob == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_report_replays_from_its_invocation(case, tmp_path):
+    goldens = {
+        path.name.removeprefix(f"{case}."): path.read_bytes()
+        for path in GOLDEN.glob(f"{case}.*")
+    }
+    (invocation,) = {embedded_invocation(blob.decode()) for blob in goldens.values() if blob}
+    program, *argv = shlex.split(invocation)
+    assert program == "entbounds"
+    assert run_in(str(tmp_path), argv) == goldens
 
 
 def test_golden_corpus_has_no_strays():
