@@ -36,7 +36,7 @@ from .errors import (
     SizeCapError,
     StateValidityError,
 )
-from .linalg import DEFAULT_SIZE_CAP, trace_distance
+from .linalg import CERTIFICATION_TOL, DEFAULT_SIZE_CAP, trace_distance
 from .measures import (
     DEFAULT_EOF_BUDGET,
     MeasureValue,
@@ -152,7 +152,7 @@ def cmd_mixing_verify(args) -> int:
     sigma = load_state(args.sigma_file, cap=args.cap)
     window, _ = binomial_window(args.n, args.p, args.half_width)
     spec = MixtureSpec(rho=rho, sigma=sigma, p=args.p, n=args.n, window=window)
-    tol = 1e-9 if args.tolerance is None else args.tolerance
+    tol = CERTIFICATION_TOL if args.tolerance is None else args.tolerance
     report = verify_mixing_bound(spec, cap=args.cap, tol=tol)
     payload = {
         "audit": _audit(args),
@@ -189,7 +189,7 @@ def cmd_ball_scan(args) -> int:
     samples = sample_ball(spec)
     constants = ball_constants(spec, samples=samples, budget=args.budget)
     sigma_surface = samples[0]
-    tol = 1e-9 if args.tolerance is None else args.tolerance
+    tol = CERTIFICATION_TOL if args.tolerance is None else args.tolerance
     corridor = corridor_consistency_check(
         center,
         sigma_surface,
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=finite_float,
         default=None,
-        help="override the default 1e-9 certification slack",
+        help=f"override the default {CERTIFICATION_TOL:g} certification slack",
     )
 
     parser = argparse.ArgumentParser(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import BallNotCertifiedError, EntboundsError, StateValidityError
-from .linalg import DensityMatrix, mix, trace_distance
+from .linalg import CERTIFICATION_TOL, DensityMatrix, mix, trace_distance
 from .measures import DEFAULT_EOF_BUDGET, MeasureValue, ec_upper, ed_lower, is_ppt, log_negativity
 from .sampling import ensure_rng, random_density_matrix
 
@@ -221,7 +221,7 @@ def corridor_consistency_check(
     ec_fn: Callable[[DensityMatrix], float] | None = None,
     budget: int = DEFAULT_EOF_BUDGET,
     seed: int = 0,
-    tolerance: float = 1e-9,
+    tolerance: float = CERTIFICATION_TOL,
 ) -> CorridorReport:
     """Check the two-sided surrogate corridor along the mixture family.
 

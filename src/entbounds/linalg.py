@@ -17,6 +17,8 @@ from .errors import DimensionMismatchError, SizeCapError, StateValidityError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-9
+# default slack of a certified inequality (mixing bound, ball corridor)
+CERTIFICATION_TOL = 1e-9
 DEFAULT_SIZE_CAP = 4096
 
 

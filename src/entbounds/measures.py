@@ -247,6 +247,7 @@ def _objective(b: np.ndarray, dim_a: int, dim_b: int) -> float:
 
 SCORE_BLOCK = 256
 DESCENT_LIMIT = 5000
+AGREEING_DESCENTS = 2
 
 
 def _gradient(a, t, dim_a, dim_b):
@@ -343,10 +344,14 @@ def eof_upper_general(
     Seeded random-restart co-isometries with side^2 columns are scored in
     vectorized blocks.  Every restart that improves on all previous base
     scores (a record) is compressed to rank + 2 columns and refined by
-    Riemannian conjugate gradient, record by record, until one of them
-    ends below 1e-9.  The result is monotonically non-increasing in
-    budget and is always a valid upper bound because every candidate is
-    an explicit decomposition of rho.
+    Riemannian conjugate gradient, record by record.  Refinement stops at
+    the first descent that ends below 1e-9, or after AGREEING_DESCENTS
+    descents in a row that each end within 1e-12 of the best earlier
+    descent; a descent that fails the decomposition check breaks the row.
+    The rule reads the descents alone, and a larger budget only appends
+    records, so the result is monotonically non-increasing in budget.  It
+    is always a valid upper bound because every candidate is an explicit
+    decomposition of rho.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
@@ -379,12 +384,20 @@ def eof_upper_general(
             records.append(ws[idx])
         done += m
     best_val = best_base
+    best_descent = np.inf
+    agreeing = 0
     for w in records:
         value, t = _descend(a, _compress_start(w, kp), dim_a, dim_b)
-        if _decomposition_ok(a @ t, rho.entries):
-            best_val = min(best_val, value)
-            if value < 1e-9:
-                break
+        if not _decomposition_ok(a @ t, rho.entries):
+            agreeing = 0
+            continue
+        best_val = min(best_val, value)
+        if value < 1e-9:
+            break
+        agreeing = agreeing + 1 if abs(value - best_descent) <= 1e-12 else 0
+        best_descent = min(best_descent, value)
+        if agreeing >= AGREEING_DESCENTS:
+            break
     return MeasureValue(max(best_val, 0.0), KIND_UPPER, "eof_upper_general")
 
 

@@ -18,6 +18,7 @@ from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .errors import DimensionMismatchError, EmptyWindowError
 from .linalg import (
+    CERTIFICATION_TOL,
     DEFAULT_SIZE_CAP,
     DensityMatrix,
     ab_order,
@@ -260,7 +261,7 @@ def _swap_sector_distance(diff: np.ndarray, dims: tuple[int, int], n: int) -> fl
 
 
 def verify_mixing_bound(
-    spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP, tol: float = 1e-9
+    spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP, tol: float = CERTIFICATION_TOL
 ) -> MixingReport:
     """Check T(((1-p)rho + p sigma)^(x n), Pi) <= tail_mass + tol.
 

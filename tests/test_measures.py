@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entbounds import measures
 from entbounds.errors import DimensionMismatchError, StateValidityError
 from entbounds.linalg import DensityMatrix, mix, tensor_power
 from entbounds.measures import (
@@ -24,7 +25,7 @@ from entbounds.measures import (
     von_neumann_entropy,
 )
 from entbounds.sampling import random_density_matrix
-from entbounds.states import maximally_mixed, phi_plus, werner
+from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from support import (
     apply_one_sided_channel,
     entanglement_entropy,
@@ -272,11 +273,75 @@ def test_eof_search_finds_zero_on_separable_states():
 
 
 def test_eof_search_monotone_in_budget_and_deterministic():
-    rho = random_density_matrix(3, 3, seed=11, rank=4)
-    values = [eof_upper_general(rho, budget=b, seed=2).value for b in (2, 8, 32)]
-    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-    again = eof_upper_general(rho, budget=32, seed=2).value
-    assert again == values[-1]
+    # a larger budget only appends records, and the stop rule looks at the
+    # descents alone, so it runs a prefix of the same descents: no slack
+    for rho, budgets in (
+        (random_density_matrix(3, 3, seed=11, rank=4), (2, 8, 32)),
+        # entangled; from budget 64 on the stop rule ends the search
+        (random_density_matrix(2, 2, seed=1002), (4, 16, 64, 256)),
+    ):
+        values = [eof_upper_general(rho, budget=b, seed=2).value for b in budgets]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        again = eof_upper_general(rho, budget=budgets[-1], seed=2).value
+        assert again == values[-1]
+
+
+def _search_and_descents(monkeypatch, rho, budget, seed):
+    """The search value and the end value of every descent it ran."""
+    ends = []
+
+    def recording(*args):
+        value, t = _descend(*args)
+        ends.append(value)
+        return value, t
+
+    monkeypatch.setattr(measures, "_descend", recording)
+    return eof_upper_general(rho, budget=budget, seed=seed).value, ends
+
+
+@pytest.mark.parametrize(
+    "rho, budget, seed, ran, records, scatter",
+    [
+        (isotropic_2x3(0.8), 400, 7, 3, 5, 0.0),
+        # concurrence 9e-4: the second descent ends 2.8e-12 above the first
+        # and resets the count
+        (
+            mix(random_density_matrix(2, 2, seed=3004, rank=2), maximally_mixed(2, 2), 0.18),
+            100,
+            0,
+            4,
+            5,
+            1e-12,
+        ),
+    ],
+    ids=["isotropic_2x3", "scattered_2x2"],
+)
+def test_eof_search_stops_after_agreeing_descents(
+    monkeypatch, rho, budget, seed, ran, records, scatter
+):
+    value, ends = _search_and_descents(monkeypatch, rho, budget, seed)
+    monkeypatch.setattr(measures, "AGREEING_DESCENTS", records + 1)
+    every, every_ends = _search_and_descents(monkeypatch, rho, budget, seed)
+    assert (len(ends), len(every_ends)) == (ran, records)
+    assert ends == every_ends[:ran]
+    assert max(ends) - min(ends) >= scatter
+    assert 0.0 <= value - every <= 1e-12
+
+
+def test_eof_search_failed_check_resets_the_agreeing_count(monkeypatch):
+    # descents 2, 4 and 5 agree with the best, but descent 3 fails the
+    # decomposition check and resets the count: the search stops only
+    # after descent 5, its last record
+    ok = measures._decomposition_ok
+    checks = []
+
+    def failing_third(b, rho_entries):
+        checks.append(b)
+        return len(checks) != 3 and ok(b, rho_entries)
+
+    monkeypatch.setattr(measures, "_decomposition_ok", failing_third)
+    _, ends = _search_and_descents(monkeypatch, isotropic_2x3(0.8), 400, 7)
+    assert len(ends) == 5
 
 
 def _near_border_2x2() -> DensityMatrix:
