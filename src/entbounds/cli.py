@@ -96,6 +96,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """An integer argument of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
@@ -309,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=7, help="RNG seed for sampling")
     shared.add_argument(
         "--cap",
-        type=int,
+        type=positive_int,
         default=DEFAULT_SIZE_CAP,
         help="largest matrix side accepted before aborting with exit 3",
     )
@@ -333,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", parents=[shared], help="evaluate one measure on a state file")
     p.add_argument("state_file")
     p.add_argument("measure", choices=sorted(MEASURES))
-    p.add_argument("--budget", type=int, default=DEFAULT_EOF_BUDGET, help="search restarts for ec_upper paths")
+    p.add_argument("--budget", type=positive_int, default=DEFAULT_EOF_BUDGET, help="search restarts for ec_upper paths")
     p.add_argument("--force", action="store_true", help="skip state validation")
     p.add_argument("--format", choices=["csv", "json"], default="json", dest="fmt", help="report format")
     p.set_defaults(func=cmd_measure)
@@ -363,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--p-points", type=int, default=20)
-    p.add_argument("--budget", type=int, default=DEFAULT_EOF_BUDGET)
+    p.add_argument("--budget", type=positive_int, default=DEFAULT_EOF_BUDGET)
     p.set_defaults(func=cmd_ball_scan)
 
     p = sub.add_parser("border-scan", parents=[shared], help="measure table along a separability border path")
     p.add_argument("--system", choices=["2x2", "2x3"], required=True)
     p.add_argument("--grid", type=int, required=True, help="number of grid points on [0, 1]")
     p.add_argument("--include-eof", action="store_true")
-    p.add_argument("--budget", type=int, default=400)
+    p.add_argument("--budget", type=positive_int, default=400)
     p.set_defaults(func=cmd_border_scan)
 
     p = sub.add_parser("concentration", parents=[shared], help="finite-copy concentration yield curve")

@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .errors import DimensionMismatchError, EmptyWindowError
 from .linalg import (
@@ -89,6 +88,12 @@ def _binom_reach(n: int, p: float) -> np.ndarray:
 
 def _binom_logpmf(ls, n: int, p: float) -> np.ndarray:
     """Log binomial weights; their exp is exact at p = 0 and 1."""
+    # The special functions are imported where they are called, not at
+    # module level: their package loads numpy.f2py, numpy.testing and
+    # numpy.ma and doubles the CLI's start-up, while only the binomial
+    # tails and concentration need them.
+    from scipy.special import gammaln, xlog1py, xlogy
+
     ls = np.asarray(ls, dtype=float)
     return (
         gammaln(n + 1)
@@ -118,6 +123,8 @@ def _log10_tail(n: int, p: float, lo: int, hi: int) -> float:
     the terms after the first m sum to at most r^m/(1-r) times the edge
     term.  Each side sums the m terms that make that at most 2^-53.
     """
+    from scipy.special import logsumexp
+
     sides = []
     for edge, step in ((lo - 1, -1), (hi + 1, 1)):
         if 0 <= edge <= n:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .linalg import DensityMatrix, mix
 from .measures import hashing_yield, twirl_to_bell_diagonal
@@ -72,6 +71,8 @@ def concentration_yield(schmidt_squares, n: int) -> float:
     k_i ~ Binomial(n, lambda_i), which is exact and linear in the
     number of Schmidt terms.  Each expectation runs over the binomial reach.
     """
+    from scipy.special import gammaln
+
     lam = _check_distribution(schmidt_squares)
     if n < 1:
         raise ValueError("n must be a positive integer")

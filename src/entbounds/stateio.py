@@ -52,7 +52,7 @@ def loads_state(text: str, force: bool = False, cap: int = DEFAULT_SIZE_CAP) -> 
         if field not in doc:
             raise StateFileError(f"missing field {field!r}")
     dim_a, dim_b = doc["dim_a"], doc["dim_b"]
-    if not isinstance(dim_a, int) or not isinstance(dim_b, int):
+    if type(dim_a) is not int or type(dim_b) is not int:
         raise StateFileError("dim_a and dim_b must be integers")
     if dim_a < 1 or dim_b < 1:
         raise StateFileError("dim_a and dim_b must be positive")

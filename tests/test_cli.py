@@ -114,6 +114,14 @@ def test_measure_cap_exceeded(werner_file, capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_non_positive_cap_is_a_usage_error(werner_file, cap, capsys):
+    code, out, err = run_cli(["measure", werner_file, "eof_upper_general", "--cap", cap], capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "argument --cap" in err
+
+
 # ---- mixing-verify ----
 
 
@@ -398,6 +406,16 @@ def test_ball_scan_zero_samples(werner_file, capsys):
     assert code == cli.EXIT_INPUT
 
 
+def test_ball_scan_zero_budget_is_a_usage_error(werner_file, capsys):
+    # a 2x2 centre never runs the search, so only the parser can catch this
+    code, out, err = run_cli(
+        ["ball-scan", werner_file, "--epsilon", "1e-3", "--samples", "3", "--budget", "0"], capsys
+    )
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "argument --budget" in err
+
+
 @pytest.mark.parametrize("points", ["0", "1"])
 def test_ball_scan_rejects_fewer_than_two_p_points(werner_file, points, capsys):
     # 0 points certified an empty corridor; 1 point checked p = 0 only
@@ -576,6 +594,46 @@ def test_console_script_rejects_nan_state(tmp_path):
 
 
 # ---- console script ----
+
+
+_SCIPY_PROBE = """
+import sys
+import entbounds
+import entbounds.cli
+code = entbounds.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print("scipy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_scipy",
+    [
+        ([], False),
+        (["measure", "iso23.json", "ec_upper", "--budget", "20"], False),
+        (["border-scan", "--system", "2x2", "--grid", "5"], False),
+        (["tail-scan", "--p", "0.3", "--n-list", "10,100"], True),
+        (["concentration", "--lambdas", "0.7,0.3", "--n-list", "4,16"], True),
+        (["mixing-verify", "werner09.json", "phi.json", "--p", "0.5", "--n", "3"], True),
+    ],
+    ids=["import", "measure", "border-scan", "tail-scan", "concentration", "mixing-verify"],
+)
+def test_only_the_binomial_commands_load_scipy(argv, loads_scipy, tmp_path):
+    # scipy.special alone doubles start-up; see the imports in mixing and protocols
+    for name, state in (
+        ("iso23.json", isotropic_2x3(0.5)),
+        ("werner09.json", werner(0.9)),
+        ("phi.json", phi_plus()),
+    ):
+        (tmp_path / name).write_text(dumps_state(state))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SCIPY_PROBE, *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(loads_scipy)
 
 
 def test_console_script_runs(tmp_path):

@@ -175,6 +175,7 @@ def test_dumps_state_structure():
         '{"dim_a": 1, "dim_b": 1, "entries": [[[NaN, 0.0]]]}',
         '{"dim_a": 1, "dim_b": 1, "entries": [[[1.0, Infinity]]]}',
         '{"dim_a": 1, "dim_b": 1, "entries": [[[true, false]]]}',
+        '{"dim_a": true, "dim_b": 1, "entries": [[[1.0, 0.0]]]}',
     ],
 )
 def test_loads_state_rejects_malformed_documents(text):
