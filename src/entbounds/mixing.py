@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .linalg import (
     DensityMatrix,
     ab_order,
     mix,
-    tensor_power,
     trace_norm,
 )
 
@@ -159,25 +159,18 @@ def binomial_window(
     return (lo, hi), _tail_mass(n, p, lo, hi)
 
 
-def build_truncated_mixture(
-    spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP
-) -> TruncatedMixture:
-    """Pi = sum over window of Binomial(n, p)(l) * block(l) / (1 - tail).
+def _mixture_in_copy_order(spec: MixtureSpec, cap: int) -> np.ndarray:
+    """Pi as a writable array in copy order, |a1 b1 a2 b2 ...>.
 
-    block(l) averages the C(n, l) placements of l factors sigma among n
-    copies.  The weighted sums S_m(l) = Binomial(m, p)(l) * block_m(l)
-    obey S_m(l) = S_{m-1}(l) x (1-p) rho + S_{m-1}(l-1) x p sigma, so Pi
-    is built copy by copy, keeping only the l that can still reach the
-    window.  The last copy closes the window sum with two krons.  The
-    krons run in copy order, and one regroup puts Pi in bipartite order.
-    A nonnegative sum of products of validated states, Pi is Hermitian
-    and PSD by construction, so it is not validated again; the check on
-    it is verify_mixing_bound.
+    The weighted sums S_m(l) = Binomial(m, p)(l) * block_m(l) obey
+    S_m(l) = S_{m-1}(l) x (1-p) rho + S_{m-1}(l-1) x p sigma, so Pi is
+    built copy by copy, keeping only the l that can still reach the
+    window.  The last copy closes the window sum with two krons.
+    Raises SizeCapError before any side x side allocation.
     """
     n, p = spec.n, spec.p
     lo, hi = spec.window
-    dims = (spec.rho.dim_a, spec.rho.dim_b)
-    order = ab_order(dims, n, cap)
+    side = ab_order((spec.rho.dim_a, spec.rho.dim_b), n, cap).size
     kept = float(np.sum(np.exp(_binom_logpmf(np.arange(lo, hi + 1), n, p))))
     if kept <= 0.0:
         raise ValueError("window carries no probability mass (tail mass 1)")
@@ -192,14 +185,33 @@ def build_truncated_mixture(
             )
             for l in range(max(0, lo - (n - m)), min(m, hi) + 1)
         }
-    acc = np.zeros((order.size, order.size), dtype=complex)
+    acc = np.zeros((side, side), dtype=complex)
     for shift, factor in factors:
         window = [blocks[l] for l in range(lo - shift, hi - shift + 1) if l in blocks]
         if window:
             acc += np.kron(sum(window), factor)
     acc /= kept
-    pi = DensityMatrix(dims[0] ** n, dims[1] ** n, acc[np.ix_(order, order)], check=False)
-    return TruncatedMixture(pi=pi, tail_mass=_tail_mass(n, p, lo, hi))
+    return acc
+
+
+def build_truncated_mixture(
+    spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP
+) -> TruncatedMixture:
+    """Pi = sum over window of Binomial(n, p)(l) * block(l) / (1 - tail).
+
+    block(l) averages the C(n, l) placements of l factors sigma among n
+    copies.  Pi is built copy by copy (_mixture_in_copy_order), and one
+    regroup puts it in bipartite order.  A nonnegative sum of products
+    of validated states, Pi is Hermitian and PSD by construction, so it
+    is not validated again; the check on it is verify_mixing_bound.
+    """
+    n, dim_a, dim_b = spec.n, spec.rho.dim_a, spec.rho.dim_b
+    order = ab_order((dim_a, dim_b), n, cap)
+    pi = _mixture_in_copy_order(spec, cap)[np.ix_(order, order)]
+    return TruncatedMixture(
+        pi=DensityMatrix(dim_a**n, dim_b**n, pi, check=False),
+        tail_mass=_tail_mass(n, spec.p, *spec.window),
+    )
 
 
 def _swap_sectors(dims: tuple[int, int], n: int) -> tuple[np.ndarray, ...]:
@@ -211,8 +223,8 @@ def _swap_sectors(dims: tuple[int, int], n: int) -> tuple[np.ndarray, ...]:
     (|ij> - |ji>)/sqrt 2, for i < j; an unpaired last copy keeps its
     basis.  A sector picks the symmetric or the antisymmetric part of
     every pair, and the rows of Q run sector by sector.  Row r of Q is
-    sum_t coef[t, r] e_{src[t, r]} over 2^(n // 2) terms, src in the
-    package's bipartite ordering.  Returns the sector sizes, src, coef.
+    sum_t coef[t, r] e_{src[t, r]} over 2^(n // 2) terms, src in copy
+    order, |a1 b1 a2 b2 ...>.  Returns the sector sizes, src, coef.
     """
     d = dims[0] * dims[1]
     i, j = np.triu_indices(d)
@@ -237,13 +249,13 @@ def _swap_sectors(dims: tuple[int, int], n: int) -> tuple[np.ndarray, ...]:
         src = (src[:, :, None] * d + np.arange(d)).reshape(src.shape[0], -1)
         coef, sector = np.repeat(coef, d, axis=1), np.repeat(sector, d)
     order = np.argsort(sector, kind="stable")
-    # src counts copy by copy; the callers checked this side against the cap
-    to_bipartite = np.argsort(ab_order(dims, n, cap=d**n))
-    return np.bincount(sector), to_bipartite[src[:, order]], coef[:, order]
+    return np.bincount(sector), src[:, order], coef[:, order]
 
 
 def _swap_sector_distance(diff: np.ndarray, dims: tuple[int, int], n: int) -> float:
     """Upper bound on tr|diff| / 2 from the blocks of B = Q diff Q^T.
+
+    diff is in copy order, the order of Q's src.
 
     A diff that commutes with the disjoint copy swaps is block-diagonal
     in the sectors of _swap_sectors.  Pinching alone could only lower
@@ -277,15 +289,22 @@ def verify_mixing_bound(
     copy-swap sectors (_swap_sector_distance): an upper bound on the
     trace distance, equal to it up to rounding when Pi is copy-symmetric,
     and capped at 1, the largest distance between two states.
+
+    Pi and the power stay in copy order, the order of the sector
+    indices, so neither is regrouped.  The power is its own kron chain
+    of the mixed state, independent of the recursion that builds Pi,
+    and the difference overwrites Pi.
     """
-    truncated = build_truncated_mixture(spec, cap=cap)
-    reference = tensor_power(mix(spec.rho, spec.sigma, spec.p), spec.n, cap=cap)
-    diff = reference.entries - truncated.pi.entries
+    diff = _mixture_in_copy_order(spec, cap)
+    mixed = mix(spec.rho, spec.sigma, spec.p).entries
+    # the power is a temporary, freed before the sector pass
+    np.subtract(reduce(np.kron, [mixed] * spec.n), diff, out=diff)
     t = min(_swap_sector_distance(diff, (spec.rho.dim_a, spec.rho.dim_b), spec.n), 1.0)
-    bound = truncated.tail_mass + tol
+    tail_mass = _tail_mass(spec.n, spec.p, *spec.window)
+    bound = tail_mass + tol
     return MixingReport(
         trace_distance=t,
-        tail_mass=truncated.tail_mass,
+        tail_mass=tail_mass,
         bound=bound,
         passed=t <= bound,
     )

@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 from itertools import product
 from math import comb
 
@@ -13,6 +14,7 @@ from scipy.stats import binom
 from entbounds import mixing
 from entbounds.errors import DimensionMismatchError, EmptyWindowError, SizeCapError
 from entbounds.linalg import (
+    DEFAULT_SIZE_CAP,
     HERMITICITY_TOL,
     PSD_FLOOR,
     DensityMatrix,
@@ -25,6 +27,7 @@ from entbounds.linalg import (
 from entbounds.mixing import (
     MixtureSpec,
     _binom_reach,
+    _mixture_in_copy_order,
     _swap_sectors,
     binomial_window,
     build_truncated_mixture,
@@ -201,6 +204,11 @@ def random_spec(dim_a, dim_b, n, seed):
     return MixtureSpec(rho, sigma, float(rng.uniform(0.1, 0.9)), n, (lo, hi))
 
 
+def kron_power(m, n):
+    """m^(x n) as a plain kron chain, in copy order |a1 b1 a2 b2 ...>."""
+    return reduce(np.kron, [m] * n)
+
+
 def dense_distance(spec, pi):
     reference = tensor_power(mix(spec.rho, spec.sigma, spec.p), spec.n)
     return 0.5 * trace_norm(reference.entries - pi.entries)
@@ -227,7 +235,7 @@ def test_swap_sector_basis_is_orthogonal_and_block_diagonalises_powers(dims, n):
         q[np.arange(side), s] += c
     assert np.max(np.abs(q @ q.T - np.eye(side))) < 1e-15
     rho = random_density_matrix(*dims, seed=n)
-    b = q @ tensor_power(rho, n).entries @ q.T
+    b = q @ kron_power(rho.entries, n) @ q.T
     edges = np.cumsum(np.r_[0, sizes])
     for lo, hi in zip(edges, edges[1:]):
         b[lo:hi, lo:hi] = 0.0
@@ -262,33 +270,61 @@ def test_unvalidated_n_copy_operators_are_states(dims, n):
         assert abs(m.trace() - 1.0) <= 1e-12
 
 
-def swap_breaking(truncated, dim_a, eps=1e-6):
-    """Pi plus eps (|0><y| + |y><0|), y = |1> on the A side of copy 1 only.
+def swap_breaking(pi, dim_a, eps=1e-6):
+    """Copy-order Pi plus eps (|0><y| + |y><0|), y = |1> on the A side of copy 1 only.
 
     Swapping copies 1 and 2 moves y, so the perturbed Pi is not
     copy-symmetric, and part of the perturbation lies between sectors.
+    y = side // dim_a is the same flat index in copy and bipartite order.
     """
-    pi = truncated.pi
-    y = pi.side // dim_a
-    entries = np.array(pi.entries)
+    y = pi.shape[0] // dim_a
+    entries = np.array(pi)
     entries[0, y] += eps
     entries[y, 0] += eps
-    return replace(truncated, pi=DensityMatrix(pi.dim_a, pi.dim_b, entries, check=False))
+    return entries
 
 
 @pytest.mark.parametrize("dims,n", [((2, 2), 2), ((2, 2), 3), ((2, 2), 4), ((2, 3), 2), ((2, 3), 3)])
 def test_swap_breaking_pi_never_reads_closer(dims, n, monkeypatch):
     for seed in range(2):
         spec = random_spec(*dims, n, seed=700 + seed)
-        broken = swap_breaking(build_truncated_mixture(spec), dims[0])
-        monkeypatch.setattr(mixing, "build_truncated_mixture", lambda *_, **__: broken)
+        broken = swap_breaking(_mixture_in_copy_order(spec, DEFAULT_SIZE_CAP), dims[0])
+        # verify_mixing_bound overwrites Pi with the difference, so hand out copies
+        monkeypatch.setattr(mixing, "_mixture_in_copy_order", lambda *_: broken.copy())
         report = verify_mixing_bound(spec)
-        assert report.trace_distance >= dense_distance(spec, broken.pi) - 1e-15
+        power = kron_power(mix(spec.rho, spec.sigma, spec.p).entries, n)
+        assert report.trace_distance >= 0.5 * trace_norm(power - broken) - 1e-15
     # with a full window Pi is the n-fold power, and the broken one fails
     spec = replace(spec, window=(0, n))
-    broken = swap_breaking(build_truncated_mixture(spec), dims[0])
-    monkeypatch.setattr(mixing, "build_truncated_mixture", lambda *_, **__: broken)
+    broken = swap_breaking(_mixture_in_copy_order(spec, DEFAULT_SIZE_CAP), dims[0])
+    monkeypatch.setattr(mixing, "_mixture_in_copy_order", lambda *_: broken.copy())
     assert not verify_mixing_bound(spec).passed
+
+
+def bipartite_path_distance(spec, monkeypatch):
+    """T as computed with Pi and the power regrouped into bipartite order.
+
+    The difference is taken between the bipartite operators, and the
+    sector indices are mapped from copy order through argsort(ab_order).
+    """
+    dims, n = (spec.rho.dim_a, spec.rho.dim_b), spec.n
+    power = tensor_power(mix(spec.rho, spec.sigma, spec.p), n).entries
+    diff = power - build_truncated_mixture(spec).pi.entries
+    sizes, src, coef = _swap_sectors(dims, n)
+    to_bipartite = np.argsort(ab_order(dims, n))
+    with monkeypatch.context() as patch:
+        patch.setattr(mixing, "_swap_sectors", lambda *_: (sizes, to_bipartite[src], coef))
+        return min(mixing._swap_sector_distance(diff, dims, n), 1.0)
+
+
+@pytest.mark.parametrize(
+    "dims,n", [((2, 2), n) for n in range(1, 6)] + [((2, 3), n) for n in range(1, 5)]
+)
+def test_copy_order_distance_is_bit_identical_to_bipartite_path(dims, n, monkeypatch):
+    for seed in range(3 if n < 4 else 1):
+        spec = random_spec(*dims, n, seed=900 + 10 * n + seed)
+        expected = bipartite_path_distance(spec, monkeypatch)
+        assert verify_mixing_bound(spec).trace_distance == expected, (seed, expected)
 
 
 def test_verify_mixing_bound_respects_cap():
@@ -348,6 +384,20 @@ def test_scalar_scans_stay_small_at_ten_million():
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, peak
+
+
+def test_mixing_check_peak_stays_under_three_sides_squared():
+    # in units of one side x side complex array: Pi and the power (about
+    # 2), then the difference and the bands of the largest sector (2.37)
+    spec = random_spec(2, 3, 4, seed=404)
+    side = 6**4
+    tracemalloc.start()
+    try:
+        verify_mixing_bound(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 16 * side**2, peak / (16 * side**2)
 
 
 def test_tail_mass_scan_underflow_reads_positive_with_log10():
