@@ -4,6 +4,8 @@ Exit codes: 0 success, 2 input or usage problem, 3 matrix size cap
 exceeded, 4 a certification failed (a verified bound did not hold or a
 ball left the certified-distillable region).  Every output embeds the
 full invocation and the seed so runs can be replayed byte-for-byte.
+A subcommand takes only the options it reads; one without --seed or
+--cap prints DEFAULT_SEED or DEFAULT_SIZE_CAP in their place.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_CERTIFICATION = 4
+
+# the seed of every sampling command, and the one printed by the others
+DEFAULT_SEED = 7
 
 
 def _measure_entropy(state, budget, seed):
@@ -313,8 +318,10 @@ def cmd_catalytic(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # options of more than one subcommand; each subcommand takes only those
+    # it reads, as the same Action objects that parents= would hand over
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=7, help="RNG seed for sampling")
+    shared.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for sampling")
     shared.add_argument(
         "--cap",
         type=positive_int,
@@ -322,23 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest matrix side accepted before aborting with exit 3",
     )
     shared.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    certified = argparse.ArgumentParser(add_help=False, parents=[shared])
-    certified.add_argument(
+    shared.add_argument(
         "--tolerance",
         type=finite_float,
         default=None,
         help=f"override the default {CERTIFICATION_TOL:g} certification slack",
     )
 
+    def take(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:
+            p._add_action(shared._option_string_actions[flag])
+
     parser = argparse.ArgumentParser(
         prog="entbounds",
         description="Bipartite entanglement bounds: measures, mixing, balls, scans.",
     )
-    # subcommands without --tolerance still report "tolerance": null
-    parser.set_defaults(tolerance=None)
+    # a subcommand without one of these options still reports its default
+    parser.set_defaults(seed=DEFAULT_SEED, cap=DEFAULT_SIZE_CAP, tolerance=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("measure", parents=[shared], help="evaluate one measure on a state file")
+    p = sub.add_parser("measure", help="evaluate one measure on a state file")
+    take(p, "--seed", "--cap", "--out")
     p.add_argument("state_file")
     p.add_argument("measure", choices=sorted(MEASURES))
     p.add_argument("--budget", type=positive_int, default=DEFAULT_EOF_BUDGET, help="search restarts for ec_upper paths")
@@ -352,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(1 2), (3 4), ..., and sqrt(side) times the Frobenius norm of the part off those "
         "blocks is added, so the printed T never falls below the true distance"
     )
-    p = sub.add_parser("mixing-verify", parents=[certified], help=about, description=about)
+    p = sub.add_parser("mixing-verify", help=about, description=about)
+    take(p, "--cap", "--out", "--tolerance")
     p.add_argument("rho_file")
     p.add_argument("sigma_file")
     p.add_argument("--p", type=finite_float, required=True)
@@ -360,13 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-width", type=finite_float, default=None)
     p.set_defaults(func=cmd_mixing_verify)
 
-    p = sub.add_parser("tail-scan", parents=[shared], help="binomial window tail masses vs the Hoeffding ceiling")
+    p = sub.add_parser("tail-scan", help="binomial window tail masses vs the Hoeffding ceiling")
+    take(p, "--out")
     p.add_argument("--p", type=finite_float, required=True)
     p.add_argument("--n-list", required=True, help="comma-separated copy counts")
     p.add_argument("--half-width", type=finite_float, default=None)
     p.set_defaults(func=cmd_tail_scan)
 
-    p = sub.add_parser("ball-scan", parents=[certified], help="sample a trace-distance ball and certify the corridor")
+    p = sub.add_parser("ball-scan", help="sample a trace-distance ball and certify the corridor")
+    take(p, "--seed", "--cap", "--out", "--tolerance")
     p.add_argument("center_file")
     p.add_argument("--epsilon", type=finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
@@ -374,26 +388,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=positive_int, default=DEFAULT_EOF_BUDGET)
     p.set_defaults(func=cmd_ball_scan)
 
-    p = sub.add_parser("border-scan", parents=[shared], help="measure table along a separability border path")
+    p = sub.add_parser("border-scan", help="measure table along a separability border path")
+    take(p, "--seed", "--out")
     p.add_argument("--system", choices=["2x2", "2x3"], required=True)
     p.add_argument("--grid", type=int, required=True, help="number of grid points on [0, 1]")
     p.add_argument("--include-eof", action="store_true")
     p.add_argument("--budget", type=positive_int, default=400)
     p.set_defaults(func=cmd_border_scan)
 
-    p = sub.add_parser("concentration", parents=[shared], help="finite-copy concentration yield curve")
+    p = sub.add_parser("concentration", help="finite-copy concentration yield curve")
+    take(p, "--out")
     p.add_argument("--lambdas", required=True, help="comma-separated Schmidt squares")
     p.add_argument("--n-list", required=True, help="comma-separated copy counts")
     p.set_defaults(func=cmd_concentration)
 
-    p = sub.add_parser("eta-scan", parents=[shared], help="hashing yield of a contaminated maximally entangled state")
+    p = sub.add_parser("eta-scan", help="hashing yield of a contaminated maximally entangled state")
+    take(p, "--cap", "--out")
     p.add_argument("--eps-start", type=finite_float, default=1e-4)
     p.add_argument("--eps-stop", type=finite_float, default=1e-1)
     p.add_argument("--eps-points", type=int, default=20)
     p.add_argument("--xi-file", default=None, help="contamination state (default: maximally mixed)")
     p.set_defaults(func=cmd_eta_scan)
 
-    p = sub.add_parser("catalytic", parents=[shared], help="rate gain from a catalytic side resource")
+    p = sub.add_parser("catalytic", help="rate gain from a catalytic side resource")
+    take(p, "--out")
     p.add_argument("--delta", type=finite_float, required=True)
     p.add_argument("--ec-sigma", type=finite_float, required=True)
     p.add_argument("--ed-rho-p", type=finite_float, required=True)
@@ -413,7 +431,8 @@ def main(argv=None) -> int:
     args.invocation = "entbounds " + shlex.join(argv)
     try:
         return args.func(args)
-    except (EntboundsError, ValueError, OSError) as exc:
+    # OverflowError: an integer argument too large to convert to a float
+    except (EntboundsError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, StateValidityError) and exc.report is not None:
             print(

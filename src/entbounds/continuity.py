@@ -205,7 +205,7 @@ def lipschitz_bound(
     """delta / epsilon times T(center, other) for states inside the ball."""
     epsilon = constants.epsilon
     t = trace_distance(center, other)
-    if t > epsilon + 1e-9:
+    if t > epsilon + CERTIFICATION_TOL:
         raise ValueError(
             f"state lies outside the ball: T = {t} exceeds epsilon = {epsilon}"
         )

@@ -119,16 +119,17 @@ def ab_order(dims: tuple[int, int], n: int, cap: int = DEFAULT_SIZE_CAP) -> np.n
     return np.arange(side**n).reshape([shape[k] for k in moved]).transpose(axes).ravel()
 
 
-def tensor_power(rho: DensityMatrix, n: int, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
+def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     """rho^(x n) in bipartite order, built without a second validation.
 
     Its eigenvalues are products of rho's, so it is Hermitian and PSD
     because rho is; its trace is tr(rho)^n, whose defect grows with n
-    past TRACE_TOL even for a valid rho.
+    past TRACE_TOL even for a valid rho.  Raises SizeCapError when the
+    side exceeds DEFAULT_SIZE_CAP.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    order = ab_order((rho.dim_a, rho.dim_b), n, cap)
+    order = ab_order((rho.dim_a, rho.dim_b), n)
     entries = rho.entries
     for _ in range(n - 1):
         entries = np.kron(entries, rho.entries)

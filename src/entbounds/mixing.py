@@ -27,6 +27,11 @@ from .linalg import (
 )
 
 
+# longest binomial reach summed, 32 MiB per float64 array: n up to about
+# 1.1e10 at p = 1/2 and 4.5e10 at p near 0 or 1, where float(n) is exact
+MAX_REACH_TERMS = 2**22
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     """Inputs of the truncated mixture: states, weight, copies and window."""
@@ -81,9 +86,17 @@ def _binom_reach(n: int, p: float) -> np.ndarray:
     Hoeffding puts each term farther than sqrt(L n / 2) from n p below
     e^-L, and L = 783 is 38 nats under the smallest subnormal double,
     e^-744.4: a margin far beyond the rounding error of _binom_logpmf.
+    A reach longer than MAX_REACH_TERMS raises ValueError before any
+    array is allocated.
     """
     t = math.sqrt(783.0 * n / 2.0)
-    return np.arange(max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t)) + 1)
+    lo, hi = max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t))
+    if hi - lo >= MAX_REACH_TERMS:
+        raise ValueError(
+            f"copy count {n} needs {hi - lo + 1} binomial terms, "
+            f"over the limit of {MAX_REACH_TERMS}"
+        )
+    return np.arange(lo, hi + 1)
 
 
 def _binom_logpmf(ls, n: int, p: float) -> np.ndarray:
@@ -194,9 +207,7 @@ def _mixture_in_copy_order(spec: MixtureSpec, cap: int) -> np.ndarray:
     return acc
 
 
-def build_truncated_mixture(
-    spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP
-) -> TruncatedMixture:
+def build_truncated_mixture(spec: MixtureSpec) -> TruncatedMixture:
     """Pi = sum over window of Binomial(n, p)(l) * block(l) / (1 - tail).
 
     block(l) averages the C(n, l) placements of l factors sigma among n
@@ -204,10 +215,11 @@ def build_truncated_mixture(
     regroup puts it in bipartite order.  A nonnegative sum of products
     of validated states, Pi is Hermitian and PSD by construction, so it
     is not validated again; the check on it is verify_mixing_bound.
+    Raises SizeCapError when the side exceeds DEFAULT_SIZE_CAP.
     """
     n, dim_a, dim_b = spec.n, spec.rho.dim_a, spec.rho.dim_b
-    order = ab_order((dim_a, dim_b), n, cap)
-    pi = _mixture_in_copy_order(spec, cap)[np.ix_(order, order)]
+    order = ab_order((dim_a, dim_b), n)
+    pi = _mixture_in_copy_order(spec, DEFAULT_SIZE_CAP)[np.ix_(order, order)]
     return TruncatedMixture(
         pi=DensityMatrix(dim_a**n, dim_b**n, pi, check=False),
         tail_mass=_tail_mass(n, spec.p, *spec.window),

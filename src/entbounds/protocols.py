@@ -57,6 +57,9 @@ def _check_distribution(weights: np.ndarray) -> np.ndarray:
         raise ValueError("distribution entries must be finite")
     if np.any(weights < -1e-12):
         raise ValueError("distribution entries must be non-negative")
+    # checked before the sum, which overflows on entries near the float maximum
+    if np.any(weights > 1.0 + 1e-9):
+        raise ValueError("distribution entries must not exceed 1")
     total = float(np.sum(weights))
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution must sum to 1, got {total}")

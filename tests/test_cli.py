@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -173,6 +174,25 @@ def test_mixing_verify_huge_n_hits_the_cap(werner_file, phi_file, n, capsys):
     assert err == f"error: matrix side 4^{n} exceeds size cap 4096\n"
 
 
+@pytest.mark.parametrize("n", [10**20, 2**53 + 1, 10**309], ids=["1e20", "2^53+1", "1e309"])
+@pytest.mark.parametrize("command", ["tail-scan", "concentration", "mixing-verify"])
+def test_huge_copy_count_is_refused_before_allocating(command, n, werner_file, phi_file, capsys):
+    # without the reach limit, tail-scan tried 2.9 TiB at 1e20 and 28 GiB at 2^53 + 1
+    argv = {
+        "tail-scan": ["tail-scan", "--p", "0.3", "--n-list", str(n)],
+        "concentration": ["concentration", "--lambdas", "0.7,0.3", "--n-list", str(n)],
+        "mixing-verify": ["mixing-verify", werner_file, phi_file, "--p", "0.5", "--n", str(n)],
+    }[command]
+    code, out, err = run_cli_strict(argv, capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    expected = (
+        "error: int too large to convert to float\n"
+        if n > sys.float_info.max
+        else f"error: copy count {n} needs \\d+ binomial terms, over the limit of 4194304\n"
+    )
+    assert re.fullmatch(expected, err), err
+
+
 def test_mixing_verify_accepts_trace_defect_within_tolerance(tmp_path, capsys):
     # each copy adds its trace defect, so rho_p^(x 3) and Pi sit near 2e-10
     rho = DensityMatrix(2, 2, werner(0.9).entries * (1.0 + 9e-11))
@@ -235,9 +255,54 @@ def test_tolerance_is_an_option_of_the_two_certifying_commands(capsys):
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert "--tolerance" in err
+
+
+# every option of every subcommand, --help aside: 43 options and 5 positionals
+OPTIONS = {
+    "measure": {"--seed", "--cap", "--out", "--budget", "--force", "--format"},
+    "mixing-verify": {"--cap", "--out", "--tolerance", "--p", "--n", "--half-width"},
+    "tail-scan": {"--out", "--p", "--n-list", "--half-width"},
+    "ball-scan": {
+        "--seed", "--cap", "--out", "--tolerance", "--epsilon", "--samples", "--p-points", "--budget",
+    },
+    "border-scan": {"--seed", "--out", "--system", "--grid", "--include-eof", "--budget"},
+    "concentration": {"--out", "--lambdas", "--n-list"},
+    "eta-scan": {"--cap", "--out", "--eps-start", "--eps-stop", "--eps-points", "--xi-file"},
+    "catalytic": {"--out", "--delta", "--ec-sigma", "--ed-rho-p"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-    takes = {name for name, p in sub.choices.items() if "--tolerance" in p._option_string_actions}
-    assert takes == {"mixing-verify", "ball-scan"}
+    actions = {
+        name: [a for a in p._actions if a.dest != "help"] for name, p in sub.choices.items()
+    }
+    taken = {name: {s for a in acts for s in a.option_strings} for name, acts in actions.items()}
+    assert taken == OPTIONS
+    assert sum(map(len, actions.values())) == 48
+    assert sum(map(len, taken.values())) == 43
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mixing-verify", "x.json", "y.json", "--p", "0.3", "--n", "2", "--seed", "1"],
+        ["tail-scan", "--p", "0.3", "--n-list", "10", "--seed", "1"],
+        ["concentration", "--lambdas", "0.5,0.5", "--n-list", "2", "--seed", "1"],
+        ["eta-scan", "--seed", "1"],
+        ["catalytic", "--delta", "0.1", "--ec-sigma", "0.5", "--ed-rho-p", "0.8", "--seed", "1"],
+        ["tail-scan", "--p", "0.3", "--n-list", "10", "--cap", "8"],
+        ["border-scan", "--system", "2x2", "--grid", "3", "--cap", "8"],
+        ["concentration", "--lambdas", "0.5,0.5", "--n-list", "2", "--cap", "8"],
+        ["catalytic", "--delta", "0.1", "--ec-sigma", "0.5", "--ed-rho-p", "0.8", "--cap", "8"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}",
+)
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.endswith(f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
 
 
 def test_tolerance_is_read_and_reported(werner_file, phi_file, tmp_path, capsys):
@@ -560,6 +625,13 @@ def test_non_finite_arguments_exit_2(argv, capsys):
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert "finite" in err
+
+
+def test_concentration_rejects_entries_above_one_before_summing(capsys):
+    # the sum of 1e308 and 1e308 overflowed with a RuntimeWarning first
+    argv = ["concentration", "--lambdas", "1e308,1e308", "--n-list", "2"]
+    code, out, err = run_cli_strict(argv, capsys)
+    assert (code, out, err) == (cli.EXIT_INPUT, "", "error: distribution entries must not exceed 1\n")
 
 
 @pytest.mark.parametrize(

@@ -386,6 +386,12 @@ def test_scalar_scans_stay_small_at_ten_million():
         assert peak < 32 * 2**20, peak
 
 
+def test_binom_reach_over_the_limit_raises_before_allocating():
+    # 11.3e9 copies at p = 1/2 reach 4,206,639 terms, just over 2^22
+    with pytest.raises(ValueError, match="^copy count 11300000000 needs 4206639 binomial terms"):
+        _binom_reach(11_300_000_000, 0.5)
+
+
 def test_mixing_check_peak_stays_under_three_sides_squared():
     # in units of one side x side complex array: Pi and the power (about
     # 2), then the difference and the bands of the largest sector (2.37)
