@@ -25,7 +25,7 @@ from entbounds import cli
 from entbounds.linalg import mix
 from entbounds.sampling import random_density_matrix
 from entbounds.stateio import dumps_state
-from entbounds.states import phi_plus, werner
+from entbounds.states import isotropic_2x3, phi_plus, werner
 from support import embedded_invocation
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -37,6 +37,7 @@ STATES = {
         phi_plus(), random_density_matrix(2, 2, seed=11), 0.1
     ),
     "ginibre.json": lambda: random_density_matrix(2, 2, seed=5),
+    "iso23.json": lambda: isotropic_2x3(0.6),
 }
 
 CLOSED_FORMS = (
@@ -59,6 +60,12 @@ CASES = {
     "measure_eof_upper_general": (
         ["measure", "ginibre.json", "eof_upper_general", "--budget", "10"], ()
     ),
+    # one case per method string of the two bound dispatchers
+    "measure_ec_upper": (["measure", "mixed.json", "ec_upper"], ()),
+    "measure_ec_upper_search": (
+        ["measure", "iso23.json", "ec_upper", "--budget", "10"], ()
+    ),
+    "measure_ed_lower_vacuous": (["measure", "iso23.json", "ed_lower"], ()),
     "tail_scan_default": (
         ["tail-scan", "--p", "0.3", "--n-list", "10,100,1000,10000"], ()
     ),
