@@ -41,6 +41,7 @@ from .errors import (
 from .linalg import CERTIFICATION_TOL, DEFAULT_SIZE_CAP, trace_distance
 from .measures import (
     DEFAULT_EOF_BUDGET,
+    KIND_EXACT,
     MeasureValue,
     concurrence_2x2,
     ec_upper,
@@ -70,27 +71,20 @@ EXIT_CERTIFICATION = 4
 DEFAULT_SEED = 7
 
 
-def _measure_entropy(state, budget, seed):
-    return MeasureValue(
-        von_neumann_entropy(state.entries), "exact", "von_neumann_entropy"
-    )
-
-
-def _measure_concurrence(state, budget, seed):
-    return MeasureValue(concurrence_2x2(state), "exact", "concurrence_2x2")
-
-
-MEASURES = {
-    "log_negativity": lambda state, budget, seed: log_negativity(state),
-    "eof_2x2": lambda state, budget, seed: eof_2x2(state),
-    "concurrence_2x2": _measure_concurrence,
-    "ed_lower": lambda state, budget, seed: ed_lower(state),
-    "ec_upper": lambda state, budget, seed: ec_upper(state, budget=budget, seed=seed),
-    "eof_upper_general": lambda state, budget, seed: eof_upper_general(
-        state, budget=budget, seed=seed
-    ),
-    "von_neumann_entropy": _measure_entropy,
-}
+def measures(budget: int = DEFAULT_EOF_BUDGET, seed: int = DEFAULT_SEED) -> dict:
+    """Each measure as a function of the state; the two searches read budget
+    and seed.  Built per run, so each name is read after any tracer wrapped it."""
+    return {
+        "log_negativity": log_negativity,
+        "eof_2x2": eof_2x2,
+        "concurrence_2x2": lambda state: MeasureValue(concurrence_2x2(state), KIND_EXACT, "concurrence_2x2"),
+        "ed_lower": ed_lower,
+        "ec_upper": partial(ec_upper, budget=budget, seed=seed),
+        "eof_upper_general": partial(eof_upper_general, budget=budget, seed=seed),
+        "von_neumann_entropy": lambda state: MeasureValue(
+            von_neumann_entropy(state.entries), KIND_EXACT, "von_neumann_entropy"
+        ),
+    }
 
 
 def finite_float(text: str) -> float:
@@ -150,8 +144,7 @@ def _emit(path: str | None, text: str) -> None:
 
 def cmd_measure(args) -> int:
     state = load_state(args.state_file, force=args.force, cap=args.cap)
-    fn = MEASURES[args.measure]
-    record = fn(state, args.budget, args.seed).as_record()
+    record = measures(args.budget, args.seed)[args.measure](state).as_record()
     if args.fmt == "csv":
         text = _csv_text(args, list(record), [list(record.values())])
     else:
@@ -193,24 +186,14 @@ def cmd_ball_scan(args) -> int:
     if args.p_points < 2:
         raise ValueError("p-points must be at least 2")
     center = load_state(args.center_file, cap=args.cap)
-    spec = BallSpec(
-        center=center,
-        epsilon=args.epsilon,
-        sample_count=args.samples,
-        seed=args.seed,
-    )
+    spec = BallSpec(center=center, epsilon=args.epsilon, sample_count=args.samples, seed=args.seed)
     samples = sample_ball(spec)
-    constants = ball_constants(spec, samples=samples, budget=args.budget)
-    sigma_surface = samples[0]
+    # both bounds passed explicitly: a default is bound at import, out of a tracer's reach
+    ed, ec = ed_lower, partial(ec_upper, budget=args.budget, seed=args.seed)
+    constants = ball_constants(spec, samples=samples, ed=ed, ec=ec)
     tol = CERTIFICATION_TOL if args.tolerance is None else args.tolerance
     corridor = corridor_consistency_check(
-        center,
-        sigma_surface,
-        constants,
-        np.linspace(0.0, 1.0, args.p_points),
-        budget=args.budget,
-        seed=args.seed,
-        tolerance=tol,
+        center, samples[0], constants, np.linspace(0.0, 1.0, args.p_points), ed=ed, ec=ec, tolerance=tol
     )
     lipschitz_rows = []
     for index, state in enumerate(samples):
@@ -335,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"override the default {CERTIFICATION_TOL:g} certification slack",
     )
+    # border-scan gives --budget its own default, so only the help is shared
+    budget_help = "random restarts of the EoF search in eof_upper_general, and in ec_upper beyond 2x2"
 
     def take(p: argparse.ArgumentParser, *flags: str) -> None:
         for flag in flags:
@@ -351,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate one measure on a state file")
     take(p, "--seed", "--cap", "--out")
     p.add_argument("state_file")
-    p.add_argument("measure", choices=sorted(MEASURES))
-    p.add_argument("--budget", type=positive_int, default=DEFAULT_EOF_BUDGET, help="search restarts for ec_upper paths")
+    p.add_argument("measure", choices=sorted(measures()))
+    p.add_argument("--budget", type=positive_int, default=DEFAULT_EOF_BUDGET, help=budget_help)
     p.add_argument("--force", action="store_true", help="skip state validation")
     p.add_argument("--format", choices=["csv", "json"], default="json", dest="fmt", help="report format")
     p.set_defaults(func=cmd_measure)
@@ -385,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--p-points", type=int, default=20)
-    p.add_argument("--budget", type=positive_int, default=DEFAULT_EOF_BUDGET)
+    p.add_argument("--budget", type=positive_int, default=DEFAULT_EOF_BUDGET, help=budget_help)
     p.set_defaults(func=cmd_ball_scan)
 
     p = sub.add_parser("border-scan", help="measure table along a separability border path")
@@ -393,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=["2x2", "2x3"], required=True)
     p.add_argument("--grid", type=int, required=True, help="number of grid points on [0, 1]")
     p.add_argument("--include-eof", action="store_true")
-    p.add_argument("--budget", type=positive_int, default=400)
+    p.add_argument("--budget", type=positive_int, default=400, help=budget_help)
     p.set_defaults(func=cmd_border_scan)
 
     p = sub.add_parser("concentration", help="finite-copy concentration yield curve")
@@ -424,7 +409,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the usage of the subcommand that refused them
+            sub = next(a for a in parser._actions if a.dest == "command")
+            sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         code = exc.code
         return EXIT_INPUT if code not in (0, None) else EXIT_OK

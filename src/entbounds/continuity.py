@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from .errors import BallNotCertifiedError, EntboundsError, StateValidityError
 from .linalg import CERTIFICATION_TOL, DensityMatrix, mix, trace_distance
-from .measures import DEFAULT_EOF_BUDGET, MeasureValue, ec_upper, ed_lower, is_ppt, log_negativity
+from .measures import MeasureValue, ec_upper, ed_lower, is_ppt, log_negativity
 from .sampling import ensure_rng, random_density_matrix
 
 MAX_DIRECTION_RETRIES = 200
@@ -116,44 +116,31 @@ def sample_ball(spec: BallSpec) -> list[DensityMatrix]:
     return samples
 
 
-def _default_ed(state: DensityMatrix) -> float:
-    return ed_lower(state).value
-
-
-def _make_ec(budget: int, seed: int) -> Callable[[DensityMatrix], float]:
-    def ec(state: DensityMatrix) -> float:
-        return ec_upper(state, budget=budget, seed=seed).value
-
-    return ec
-
-
 def ball_constants(
     spec: BallSpec,
     samples: Sequence[DensityMatrix] | None = None,
-    ed_fn: Callable[[DensityMatrix], float] | None = None,
-    ec_fn: Callable[[DensityMatrix], float] | None = None,
-    budget: int = DEFAULT_EOF_BUDGET,
+    ed: Callable[[DensityMatrix], MeasureValue] = ed_lower,
+    ec: Callable[[DensityMatrix], MeasureValue] = ec_upper,
 ) -> BallConstants:
     """Sampled surrogate extrema over the ball and the derived constants.
 
-    The minimum of the distillation lower bound and the maximum of the
-    cost upper bound run over the center plus the samples.  They are
-    estimates of the true extrema, hence provenance "sampled".
+    The minimum of the distillation lower bound ed and the maximum of the
+    cost upper bound ec run over the center plus the samples.  They are
+    estimates of the true extrema, hence provenance "sampled".  Bind a
+    search budget and seed into ec with functools.partial.
     """
-    ed_fn = ed_fn or _default_ed
-    ec_fn = ec_fn or _make_ec(budget, spec.seed)
     if samples is None:
         samples = sample_ball(spec)
-    ed_center = ed_fn(spec.center)
+    ed_center = ed(spec.center).value
     if ed_center <= 0.0:
         raise BallNotCertifiedError(
             "center has vacuous distillation lower bound; shrink epsilon "
             "or pick a certified-distillable center"
         )
     ed_values = [ed_center]
-    ec_values = [ec_fn(spec.center)]
+    ec_values = [ec(spec.center).value]
     for index, state in enumerate(samples):
-        ed_value = ed_fn(state)
+        ed_value = ed(state).value
         if ed_value <= 0.0:
             raise BallNotCertifiedError(
                 f"sample {index} has vacuous distillation lower bound; "
@@ -161,7 +148,7 @@ def ball_constants(
                 sample_index=index,
             )
         ed_values.append(ed_value)
-        ec_values.append(ec_fn(state))
+        ec_values.append(ec(state).value)
     ed_min = float(min(ed_values))
     ec_max = float(max(ec_values))
     r = min(ed_min / ec_max, 1.0)
@@ -217,34 +204,30 @@ def corridor_consistency_check(
     sigma_surface: DensityMatrix,
     constants: BallConstants,
     p_grid,
-    ed_fn: Callable[[DensityMatrix], float] | None = None,
-    ec_fn: Callable[[DensityMatrix], float] | None = None,
-    budget: int = DEFAULT_EOF_BUDGET,
-    seed: int = 0,
+    ed: Callable[[DensityMatrix], MeasureValue] = ed_lower,
+    ec: Callable[[DensityMatrix], MeasureValue] = ec_upper,
     tolerance: float = CERTIFICATION_TOL,
 ) -> CorridorReport:
     """Check the two-sided surrogate corridor along the mixture family.
 
     For each p the mixture rho_p = (1-p) center + p sigma_surface must
-    satisfy (1 - kappa(p)) * ed_lower(center) <= ec_upper(rho_p) and
+    satisfy (1 - kappa(p)) * ed(center) <= ec(rho_p) and
     the same with center and rho_p swapped, both up to the tolerance.
     Any true asymptotic measure is wedged between the two surrogates,
     so a violation indicts the implementation rather than the bound.
     The reverse_mix_available flag records whether the affine extension
     past the center (weight p - 1) still lands on a valid state.
     """
-    ed_fn = ed_fn or _default_ed
-    ec_fn = ec_fn or _make_ec(budget, seed)
-    ed_center = ed_fn(center)
-    ec_center = ec_fn(center)
+    ed_center = ed(center).value
+    ec_center = ec(center).value
     rows = []
     for p in p_grid:
         p = float(p)
         rho_p = mix(center, sigma_surface, p)
         kap = kappa(p, constants.r)
         scale = 1.0 - kap
-        ec_mixture = ec_fn(rho_p)
-        ed_mixture = ed_fn(rho_p)
+        ec_mixture = ec(rho_p).value
+        ed_mixture = ed(rho_p).value
         margin_center = float(ec_mixture - scale * ed_center)
         margin_mixture = float(ec_center - scale * ed_mixture)
         try:

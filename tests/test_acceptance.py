@@ -18,6 +18,8 @@ from entbounds.continuity import (
 from entbounds.errors import EmptyWindowError
 from entbounds.linalg import tensor_power
 from entbounds.measures import (
+    KIND_UPPER,
+    MeasureValue,
     concurrence_2x2,
     ec_upper,
     ed_lower,
@@ -123,7 +125,7 @@ def test_criterion_04_werner_ball_corridors(tmp_path):
         samples[0],
         constants,
         np.linspace(0.0, 1.0, 20),
-        ec_fn=lambda s: 0.5 * ec_upper(s).value,
+        ec=lambda s: MeasureValue(0.5 * ec_upper(s).value, KIND_UPPER, "halved"),
     )
     assert not broken.all_passed
     assert time.perf_counter() - start < 120.0

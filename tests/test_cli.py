@@ -283,6 +283,16 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert sum(map(len, taken.values())) == 43
 
 
+def test_budget_has_one_help_in_every_subcommand():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    helps = {
+        name: a.help for name, p in sub.choices.items() for a in p._actions if a.dest == "budget"
+    }
+    assert set(helps) == {"measure", "ball-scan", "border-scan"}
+    assert len(set(helps.values())) == 1
+    assert "eof_upper_general" in helps["measure"] and "ec_upper" in helps["measure"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -303,6 +313,7 @@ def test_an_option_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert err.endswith(f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
+    assert err.startswith(f"usage: entbounds {argv[0]} ")
 
 
 def test_tolerance_is_read_and_reported(werner_file, phi_file, tmp_path, capsys):

@@ -17,7 +17,15 @@ from entbounds.continuity import (
 )
 from entbounds.errors import BallNotCertifiedError, DimensionMismatchError
 from entbounds.linalg import DensityMatrix, mix, trace_distance
-from entbounds.measures import ec_upper, ed_lower, eof_2x2, eof_upper_general
+from entbounds.measures import (
+    KIND_LOWER,
+    KIND_UPPER,
+    MeasureValue,
+    ec_upper,
+    ed_lower,
+    eof_2x2,
+    eof_upper_general,
+)
 from entbounds.sampling import random_density_matrix
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 
@@ -154,7 +162,11 @@ def test_ball_constants_delta_shrinks_with_epsilon():
 
 def test_ball_constants_reversible_flag_with_injected_surrogates():
     spec = BallSpec(center=werner(0.95), epsilon=1e-4, sample_count=5, seed=10)
-    constants = ball_constants(spec, ed_fn=lambda s: 0.5, ec_fn=lambda s: 0.5)
+    constants = ball_constants(
+        spec,
+        ed=lambda s: MeasureValue(0.5, KIND_LOWER, "injected"),
+        ec=lambda s: MeasureValue(0.5, KIND_UPPER, "injected"),
+    )
     assert constants.reversible
     assert constants.r == 1.0
     assert constants.delta == 0.0
@@ -227,7 +239,7 @@ def test_corridor_negative_control_reports_violation():
         samples[0],
         constants,
         np.linspace(0, 1, 10),
-        ec_fn=lambda s: 0.5 * ec_upper(s).value,
+        ec=lambda s: MeasureValue(0.5 * ec_upper(s).value, KIND_UPPER, "halved"),
     )
     assert not broken.all_passed
     assert any(not row.passed for row in broken.rows)

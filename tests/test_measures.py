@@ -7,12 +7,16 @@ from entbounds import measures
 from entbounds.errors import DimensionMismatchError, StateValidityError
 from entbounds.linalg import DensityMatrix, mix, tensor_power
 from entbounds.measures import (
+    KIND_LOWER,
+    KIND_UPPER,
     BellDiagonalProbs,
     MeasureValue,
     _descend,
     _gradient,
     _objective,
+    best,
     binary_entropy,
+    bound_routes,
     concurrence_2x2,
     ec_upper,
     ed_lower,
@@ -206,6 +210,77 @@ def test_ed_lower_at_most_ec_upper_on_random_states():
     for _ in range(50):
         rho = random_density_matrix(2, 2, seed=rng)
         assert ed_lower(rho).value <= ec_upper(rho).value + 1e-12
+
+
+# ---- routes: one rule picks each bound's method ----
+
+
+def _constant_routes(values):
+    return [(f"r{i}", lambda rho, v=v: v) for i, v in enumerate(values)]
+
+
+@pytest.mark.parametrize(
+    "kind, values, expected",
+    [
+        # equal values: the earlier route keeps its name
+        (KIND_LOWER, (0.5, 0.5), ("r0", 0.5)),
+        (KIND_UPPER, (0.5, 0.5), ("r0", 0.5)),
+        # better by 1e-13 is a tie; better by 1e-11 wins
+        (KIND_LOWER, (0.5, 0.5 + 1e-13), ("r0", 0.5)),
+        (KIND_UPPER, (0.5, 0.5 - 1e-13), ("r0", 0.5)),
+        (KIND_LOWER, (0.5, 0.5 + 1e-11), ("r1", 0.5 + 1e-11)),
+        (KIND_UPPER, (0.5, 0.5 - 1e-11), ("r1", 0.5 - 1e-11)),
+        # a worse later route loses by any margin
+        (KIND_LOWER, (0.5, 0.3), ("r0", 0.5)),
+        (KIND_UPPER, (0.5, 0.7), ("r0", 0.5)),
+        # the band is measured from the kept value, not from the last route
+        (KIND_LOWER, (0.5, 0.5 + 0.6e-12, 0.5 + 1.2e-12), ("r2", 0.5 + 1.2e-12)),
+        # routes that do not apply are skipped, wherever they stand
+        (KIND_LOWER, (None, 0.3, None), ("r1", 0.3)),
+        (KIND_UPPER, (None, 0.3, None), ("r1", 0.3)),
+        (KIND_LOWER, (0.0, None, 0.2), ("r2", 0.2)),
+        (KIND_UPPER, (None, 0.2, 0.1), ("r2", 0.1)),
+    ],
+)
+def test_best_keeps_the_earlier_route_unless_beaten_by_more_than_1e_12(kind, values, expected):
+    method, value = expected
+    assert best(kind, _constant_routes(values), PHI) == MeasureValue(value, kind, method)
+
+
+def test_bound_route_names_in_order():
+    names = {bound: [method for method, _ in routes] for bound, routes in bound_routes().items()}
+    assert names == {
+        "ed_lower": ["ed_lower_hashing", "ed_lower_vacuous"],
+        "ec_upper": ["ec_upper_eof_2x2", "ec_upper_eof_search"],
+    }
+
+
+def test_each_route_applies_where_its_table_says():
+    qubits, iso = werner(0.9), isotropic_2x3(0.6)
+    applies = {
+        method: (fn(qubits) is not None, fn(iso) is not None)
+        for routes in bound_routes(budget=5).values()
+        for method, fn in routes
+    }
+    assert applies == {
+        "ed_lower_hashing": (True, False),
+        "ed_lower_vacuous": (True, True),
+        "ec_upper_eof_2x2": (True, False),
+        "ec_upper_eof_search": (False, True),
+    }
+
+
+def test_ed_lower_hashing_keeps_its_name_in_the_tie_with_vacuous():
+    # both routes give 0 on the maximally mixed state; the earlier one is named
+    assert ed_lower(maximally_mixed(2, 2)) == MeasureValue(0.0, KIND_LOWER, "ed_lower_hashing")
+
+
+def test_ec_upper_runs_no_search_on_two_qubits(monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran on a 2x2 state")
+
+    monkeypatch.setattr(measures, "eof_upper_general", search)
+    assert ec_upper(werner(0.9)).method == "ec_upper_eof_2x2"
 
 
 def test_bell_diagonal_probs_validation():
