@@ -71,7 +71,7 @@ EXIT_CERTIFICATION = 4
 DEFAULT_SEED = 7
 
 
-def measures(budget: int = DEFAULT_EOF_BUDGET, seed: int = DEFAULT_SEED) -> dict:
+def measure_table(budget: int = DEFAULT_EOF_BUDGET, seed: int = DEFAULT_SEED) -> dict:
     """Each measure as a function of the state; the two searches read budget
     and seed.  Built per run, so each name is read after any tracer wrapped it."""
     return {
@@ -144,7 +144,7 @@ def _emit(path: str | None, text: str) -> None:
 
 def cmd_measure(args) -> int:
     state = load_state(args.state_file, force=args.force, cap=args.cap)
-    record = measures(args.budget, args.seed)[args.measure](state).as_record()
+    record = measure_table(args.budget, args.seed)[args.measure](state).as_record()
     if args.fmt == "csv":
         text = _csv_text(args, list(record), [list(record.values())])
     else:
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate one measure on a state file")
     take(p, "--seed", "--cap", "--out")
     p.add_argument("state_file")
-    p.add_argument("measure", choices=sorted(measures()))
+    p.add_argument("measure", choices=sorted(measure_table()))
     p.add_argument("--budget", type=positive_int, default=DEFAULT_EOF_BUDGET, help=budget_help)
     p.add_argument("--force", action="store_true", help="skip state validation")
     p.add_argument("--format", choices=["csv", "json"], default="json", dest="fmt", help="report format")

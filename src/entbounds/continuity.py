@@ -149,8 +149,8 @@ def ball_constants(
             )
         ed_values.append(ed_value)
         ec_values.append(ec(state).value)
-    ed_min = float(min(ed_values))
-    ec_max = float(max(ec_values))
+    ed_min = min(ed_values)
+    ec_max = max(ec_values)
     r = min(ed_min / ec_max, 1.0)
     reversible = r == 1.0
     delta = 0.0 if reversible else ec_max * (1.0 - r) / r
@@ -228,8 +228,8 @@ def corridor_consistency_check(
         scale = 1.0 - kap
         ec_mixture = ec(rho_p).value
         ed_mixture = ed(rho_p).value
-        margin_center = float(ec_mixture - scale * ed_center)
-        margin_mixture = float(ec_center - scale * ed_mixture)
+        margin_center = ec_mixture - scale * ed_center
+        margin_mixture = ec_center - scale * ed_mixture
         try:
             mix(center, sigma_surface, p - 1.0)
             reverse_available = True
@@ -239,11 +239,11 @@ def corridor_consistency_check(
             CorridorRow(
                 p=p,
                 kappa=kap,
-                scaled_ed_center=float(scale * ed_center),
-                ec_mixture=float(ec_mixture),
+                scaled_ed_center=scale * ed_center,
+                ec_mixture=ec_mixture,
                 margin_center_side=margin_center,
-                scaled_ed_mixture=float(scale * ed_mixture),
-                ec_center=float(ec_center),
+                scaled_ed_mixture=scale * ed_mixture,
+                ec_center=ec_center,
                 margin_mixture_side=margin_mixture,
                 passed=bool(margin_center >= -tolerance and margin_mixture >= -tolerance),
                 reverse_mix_available=reverse_available,
