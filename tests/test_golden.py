@@ -1,7 +1,9 @@
 """Byte identity of CLI reports against the golden corpus in tests/golden/.
 
 Each case runs `entbounds.cli.main` in a fresh working directory that
-holds the input state files, written by `dumps_state`.  Every path in
+holds the input state files, written by `dumps_state`; a `mixing-verify`
+case runs `python -m entbounds` there, in a child process with one BLAS
+thread, since its last digits depend on the thread count.  Every path in
 the argv is relative, so the invocation embedded in a report does not
 depend on where the test runs.  The case's stdout and any files it
 writes must equal the golden files byte for byte.  The replay test runs
@@ -16,6 +18,8 @@ import contextlib
 import io
 import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -79,6 +83,18 @@ CASES = {
     "eta_scan_xi_file": (
         ["eta-scan", "--eps-points", "7", "--xi-file", "ginibre.json"], ()
     ),
+    # a narrow window, and a full one whose T is rounding alone; the
+    # largest sector (400 rows) ends in a partial row slab
+    "mixing_verify_narrow": (
+        ["mixing-verify", "werner09.json", "ginibre.json", "--p", "0.3", "--n", "5",
+         "--half-width", "1"],
+        (),
+    ),
+    "mixing_verify_full": (
+        ["mixing-verify", "werner09.json", "ginibre.json", "--p", "0.3", "--n", "4",
+         "--half-width", "4"],
+        (),
+    ),
     "catalytic": (
         ["catalytic", "--delta", "0.1", "--ec-sigma", "0.5", "--ed-rho-p", "0.8"], ()
     ),
@@ -103,15 +119,39 @@ def run_in(workdir: str, argv: list[str]) -> dict[str, bytes]:
     file the run writes to its bytes."""
     for name, make in STATES.items():
         Path(workdir, name).write_text(dumps_state(make()))
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.chdir(workdir), contextlib.redirect_stdout(
-        stdout
-    ), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
-    assert code == cli.EXIT_OK, (argv, code, stderr.getvalue())
-    assert stderr.getvalue() == ""
+    if argv[0] == "mixing-verify":
+        code, out, err = run_on_one_blas_thread(workdir, argv)
+    else:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.chdir(workdir), contextlib.redirect_stdout(
+            stdout
+        ), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        out, err = stdout.getvalue(), stderr.getvalue()
+    assert code == cli.EXIT_OK, (argv, code, err)
+    assert err == ""
     written = {p.name: p.read_bytes() for p in Path(workdir).iterdir() if p.name not in STATES}
-    return {"stdout": stdout.getvalue().encode(), **written}
+    return {"stdout": out.encode(), **written}
+
+
+def run_on_one_blas_thread(workdir: str, argv: list[str]) -> tuple[int, str, str]:
+    """Run argv in a child process with one BLAS thread, as CI does.
+
+    The eigensolvers and dot products of mixing-verify's sector pass
+    round differently with more than one BLAS thread (the narrow case
+    reads 0.19359201821640493 on one and ...495 on two), and the thread
+    count is fixed when numpy loads, so the case gets its own process.
+    """
+    env = {
+        **os.environ,
+        **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"),
+        "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "entbounds", *argv],
+        cwd=workdir, env=env, capture_output=True, text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def render(case: str, workdir: str) -> dict[str, bytes]:
