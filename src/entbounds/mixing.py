@@ -31,6 +31,10 @@ from .linalg import (
 # 1.1e10 at p = 1/2 and 4.5e10 at p near 0 or 1, where float(n) is exact
 MAX_REACH_TERMS = 2**22
 
+# rows per slab when a side x side array is filled in pieces: 32 rows of
+# side 4096 are 2 MiB, against 256 MiB for the whole array
+SLAB_ROWS = 32
+
 
 @dataclass(frozen=True)
 class MixtureSpec:
@@ -172,14 +176,30 @@ def binomial_window(
     return (lo, hi), _tail_mass(n, p, lo, hi)
 
 
+def _kron_row_slabs(a: np.ndarray, b: np.ndarray):
+    """Yield (rows, np.kron(a[i:j], b)), the row slabs of np.kron(a, b).
+
+    Each entry of a Kronecker product is one product a[i, k] * b[r, l],
+    so a slab equals those rows of the whole product bit for bit.  A
+    slab has SLAB_ROWS rows, or b's row count if that is larger.
+    """
+    step = max(1, SLAB_ROWS // b.shape[0])
+    for i in range(0, a.shape[0], step):
+        slab = np.kron(a[i : i + step], b)
+        start = i * b.shape[0]
+        yield slice(start, start + slab.shape[0]), slab
+
+
 def _mixture_in_copy_order(spec: MixtureSpec, cap: int) -> np.ndarray:
     """Pi as a writable array in copy order, |a1 b1 a2 b2 ...>.
 
     The weighted sums S_m(l) = Binomial(m, p)(l) * block_m(l) obey
     S_m(l) = S_{m-1}(l) x (1-p) rho + S_{m-1}(l-1) x p sigma, so Pi is
     built copy by copy, keeping only the l that can still reach the
-    window.  The last copy closes the window sum with two krons.
-    Raises SizeCapError before any side x side allocation.
+    window.  The last copy closes the window sum with two krons, each
+    added into the zeroed side x side result one row slab at a time, so
+    no second side x side array is made.  Raises SizeCapError before any
+    side x side allocation.
     """
     n, p = spec.n, spec.p
     lo, hi = spec.window
@@ -202,7 +222,9 @@ def _mixture_in_copy_order(spec: MixtureSpec, cap: int) -> np.ndarray:
     for shift, factor in factors:
         window = [blocks[l] for l in range(lo - shift, hi - shift + 1) if l in blocks]
         if window:
-            acc += np.kron(sum(window), factor)
+            # added, not assigned: 0 + x and x differ in the sign of zero
+            for rows, slab in _kron_row_slabs(sum(window), factor):
+                acc[rows] += slab
     acc /= kept
     return acc
 
@@ -275,15 +297,23 @@ def _swap_sector_distance(diff: np.ndarray, dims: tuple[int, int], n: int) -> fl
     sqrt(N) times its Frobenius norm, N the side: then
     T = (sum of block trace norms + sqrt(N) ||off||_F) / 2 is never below
     tr|diff| / 2, and for a copy-symmetric diff the off part is rounding.
-    Q is applied by index gathers, one band of sector rows at a time.
+
+    Q is applied by index gathers into one band of a sector's rows of B,
+    filled SLAB_ROWS rows at a time: row r of the band needs only rows
+    src[:, r] of diff, so each entry sums the same terms in the same
+    order as a whole-band gather would.  The band, sector size x side,
+    is the largest array beside diff.
     """
     sizes, src, coef = _swap_sectors(dims, n)
     norms, off = 0.0, 0.0
     start = 0
     for size in sizes:
         rows = slice(start, start + size)
-        band = sum(c[rows, None] * diff[s[rows]] for s, c in zip(src, coef))
-        band = sum(band[:, s] * c for s, c in zip(src, coef))
+        band = np.empty((size, diff.shape[1]), dtype=complex)
+        for i in range(0, size, SLAB_ROWS):
+            part = slice(start + i, start + min(i + SLAB_ROWS, size))
+            slab = sum(c[part, None] * diff[s[part]] for s, c in zip(src, coef))
+            band[i : i + SLAB_ROWS] = sum(slab[:, s] * c for s, c in zip(src, coef))
         norms += trace_norm(band[:, rows])
         band[:, rows] = 0.0
         off += float(np.vdot(band, band).real)
@@ -304,13 +334,21 @@ def verify_mixing_bound(
 
     Pi and the power stay in copy order, the order of the sector
     indices, so neither is regrouped.  The power is its own kron chain
-    of the mixed state, independent of the recursion that builds Pi,
-    and the difference overwrites Pi.
+    of the mixed state, independent of the recursion that builds Pi.
+    Its last kron is made one row slab at a time and subtracted into
+    Pi's array, so the difference overwrites Pi and the power is never
+    whole: the one side x side array is the difference.
     """
     diff = _mixture_in_copy_order(spec, cap)
     mixed = mix(spec.rho, spec.sigma, spec.p).entries
-    # the power is a temporary, freed before the sector pass
-    np.subtract(reduce(np.kron, [mixed] * spec.n), diff, out=diff)
+    # the power of all but the last copy is 1/(d_A d_B)^2 of the side^2
+    slabs = (
+        _kron_row_slabs(reduce(np.kron, [mixed] * (spec.n - 1)), mixed)
+        if spec.n > 1
+        else [(slice(None), mixed)]
+    )
+    for rows, slab in slabs:
+        np.subtract(slab, diff[rows], out=diff[rows])
     t = min(_swap_sector_distance(diff, (spec.rho.dim_a, spec.rho.dim_b), spec.n), 1.0)
     tail_mass = _tail_mass(spec.n, spec.p, *spec.window)
     bound = tail_mass + tol

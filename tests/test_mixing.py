@@ -392,18 +392,43 @@ def test_binom_reach_over_the_limit_raises_before_allocating():
         _binom_reach(11_300_000_000, 0.5)
 
 
-def test_mixing_check_peak_stays_under_three_sides_squared():
-    # in units of one side x side complex array: Pi and the power (about
-    # 2), then the difference and the bands of the largest sector (2.37)
-    spec = random_spec(2, 3, 4, seed=404)
-    side = 6**4
+@pytest.mark.parametrize("dims,n", [((2, 3), 4), ((2, 2), 5)])
+def test_mixing_check_peak_stays_under_two_sides_squared(dims, n):
+    # in units of one side x side complex array: the difference (1), the
+    # band of the largest sector (0.34 and 0.39) and the eigensolver's
+    # copy of its block; Pi and the power whole together would be 2 alone
+    spec = random_spec(*dims, n, seed=404)
+    side = (dims[0] * dims[1]) ** n
     tracemalloc.start()
     try:
         verify_mixing_bound(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 16 * side**2, peak / (16 * side**2)
+    assert peak < 2 * 16 * side**2, peak / (16 * side**2)
+
+
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [
+        ((1, 1), (4, 4)),  # the last copy of Pi at n = 1
+        ((16, 16), (4, 4)),  # whole slabs only
+        ((37, 5), (6, 6)),  # 5 rows of a per slab, the last one partial
+        ((9, 3), (1, 7)),  # a one-row b: a single partial slab
+        ((70, 2), (1, 1)),
+        ((3, 2), (40, 3)),  # b taller than a slab: one row of a each
+    ],
+)
+def test_kron_row_slabs_equal_the_whole_product_bytes(a_shape, b_shape):
+    rng = np.random.default_rng(17)
+    a, b = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in (a_shape, b_shape))
+    a.flat[::3] = complex(-0.0, -0.0)  # tobytes() tells the sign of zero
+    whole = np.kron(a, b)
+    slabs = list(mixing._kron_row_slabs(a, b))
+    covered = np.concatenate([np.arange(whole.shape[0])[rows] for rows, _ in slabs])
+    assert np.array_equal(covered, np.arange(whole.shape[0]))
+    assert all(slab.tobytes() == whole[rows].tobytes() for rows, slab in slabs)
+    assert np.concatenate([slab for _, slab in slabs]).tobytes() == whole.tobytes()
 
 
 def test_tail_mass_scan_underflow_reads_positive_with_log10():
