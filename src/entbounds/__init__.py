@@ -18,12 +18,10 @@ from .continuity import (
     lipschitz_bound,
     sample_ball,
 )
-from .linalg import tensor_power, trace_distance
 from .measures import ec_upper, ed_lower, eof_2x2, log_negativity
 from .mixing import (
     MixtureSpec,
     binomial_window,
-    build_truncated_mixture,
     tail_mass_scan,
     verify_mixing_bound,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "ball_constants",
     "binomial_window",
     "border_scan",
-    "build_truncated_mixture",
     "catalytic_rate",
     "concentration_curve",
     "concentration_yield",
@@ -61,8 +58,6 @@ __all__ = [
     "phi_plus",
     "sample_ball",
     "tail_mass_scan",
-    "tensor_power",
-    "trace_distance",
     "verify_mixing_bound",
     "werner",
 ]

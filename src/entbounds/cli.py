@@ -304,7 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     # options of more than one subcommand; each subcommand takes only those
     # it reads, as the same Action objects that parents= would hand over
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for sampling")
+    shared.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help="RNG seed of the EoF search (eof_upper_general, and ec_upper beyond 2x2) "
+        "and of ball-scan's samples",
+    )
     shared.add_argument(
         "--cap",
         type=positive_int,

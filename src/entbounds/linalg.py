@@ -12,7 +12,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SizeCapError, StateValidityError
+from .errors import DimensionMismatchError, StateValidityError
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -70,9 +70,7 @@ class DensityMatrix:
     Invariants (enforced at construction unless check=False): finite
     entries, Hermitian within 1e-10 elementwise, unit trace within 1e-10,
     and smallest eigenvalue >= -1e-9.  check=False serves `--force`
-    loads and the n-copy operators built from validated states
-    (tensor_power and the truncated mixture), which are Hermitian and
-    PSD by construction; such objects still get their shape validated.
+    loads only; such objects still get their shape validated.
     """
 
     dim_a: int
@@ -98,42 +96,6 @@ class DensityMatrix:
     @property
     def side(self) -> int:
         return self.dim_a * self.dim_b
-
-
-def ab_order(dims: tuple[int, int], n: int, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
-    """Position of each A|B basis vector in a plain Kronecker power.
-
-    np.kron over n copies with local dims (d_A, d_B) orders the joint
-    basis copy by copy, |a1 b1 a2 b2 ...>; the bipartite convention
-    needs |a1 a2 ... b1 b2 ...>.  For such a product k,
-    k[np.ix_(order, order)] is the same operator in bipartite order.
-    Raises SizeCapError, before forming the side, when it exceeds cap.
-    """
-    side = dims[0] * dims[1]
-    if side ** min(n, cap.bit_length()) > cap:
-        raise SizeCapError(f"{side}^{n}" if n > 1 else side, cap)
-    shape = list(dims) * n
-    # unit axes move nothing, and 33 copies of a 1x1 state would pass numpy's 64 axes
-    moved = [k for k, d in enumerate(shape) if d > 1]
-    axes = sorted(range(len(moved)), key=lambda i: moved[i] % 2)  # A axes, then B axes
-    return np.arange(side**n).reshape([shape[k] for k in moved]).transpose(axes).ravel()
-
-
-def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
-    """rho^(x n) in bipartite order, built without a second validation.
-
-    Its eigenvalues are products of rho's, so it is Hermitian and PSD
-    because rho is; its trace is tr(rho)^n, whose defect grows with n
-    past TRACE_TOL even for a valid rho.  Raises SizeCapError when the
-    side exceeds DEFAULT_SIZE_CAP.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    order = ab_order((rho.dim_a, rho.dim_b), n)
-    entries = rho.entries
-    for _ in range(n - 1):
-        entries = np.kron(entries, rho.entries)
-    return DensityMatrix(rho.dim_a**n, rho.dim_b**n, entries[np.ix_(order, order)], check=False)
 
 
 def partial_trace(rho: DensityMatrix, party: str) -> np.ndarray:

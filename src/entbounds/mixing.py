@@ -16,15 +16,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyWindowError
-from .linalg import (
-    CERTIFICATION_TOL,
-    DEFAULT_SIZE_CAP,
-    DensityMatrix,
-    ab_order,
-    mix,
-    trace_norm,
-)
+from .errors import DimensionMismatchError, EmptyWindowError, SizeCapError
+from .linalg import CERTIFICATION_TOL, DEFAULT_SIZE_CAP, DensityMatrix, mix, trace_norm
 
 
 # longest binomial reach summed, 32 MiB per float64 array: n up to about
@@ -58,12 +51,6 @@ class MixtureSpec:
             raise EmptyWindowError(f"window [{lo}, {hi}] contains no integers")
         if lo < 0 or hi > self.n:
             raise ValueError(f"window [{lo}, {hi}] must lie within [0, {self.n}]")
-
-
-@dataclass(frozen=True)
-class TruncatedMixture:
-    pi: DensityMatrix
-    tail_mass: float
 
 
 @dataclass(frozen=True)
@@ -203,7 +190,10 @@ def _mixture_in_copy_order(spec: MixtureSpec, cap: int) -> np.ndarray:
     """
     n, p = spec.n, spec.p
     lo, hi = spec.window
-    side = ab_order((spec.rho.dim_a, spec.rho.dim_b), n, cap).size
+    side = spec.rho.side
+    # for side >= 2, side^n > cap iff this is, without forming side^n for a huge n
+    if side ** min(n, cap.bit_length()) > cap:
+        raise SizeCapError(f"{side}^{n}" if n > 1 else side, cap)
     kept = float(np.sum(np.exp(_binom_logpmf(np.arange(lo, hi + 1), n, p))))
     if kept <= 0.0:
         raise ValueError("window carries no probability mass (tail mass 1)")
@@ -218,7 +208,7 @@ def _mixture_in_copy_order(spec: MixtureSpec, cap: int) -> np.ndarray:
             )
             for l in range(max(0, lo - (n - m)), min(m, hi) + 1)
         }
-    acc = np.zeros((side, side), dtype=complex)
+    acc = np.zeros((side**n, side**n), dtype=complex)
     for shift, factor in factors:
         window = [blocks[l] for l in range(lo - shift, hi - shift + 1) if l in blocks]
         if window:
@@ -227,25 +217,6 @@ def _mixture_in_copy_order(spec: MixtureSpec, cap: int) -> np.ndarray:
                 acc[rows] += slab
     acc /= kept
     return acc
-
-
-def build_truncated_mixture(spec: MixtureSpec) -> TruncatedMixture:
-    """Pi = sum over window of Binomial(n, p)(l) * block(l) / (1 - tail).
-
-    block(l) averages the C(n, l) placements of l factors sigma among n
-    copies.  Pi is built copy by copy (_mixture_in_copy_order), and one
-    regroup puts it in bipartite order.  A nonnegative sum of products
-    of validated states, Pi is Hermitian and PSD by construction, so it
-    is not validated again; the check on it is verify_mixing_bound.
-    Raises SizeCapError when the side exceeds DEFAULT_SIZE_CAP.
-    """
-    n, dim_a, dim_b = spec.n, spec.rho.dim_a, spec.rho.dim_b
-    order = ab_order((dim_a, dim_b), n)
-    pi = _mixture_in_copy_order(spec, DEFAULT_SIZE_CAP)[np.ix_(order, order)]
-    return TruncatedMixture(
-        pi=DensityMatrix(dim_a**n, dim_b**n, pi, check=False),
-        tail_mass=_tail_mass(n, spec.p, *spec.window),
-    )
 
 
 def _swap_sectors(dims: tuple[int, int], n: int) -> tuple[np.ndarray, ...]:

@@ -1,8 +1,8 @@
 """Helpers that only the tests use: seeded random amplitudes, unitaries
-and separable states, channels, tensor products, named states, an
-entanglement-entropy reference, a non-raising validation report, a
-conversion-rate record, full-range references for the binomial sums and
-the invocation a report embeds.
+and separable states, channels, tensor products, the n-copy operators in
+A|B order, named states, an entanglement-entropy reference, a
+non-raising validation report, a conversion-rate record, full-range
+references for the binomial sums and the invocation a report embeds.
 
 They build on entbounds and are not part of its API.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -25,6 +26,7 @@ from entbounds.linalg import (
     ValidationReport,
 )
 from entbounds.measures import KIND_LOWER, MeasureValue, ec_upper, ed_lower
+from entbounds.mixing import MixtureSpec, _mixture_in_copy_order, _tail_mass
 from entbounds.protocols import LOG2, _check_distribution
 from entbounds.sampling import _ginibre, ensure_rng, haar_qr
 
@@ -110,6 +112,61 @@ def tensor(a: DensityMatrix, b: DensityMatrix, cap: int = DEFAULT_SIZE_CAP) -> D
     joint = np.kron(a.entries, b.entries).reshape(dims + dims)
     entries = joint.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(side, side)
     return DensityMatrix(a.dim_a * b.dim_a, a.dim_b * b.dim_b, entries)
+
+
+# The n-copy operators in A|B order, |a1 a2 ... b1 b2 ...>: oracles for the
+# mixing check, which builds both operators in copy order and never regroups.
+
+
+def ab_order(dims: tuple[int, int], n: int) -> np.ndarray:
+    """Position of each A|B basis vector in a plain Kronecker power.
+
+    np.kron over n copies with local dims (d_A, d_B) orders the joint
+    basis copy by copy, |a1 b1 a2 b2 ...>; the bipartite convention
+    needs |a1 a2 ... b1 b2 ...>.  For such a product k,
+    k[np.ix_(order, order)] is the same operator in bipartite order.
+    """
+    shape = list(dims) * n
+    # unit axes move nothing, and 33 copies of a 1x1 state would pass numpy's 64 axes
+    moved = [k for k, d in enumerate(shape) if d > 1]
+    axes = sorted(range(len(moved)), key=lambda i: moved[i] % 2)  # A axes, then B axes
+    side = dims[0] * dims[1]
+    return np.arange(side**n).reshape([shape[k] for k in moved]).transpose(axes).ravel()
+
+
+def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
+    """rho^(x n) in bipartite order, not validated again.
+
+    Its eigenvalues are products of rho's, so it is Hermitian and PSD
+    because rho is; its trace is tr(rho)^n, whose defect grows with n
+    past TRACE_TOL even for a valid rho.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    order = ab_order((rho.dim_a, rho.dim_b), n)
+    entries = reduce(np.kron, [rho.entries] * n)
+    return DensityMatrix(rho.dim_a**n, rho.dim_b**n, entries[np.ix_(order, order)], check=False)
+
+
+@dataclass(frozen=True)
+class TruncatedMixture:
+    pi: DensityMatrix
+    tail_mass: float
+
+
+def build_truncated_mixture(spec: MixtureSpec) -> TruncatedMixture:
+    """Pi of the mixing check, regrouped once into bipartite order, and its tail mass.
+
+    A nonnegative sum of products of validated states, Pi is Hermitian
+    and PSD by construction, so it is not validated again.
+    """
+    n, dim_a, dim_b = spec.n, spec.rho.dim_a, spec.rho.dim_b
+    order = ab_order((dim_a, dim_b), n)
+    pi = _mixture_in_copy_order(spec, DEFAULT_SIZE_CAP)[np.ix_(order, order)]
+    return TruncatedMixture(
+        pi=DensityMatrix(dim_a**n, dim_b**n, pi, check=False),
+        tail_mass=_tail_mass(n, spec.p, *spec.window),
+    )
 
 
 def apply_one_sided_channel(

@@ -16,7 +16,6 @@ from entbounds.continuity import (
     sample_ball,
 )
 from entbounds.errors import EmptyWindowError
-from entbounds.linalg import tensor_power
 from entbounds.measures import (
     KIND_UPPER,
     MeasureValue,
@@ -39,6 +38,7 @@ from support import (
     pure_state,
     random_pure_amplitudes,
     random_separable_state,
+    tensor_power,
 )
 
 

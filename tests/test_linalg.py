@@ -7,23 +7,25 @@ from entbounds.errors import (
     StateValidityError,
 )
 from entbounds.linalg import (
+    DEFAULT_SIZE_CAP,
     DensityMatrix,
-    ab_order,
     mix,
     partial_trace,
     partial_transpose,
-    tensor_power,
     trace_distance,
     trace_norm,
 )
+from entbounds.mixing import MixtureSpec, _mixture_in_copy_order
 from entbounds.sampling import random_density_matrix
 from entbounds.states import maximally_mixed, phi_plus
 from support import (
+    ab_order,
     apply_one_sided_channel,
     pure_state,
     random_kraus_set,
     random_pure_amplitudes,
     tensor,
+    tensor_power,
     validate,
 )
 
@@ -120,16 +122,14 @@ def test_tensor_power_matches_repeated_tensor():
     assert (p3.dim_a, p3.dim_b) == (8, 8)
 
 
-def test_tensor_power_respects_cap():
-    rho = maximally_mixed(2, 2)
-    with pytest.raises(SizeCapError):
-        tensor_power(rho, 7)
-
-
 def test_tensor_power_of_trivial_state_beyond_numpy_axis_limit():
     # 40 copies of a 1x1 state: 80 unit axes, more than numpy's 64
-    power = tensor_power(DensityMatrix(1, 1, [[1.0]]), 40)
+    one = DensityMatrix(1, 1, [[1.0]])
+    power = tensor_power(one, 40)
     assert (power.dim_a, power.dim_b, power.entries.tolist()) == (1, 1, [[1.0]])
+    # side 1 passes the cap guard at any copy count
+    spec = MixtureSpec(one, one, p=0.0, n=40, window=(0, 40))
+    assert _mixture_in_copy_order(spec, DEFAULT_SIZE_CAP).tolist() == [[1.0]]
 
 
 def test_partial_trace_of_pure_state_marginals_share_spectrum():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from entbounds import measures
 from entbounds.errors import DimensionMismatchError, StateValidityError
-from entbounds.linalg import DensityMatrix, mix, tensor_power
+from entbounds.linalg import DensityMatrix, mix
 from entbounds.measures import (
     KIND_LOWER,
     KIND_UPPER,
@@ -39,6 +39,7 @@ from support import (
     random_local_unitary_conjugate,
     random_pure_amplitudes,
     random_separable_state,
+    tensor_power,
 )
 
 PHI = phi_plus()

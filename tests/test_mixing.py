@@ -18,9 +18,7 @@ from entbounds.linalg import (
     HERMITICITY_TOL,
     PSD_FLOOR,
     DensityMatrix,
-    ab_order,
     mix,
-    tensor_power,
     trace_distance,
     trace_norm,
 )
@@ -30,13 +28,18 @@ from entbounds.mixing import (
     _mixture_in_copy_order,
     _swap_sectors,
     binomial_window,
-    build_truncated_mixture,
     tail_mass_scan,
     verify_mixing_bound,
 )
 from entbounds.protocols import concentration_yield
 from entbounds.sampling import random_density_matrix
-from support import full_range_binom_pmf, full_range_tail_mass
+from support import (
+    ab_order,
+    build_truncated_mixture,
+    full_range_binom_pmf,
+    full_range_tail_mass,
+    tensor_power,
+)
 
 RHO = random_density_matrix(2, 2, seed=100)
 SIGMA = random_density_matrix(2, 2, seed=101)
@@ -331,6 +334,12 @@ def test_verify_mixing_bound_respects_cap():
     spec = MixtureSpec(RHO, SIGMA, p=0.5, n=6, window=(0, 6))
     with pytest.raises(SizeCapError):
         verify_mixing_bound(spec, cap=1024)
+
+
+def test_mixture_in_copy_order_respects_default_cap():
+    spec = MixtureSpec(RHO, RHO, p=0.5, n=7, window=(0, 7))
+    with pytest.raises(SizeCapError, match=r"matrix side 4\^7 exceeds size cap 4096"):
+        _mixture_in_copy_order(spec, DEFAULT_SIZE_CAP)
 
 
 def test_tail_mass_scan_rows():
