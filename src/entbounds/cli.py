@@ -17,14 +17,13 @@ import json
 import math
 import shlex
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
 
 from .continuity import (
     BallSpec,
-    CorridorRow,
     ball_constants,
     border_scan,
     corridor_consistency_check,
@@ -53,7 +52,6 @@ from .measures import (
 )
 from .mixing import (
     MixtureSpec,
-    TailScanRow,
     binomial_window,
     tail_mass_scan,
     verify_mixing_bound,
@@ -107,12 +105,6 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
-def _table(cls, rows, drop=()) -> tuple[list[str], list[list]]:
-    """CSV header and rows from the fields of a row dataclass."""
-    header = [f.name for f in fields(cls) if f.name not in drop]
-    return header, [[getattr(row, name) for name in header] for row in rows]
-
-
 def _audit(args) -> dict:
     return {
         "invocation": args.invocation,
@@ -122,16 +114,17 @@ def _audit(args) -> dict:
     }
 
 
-def _csv_text(args, header: list[str], rows: list[list], extra_comments=()) -> str:
+def _csv_text(args, rows: list[dict], extra_comments=()) -> str:
+    """The rows as a CSV table headed by the keys of the first row."""
     buffer = io.StringIO()
     buffer.write(f"# invocation: {args.invocation}\n")
     buffer.write(f"# seed: {args.seed}\n")
     for line in extra_comments:
         buffer.write(f"# {line}\n")
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row.values()])
     return buffer.getvalue()
 
 
@@ -143,10 +136,10 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def cmd_measure(args) -> int:
-    state = load_state(args.state_file, force=args.force, cap=args.cap)
+    state = load_state(args.state_file, cap=args.cap)
     record = measure_table(args.budget, args.seed)[args.measure](state).as_record()
     if args.fmt == "csv":
-        text = _csv_text(args, list(record), [list(record.values())])
+        text = _csv_text(args, [record])
     else:
         text = _json_text({"audit": _audit(args), **record})
     _emit(args.out, text)
@@ -176,9 +169,9 @@ def cmd_tail_scan(args) -> int:
     if not ns:
         raise ValueError("n-list must contain at least one copy count")
     rows = tail_mass_scan(args.p, ns, args.half_width)
-    table = _table(TailScanRow, rows, drop=("log10_tail_mass",))
+    table = [{k: v for k, v in asdict(r).items() if k != "log10_tail_mass"} for r in rows]
     logs = [f"log10_tail_mass n={r.n}: {r.log10_tail_mass!r}" for r in rows if r.log10_tail_mass is not None]
-    _emit(args.out, _csv_text(args, *table, extra_comments=logs))
+    _emit(args.out, _csv_text(args, table, extra_comments=logs))
     return EXIT_OK
 
 
@@ -222,9 +215,8 @@ def cmd_ball_scan(args) -> int:
     _emit(args.out, _json_text(payload))
     if args.out is not None:
         stem = args.out.removesuffix(".json")
-        _emit(stem + "_corridor.csv", _csv_text(args, *_table(CorridorRow, corridor.rows)))
-        lipschitz_table = list(lipschitz_rows[0]), [list(row.values()) for row in lipschitz_rows]
-        _emit(stem + "_lipschitz.csv", _csv_text(args, *lipschitz_table))
+        _emit(stem + "_corridor.csv", _csv_text(args, payload["corridor"]["rows"]))
+        _emit(stem + "_lipschitz.csv", _csv_text(args, lipschitz_rows))
     return EXIT_OK if corridor.all_passed else EXIT_CERTIFICATION
 
 
@@ -239,8 +231,8 @@ def cmd_border_scan(args) -> int:
             eof = partial(eof_upper_general, budget=args.budget, seed=args.seed)
             header.append("eof_upper")
     rows = border_scan(family, np.linspace(0.0, 1.0, args.grid), eof)
-    table = [[getattr(row, "eof" if name == "eof_upper" else name) for name in header] for row in rows]
-    _emit(args.out, _csv_text(args, header, table))
+    table = [{name: getattr(row, "eof" if name == "eof_upper" else name) for name in header} for row in rows]
+    _emit(args.out, _csv_text(args, table))
     return EXIT_OK
 
 
@@ -252,8 +244,7 @@ def cmd_concentration(args) -> int:
     curve = concentration_curve(lambdas, ns)
     text = _csv_text(
         args,
-        ["n", "value", "asymptote"],
-        [[n, value, curve.asymptote] for n, value in curve.points],
+        [{"n": n, "value": value, "asymptote": curve.asymptote} for n, value in curve.points],
         extra_comments=[f"protocol: {curve.protocol}"],
     )
     _emit(args.out, text)
@@ -282,8 +273,7 @@ def cmd_eta_scan(args) -> int:
     fitted = max(slopes, default=0.0)
     text = _csv_text(
         args,
-        ["epsilon", "value", "bound"],
-        [[r.epsilon, r.value, 1.0 - r.value] for r in rows],
+        [{"epsilon": r.epsilon, "value": r.value, "bound": 1.0 - r.value} for r in rows],
         extra_comments=[
             "value certifies the yield from below; bound = 1 - value caps the loss",
             f"fitted_lipschitz: {fitted!r}",
@@ -301,35 +291,36 @@ def cmd_catalytic(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # options of more than one subcommand; each subcommand takes only those
-    # it reads, as the same Action objects that parents= would hand over
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="RNG seed of the EoF search (eof_upper_general, and ec_upper beyond 2x2) "
-        "and of ball-scan's samples",
-    )
-    shared.add_argument(
-        "--cap",
-        type=positive_int,
-        default=DEFAULT_SIZE_CAP,
-        help="largest matrix side accepted before aborting with exit 3",
-    )
-    shared.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    shared.add_argument(
-        "--tolerance",
-        type=finite_float,
-        default=None,
-        help=f"override the default {CERTIFICATION_TOL:g} certification slack",
-    )
-    # border-scan gives --budget its own default, so only the help is shared
-    budget_help = "random restarts of the EoF search in eof_upper_general, and in ec_upper beyond 2x2"
+    # options of more than one subcommand, each declared once; each
+    # subcommand takes only those it reads, as Actions of its own
+    shared = {
+        "--seed": dict(
+            type=int,
+            default=DEFAULT_SEED,
+            help="RNG seed of the EoF search (eof_upper_general, and ec_upper beyond 2x2) "
+            "and of ball-scan's samples",
+        ),
+        "--cap": dict(
+            type=positive_int,
+            default=DEFAULT_SIZE_CAP,
+            help="largest matrix side accepted before aborting with exit 3",
+        ),
+        "--out": dict(default=None, help="output path (stdout if omitted)"),
+        "--tolerance": dict(
+            type=finite_float,
+            default=None,
+            help=f"override the default {CERTIFICATION_TOL:g} certification slack",
+        ),
+        "--budget": dict(
+            type=positive_int,
+            default=DEFAULT_EOF_BUDGET,
+            help="random restarts of the EoF search in eof_upper_general, and in ec_upper beyond 2x2",
+        ),
+    }
 
     def take(p: argparse.ArgumentParser, *flags: str) -> None:
         for flag in flags:
-            p._add_action(shared._option_string_actions[flag])
+            p.add_argument(flag, **shared[flag])
 
     parser = argparse.ArgumentParser(
         prog="entbounds",
@@ -343,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     take(p, "--seed", "--cap", "--out")
     p.add_argument("state_file")
     p.add_argument("measure", choices=sorted(measure_table()))
-    p.add_argument("--budget", type=positive_int, default=DEFAULT_EOF_BUDGET, help=budget_help)
-    p.add_argument("--force", action="store_true", help="skip state validation")
+    take(p, "--budget")
     p.add_argument("--format", choices=["csv", "json"], default="json", dest="fmt", help="report format")
     p.set_defaults(func=cmd_measure)
 
@@ -376,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--p-points", type=int, default=20)
-    p.add_argument("--budget", type=positive_int, default=DEFAULT_EOF_BUDGET, help=budget_help)
+    take(p, "--budget")
     p.set_defaults(func=cmd_ball_scan)
 
     p = sub.add_parser("border-scan", help="measure table along a separability border path")
@@ -384,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=["2x2", "2x3"], required=True)
     p.add_argument("--grid", type=int, required=True, help="number of grid points on [0, 1]")
     p.add_argument("--include-eof", action="store_true")
-    p.add_argument("--budget", type=positive_int, default=400, help=budget_help)
-    p.set_defaults(func=cmd_border_scan)
+    take(p, "--budget")
+    p.set_defaults(func=cmd_border_scan, budget=400)
 
     p = sub.add_parser("concentration", help="finite-copy concentration yield curve")
     take(p, "--out")

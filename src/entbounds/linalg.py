@@ -8,7 +8,7 @@ package assumes this ordering.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,18 +67,16 @@ def _check_state(entries: np.ndarray) -> None:
 class DensityMatrix:
     """A bipartite mixed state with explicit local dimensions.
 
-    Invariants (enforced at construction unless check=False): finite
-    entries, Hermitian within 1e-10 elementwise, unit trace within 1e-10,
-    and smallest eigenvalue >= -1e-9.  check=False serves `--force`
-    loads only; such objects still get their shape validated.
+    Invariants (enforced at every construction): finite entries,
+    Hermitian within 1e-10 elementwise, unit trace within 1e-10, and
+    smallest eigenvalue >= -1e-9.
     """
 
     dim_a: int
     dim_b: int
     entries: np.ndarray
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool) -> None:
+    def __post_init__(self) -> None:
         if self.dim_a < 1 or self.dim_b < 1:
             raise StateValidityError("local dimensions must be positive integers")
         entries = np.array(self.entries, dtype=complex)
@@ -90,8 +88,7 @@ class DensityMatrix:
             )
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        if check:
-            _check_state(entries)
+        _check_state(entries)
 
     @property
     def side(self) -> int:

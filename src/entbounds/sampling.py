@@ -18,13 +18,10 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def random_density_matrix(
-    dim_a: int, dim_b: int, seed=None, rank: int | None = None
-) -> DensityMatrix:
+def random_density_matrix(dim_a: int, dim_b: int, seed=None) -> DensityMatrix:
     """Ginibre-induced random state: G G^dag normalized to unit trace."""
-    rng = ensure_rng(seed)
     side = dim_a * dim_b
-    g = _ginibre(side, rank if rank is not None else side, rng)
+    g = _ginibre(side, side, ensure_rng(seed))
     m = g @ g.conj().T
     return DensityMatrix(dim_a, dim_b, m / m.trace())
 

@@ -2,9 +2,9 @@
 
 A state file is a JSON document with fields dim_a, dim_b and entries,
 where entries is a list of rows and each complex number is a two-element
-[re, im] pair.  Readers reject files violating the density-matrix
-invariants unless force=True, which loads diagnostically (structural
-problems, such as a bool, NaN or infinite number, are always rejected).
+[re, im] pair.  Readers reject structural problems, such as a bool, NaN
+or infinite number, and every file that violates the density-matrix
+invariants.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def dumps_state(rho: DensityMatrix) -> str:
     return json.dumps(doc, indent=1)
 
 
-def loads_state(text: str, force: bool = False, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
+def loads_state(text: str, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -79,13 +79,13 @@ def loads_state(text: str, force: bool = False, cap: int = DEFAULT_SIZE_CAP) -> 
                 entries[i, j] = np.inf
             if not np.isfinite(entries[i, j]):
                 raise StateFileError(f"entry ({i},{j}) must be finite")
-    return DensityMatrix(dim_a, dim_b, entries, check=not force)
+    return DensityMatrix(dim_a, dim_b, entries)
 
 
-def load_state(path: str, force: bool = False, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
+def load_state(path: str, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
     try:
         with open(path, "r") as handle:
             text = handle.read()
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
-    return loads_state(text, force=force, cap=cap)
+    return loads_state(text, cap=cap)

@@ -1,8 +1,9 @@
-"""Helpers that only the tests use: seeded random amplitudes, unitaries
-and separable states, channels, tensor products, the n-copy operators in
-A|B order, named states, an entanglement-entropy reference, a
-non-raising validation report, a conversion-rate record, full-range
-references for the binomial sums and the invocation a report embeds.
+"""Helpers that only the tests use: seeded random amplitudes, unitaries,
+low-rank and separable states, unvalidated matrices, channels, tensor
+products, the n-copy operators in A|B order, named states, an
+entanglement-entropy reference, a non-raising validation report, a
+conversion-rate record, full-range references for the binomial sums and
+the invocation a report embeds.
 
 They build on entbounds and are not part of its API.
 """
@@ -71,6 +72,28 @@ def random_product_amplitudes(dim_a: int, dim_b: int, seed=None) -> np.ndarray:
     a = _ginibre(dim_a, 1, rng).reshape(-1)
     b = _ginibre(dim_b, 1, rng).reshape(-1)
     return product_amplitudes(a, b)
+
+
+def random_low_rank_state(dim_a: int, dim_b: int, rank: int, seed=None) -> DensityMatrix:
+    """G G^dag over its trace for a side x rank Ginibre G: the draw of
+    random_density_matrix, with rank columns in place of side."""
+    g = _ginibre(dim_a * dim_b, rank, ensure_rng(seed))
+    m = g @ g.conj().T
+    return DensityMatrix(dim_a, dim_b, m / m.trace())
+
+
+def unchecked(dim_a: int, dim_b: int, entries) -> DensityMatrix:
+    """A DensityMatrix whose entries are not validated, not even their shape.
+
+    The package has no way past validation; oracles use this for arrays
+    that are not states within the tolerances, or need not be checked.
+    """
+    rho = object.__new__(DensityMatrix)
+    entries = np.array(entries, dtype=complex)
+    entries.setflags(write=False)
+    for name, value in (("dim_a", dim_a), ("dim_b", dim_b), ("entries", entries)):
+        object.__setattr__(rho, name, value)
+    return rho
 
 
 def pure_state(dim_a: int, dim_b: int, amps) -> DensityMatrix:
@@ -145,7 +168,7 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
         raise ValueError("n must be a positive integer")
     order = ab_order((rho.dim_a, rho.dim_b), n)
     entries = reduce(np.kron, [rho.entries] * n)
-    return DensityMatrix(rho.dim_a**n, rho.dim_b**n, entries[np.ix_(order, order)], check=False)
+    return unchecked(rho.dim_a**n, rho.dim_b**n, entries[np.ix_(order, order)])
 
 
 @dataclass(frozen=True)
@@ -164,7 +187,7 @@ def build_truncated_mixture(spec: MixtureSpec) -> TruncatedMixture:
     order = ab_order((dim_a, dim_b), n)
     pi = _mixture_in_copy_order(spec, DEFAULT_SIZE_CAP)[np.ix_(order, order)]
     return TruncatedMixture(
-        pi=DensityMatrix(dim_a**n, dim_b**n, pi, check=False),
+        pi=unchecked(dim_a**n, dim_b**n, pi),
         tail_mass=_tail_mass(n, spec.p, *spec.window),
     )
 

@@ -90,23 +90,31 @@ def test_measure_missing_file_is_input_error(tmp_path, capsys):
     assert err.strip()
 
 
-def test_measure_invalid_state_diagnostics(tmp_path, capsys):
-    bad = maximally_mixed(2, 2).entries.copy()
-    bad[0, 0] = 0.75  # trace pushed to 1.25
+@pytest.mark.parametrize(
+    "diagonal, defect",
+    [((0.5, 0.25, 0.25, 0.25), "trace defect"), ((1.2, -0.2, 0.0, 0.0), "minimum eigenvalue")],
+    ids=["trace_1.25", "eigenvalue_-0.2"],
+)
+@pytest.mark.parametrize("measure", sorted(cli.measure_table()))
+def test_measure_invalid_state_diagnostics(tmp_path, capsys, measure, diagonal, defect):
     doc = json.loads(dumps_state(maximally_mixed(2, 2)))
-    doc["entries"] = [[[float(bad[i, j].real), 0.0] for j in range(4)] for i in range(4)]
+    for i, value in enumerate(diagonal):
+        doc["entries"][i][i] = [value, 0.0]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run_cli(["measure", str(path), "eof_2x2"], capsys)
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(["measure", str(path), measure, "--format", fmt], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {defect} ")
+
+
+def test_there_is_no_way_past_validation(werner_file, capsys):
+    code, out, err = run_cli(["measure", werner_file, "log_negativity", "--force"], capsys)
     assert code == cli.EXIT_INPUT
-    assert "trace" in err.lower()
-    # --force lets the document through to the measure code
-    code2, out2, _ = run_cli(
-        ["measure", str(path), "log_negativity", "--force", "--format", "json"],
-        capsys,
-    )
-    assert code2 == cli.EXIT_OK
-    assert "value" in json.loads(out2)
+    assert out == ""
+    assert err.startswith("usage: entbounds measure ")
+    assert err.endswith("error: unrecognized arguments: --force\n")
 
 
 def test_measure_cap_exceeded(werner_file, capsys):
@@ -257,9 +265,9 @@ def test_tolerance_is_an_option_of_the_two_certifying_commands(capsys):
     assert "--tolerance" in err
 
 
-# every option of every subcommand, --help aside: 43 options and 5 positionals
+# every option of every subcommand, --help aside: 42 options and 5 positionals
 OPTIONS = {
-    "measure": {"--seed", "--cap", "--out", "--budget", "--force", "--format"},
+    "measure": {"--seed", "--cap", "--out", "--budget", "--format"},
     "mixing-verify": {"--cap", "--out", "--tolerance", "--p", "--n", "--half-width"},
     "tail-scan": {"--out", "--p", "--n-list", "--half-width"},
     "ball-scan": {
@@ -279,8 +287,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     }
     taken = {name: {s for a in acts for s in a.option_strings} for name, acts in actions.items()}
     assert taken == OPTIONS
-    assert sum(map(len, actions.values())) == 48
-    assert sum(map(len, taken.values())) == 43
+    assert sum(map(len, actions.values())) == 47
+    assert sum(map(len, taken.values())) == 42
 
 
 def test_budget_has_one_help_in_every_subcommand():
@@ -291,6 +299,9 @@ def test_budget_has_one_help_in_every_subcommand():
     assert set(helps) == {"measure", "ball-scan", "border-scan"}
     assert len(set(helps.values())) == 1
     assert "eof_upper_general" in helps["measure"] and "ec_upper" in helps["measure"]
+    # border-scan's own default leaves the other two subcommands' alone
+    defaults = {name: sub.choices[name].get_default("budget") for name in helps}
+    assert defaults == {"measure": 2000, "ball-scan": 2000, "border-scan": 400}
 
 
 @pytest.mark.parametrize(
@@ -612,11 +623,10 @@ def test_non_finite_state_entries_exit_2(tmp_path, capsys, pair):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     for measure in ("ed_lower", "von_neumann_entropy"):
-        for extra in ([], ["--force"]):
-            code, out, err = run_cli_strict(["measure", str(path), measure, *extra], capsys)
-            assert code == cli.EXIT_INPUT
-            assert out == ""
-            assert err.startswith("error: entry (1,1)")
+        code, out, err = run_cli_strict(["measure", str(path), measure], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: entry (1,1)")
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from support import (
     random_pure_amplitudes,
     tensor,
     tensor_power,
+    unchecked,
     validate,
 )
 
@@ -62,11 +63,10 @@ def test_density_matrix_rejects_non_finite_entries():
             DensityMatrix(2, 1, m)
 
 
-def test_density_matrix_check_false_still_validates_shape():
-    loaded = DensityMatrix(2, 1, np.diag([0.7, 0.7]), check=False)
-    assert loaded.side == 2
-    with pytest.raises(StateValidityError):
-        DensityMatrix(2, 2, np.eye(3) / 3, check=False)
+def test_density_matrix_validates_shape_against_dims():
+    # a valid 4x4 state, given the dims of a 2x2 one
+    with pytest.raises(StateValidityError, match="entries must be 2x2"):
+        DensityMatrix(2, 1, np.eye(4) / 4)
 
 
 def test_density_matrix_entries_are_write_protected():
@@ -76,8 +76,7 @@ def test_density_matrix_entries_are_write_protected():
 
 
 def test_validate_reports_defects_without_raising():
-    loaded = DensityMatrix(2, 1, np.diag([0.7, 0.7]), check=False)
-    report = validate(loaded)
+    report = validate(unchecked(2, 1, np.diag([0.7, 0.7])))
     assert not report.passed
     assert report.trace_defect == pytest.approx(0.4)
     assert report.hermiticity_defect == 0.0
@@ -155,7 +154,7 @@ def test_partial_trace_of_product_is_the_factor():
 def test_partial_transpose_is_an_involution():
     rho = random_density_matrix(2, 3, seed=4)
     pt = partial_transpose(rho)
-    back = partial_transpose(DensityMatrix(2, 3, pt, check=False))
+    back = partial_transpose(unchecked(2, 3, pt))
     assert np.array_equal(back, rho.entries)
 
 

@@ -37,6 +37,7 @@ from support import (
     pure_state,
     random_kraus_set,
     random_local_unitary_conjugate,
+    random_low_rank_state,
     random_pure_amplitudes,
     random_separable_state,
     tensor_power,
@@ -352,7 +353,7 @@ def test_eof_search_monotone_in_budget_and_deterministic():
     # a larger budget only appends records, and the stop rule looks at the
     # descents alone, so it runs a prefix of the same descents: no slack
     for rho, budgets in (
-        (random_density_matrix(3, 3, seed=11, rank=4), (2, 8, 32)),
+        (random_low_rank_state(3, 3, 4, seed=11), (2, 8, 32)),
         # entangled; from budget 64 on the stop rule ends the search
         (random_density_matrix(2, 2, seed=1002), (4, 16, 64, 256)),
     ):
@@ -382,7 +383,7 @@ def _search_and_descents(monkeypatch, rho, budget, seed):
         # concurrence 9e-4: the second descent ends 2.8e-12 above the first
         # and resets the count
         (
-            mix(random_density_matrix(2, 2, seed=3004, rank=2), maximally_mixed(2, 2), 0.18),
+            mix(random_low_rank_state(2, 2, 2, seed=3004), maximally_mixed(2, 2), 0.18),
             100,
             0,
             4,

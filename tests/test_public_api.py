@@ -1,11 +1,15 @@
-"""The package exports exactly the names the demos import from it, and
-ships no public name that only the tests use."""
+"""The package exports exactly the names the demos import from it,
+ships no public name that only the tests use, and has no way past state
+validation."""
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import entbounds
+from entbounds.linalg import DensityMatrix
+from entbounds.stateio import load_state, loads_state
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = Path(entbounds.__file__).resolve().parent
@@ -48,3 +52,10 @@ def test_every_public_definition_is_used_in_the_package_or_a_demo():
                 if node.name not in used:
                     unused.add((path.stem, node.name))
     assert unused == UNREFERENCED
+
+
+def test_no_parameter_skips_state_validation():
+    # every state is validated where it is made or read
+    assert list(inspect.signature(DensityMatrix).parameters) == ["dim_a", "dim_b", "entries"]
+    assert list(inspect.signature(loads_state).parameters) == ["text", "cap"]
+    assert list(inspect.signature(load_state).parameters) == ["path", "cap"]

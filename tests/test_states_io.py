@@ -20,6 +20,7 @@ from support import (
     product_amplitudes,
     random_kraus_set,
     random_local_unitary_conjugate,
+    random_low_rank_state,
     random_product_amplitudes,
     random_pure_amplitudes,
     random_separable_state,
@@ -101,11 +102,14 @@ def test_random_density_matrix_is_seed_reproducible():
     assert not np.allclose(a.entries, c.entries)
 
 
-def test_random_density_matrix_rank_control():
-    rho = random_density_matrix(2, 2, seed=1, rank=2)
+def test_random_low_rank_state_rank_control():
+    rho = random_low_rank_state(2, 2, 2, seed=1)
     eigs = np.sort(np.linalg.eigvalsh(rho.entries))
     assert np.all(eigs[:2] < 1e-12)
     assert np.all(eigs[2:] > 1e-12)
+    # at full rank it is the package's draw, bit for bit
+    full = random_low_rank_state(2, 3, 6, seed=42)
+    assert np.array_equal(full.entries, random_density_matrix(2, 3, seed=42).entries)
 
 
 def test_random_unitary_is_unitary():
@@ -190,13 +194,6 @@ def test_loads_state_rejects_invalid_state_with_report():
         loads_state(json.dumps(doc))
     assert err.value.report is not None
     assert err.value.report.trace_defect > 0.1
-
-
-def test_loads_state_force_skips_validity_only():
-    doc = json.loads(dumps_state(maximally_mixed(2, 1)))
-    doc["entries"][0][0] = [0.9, 0.0]
-    loaded = loads_state(json.dumps(doc), force=True)
-    assert loaded.entries[0, 0] == 0.9
 
 
 def test_loads_state_enforces_cap():
