@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget": dict(
             type=positive_int,
             default=DEFAULT_EOF_BUDGET,
-            help="random restarts of the EoF search in eof_upper_general, and in ec_upper beyond 2x2",
+            help="at most this many random restarts are scored by the EoF search"
+            " (eof_upper_general, and ec_upper beyond 2x2)",
         ),
     }
 

@@ -238,6 +238,9 @@ def ec_upper(
 # equals the average output entanglement entropy of the ensemble.
 
 
+_INV_LN2 = 1.0 / np.log(2.0)
+
+
 def _xlog2x(x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     mask = x > 0
@@ -245,24 +248,39 @@ def _xlog2x(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _qubit_terms(g00, g11, g01):
+    """Entropy term of each column whose 2 x 2 Gram matrix is [[g00, g01], [., g11]].
+
+    With s1 >= s2 the squared Schmidt values and r = s2/s1, the term
+    q log2 q - s1 log2 s1 - s2 log2 s2 (q = s1 + s2) is computed as
+    q log2(1 + r) - s2 log2 r, and s2 as det/s1, so that neither cancels
+    near a product column.  Returns the terms, s1, s2, log2(1 + r) and
+    log2 r (0 at r = 0).
+    """
+    q = g00 + g11
+    det = np.maximum(g00 * g11 - np.abs(g01) ** 2, 0.0)
+    disc = np.sqrt(np.maximum(q * q - 4.0 * det, 0.0))
+    s1 = (q + disc) / 2.0
+    s1_or_1 = np.where(s1 > 0, s1, 1.0)
+    s2 = det / s1_or_1
+    r = s2 / s1_or_1
+    lp = np.log1p(r) * _INV_LN2
+    lr = np.log2(np.where(r > 0, r, 1.0))
+    return (s1 + s2) * lp - s2 * lr, s1, s2, lp, lr
+
+
 def _column_entropies(cols: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Entropy contribution of each unnormalized column, batched.
 
-    cols has shape (..., dim_a, dim_b).  For dim_a == 2 the two squared
-    Schmidt values come from the trace and determinant of the 2x2 Gram
-    matrix in closed form; larger systems go through batched
+    cols has shape (..., dim_a, dim_b).  For dim_a == 2 the Gram entries
+    go to the closed form _qubit_terms; larger systems go through batched
     eigendecompositions.
     """
     if dim_a == 2:
         g00 = np.sum(np.abs(cols[..., 0, :]) ** 2, axis=-1)
         g11 = np.sum(np.abs(cols[..., 1, :]) ** 2, axis=-1)
         g01 = np.sum(cols[..., 0, :] * cols[..., 1, :].conj(), axis=-1)
-        t = g00 + g11
-        det = np.maximum(g00 * g11 - np.abs(g01) ** 2, 0.0)
-        disc = np.sqrt(np.maximum(t * t - 4.0 * det, 0.0))
-        s1 = (t + disc) / 2.0
-        s2 = np.maximum((t - disc) / 2.0, 0.0)
-        return _xlog2x(t) - _xlog2x(s1) - _xlog2x(s2)
+        return _qubit_terms(g00, g11, g01)[0]
     gram = cols @ np.conj(np.swapaxes(cols, -1, -2))
     w = np.maximum(np.linalg.eigvalsh(gram), 0.0)
     q = np.sum(w, axis=-1)
@@ -296,6 +314,32 @@ def _gradient(a, t, dim_a, dim_b):
     return a.conj().T @ zm.reshape(k, -1).T
 
 
+def _evaluate(a, t, dim_a, dim_b):
+    """f(A T), and a function of no arguments that returns _gradient(a, t).
+
+    For dim_a == 2 one batched matmul gives the column Gram matrices G,
+    and the gradient reuses them with no eigendecomposition.  On the
+    support of G, log2 G = l2 + c (G - s2) with c = (l1 - l2)/(s1 - s2)
+    (c = 0 where s1 = s2), so with r = s2/s1
+        (log2 q - log2 G) M = (log2(1 + r) - log2 r + c s2) M - c G M.
+    Larger systems use _objective and _gradient.
+    """
+    if dim_a != 2:
+        return _objective(a @ t, dim_a, dim_b), lambda: _gradient(a, t, dim_a, dim_b)
+    k = t.shape[1]
+    m = (a @ t).T.reshape(k, 2, dim_b)
+    gram = m @ m.conj().transpose(0, 2, 1)
+    terms, s1, s2, lp, lr = _qubit_terms(gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1])
+
+    def gradient():
+        gap = s1 - s2
+        c = -lr / np.where(gap > 0, gap, np.inf)
+        zm = (lp - lr + c * s2)[:, None, None] * m - c[:, None, None] * (gram @ m)
+        return a.conj().T @ zm.reshape(k, -1).T
+
+    return float(np.sum(terms)), gradient
+
+
 def _tangent(z, t):
     """Projection onto the tangent space of the co-isometries at t."""
     return z - 0.5 * (z @ t.conj().T + t @ z.conj().T) @ t
@@ -309,10 +353,12 @@ def _descend(a, t, dim_a, dim_b):
     the rejected value; each accepted step doubles the next trial step.
     When no step along a conjugate direction lowers f, the search retries
     along the gradient; it stops when that fails too, or after
-    DESCENT_LIMIT iterations.  Returns f and T, with f = _objective(A T).
+    DESCENT_LIMIT iterations.  Every point is evaluated once by _evaluate,
+    and an accepted one takes its gradient from that evaluation.  Returns
+    f and T, with f = _evaluate(A, T)[0].
     """
-    f = _objective(a @ t, dim_a, dim_b)
-    g = _tangent(_gradient(a, t, dim_a, dim_b), t)
+    f, gradient = _evaluate(a, t, dim_a, dim_b)
+    g = _tangent(gradient(), t)
     d = -g
     step = 1.0
     steepest = False
@@ -324,7 +370,7 @@ def _descend(a, t, dim_a, dim_b):
         while True:
             u, _, vh = np.linalg.svd(t + trial * d, full_matrices=False)
             t_new = u @ vh
-            f_new = _objective(a @ t_new, dim_a, dim_b)
+            f_new, gradient = _evaluate(a, t_new, dim_a, dim_b)
             if f_new <= f + 1e-4 * trial * slope or trial < 1e-15:
                 break
             vertex = -slope * trial * trial / (2.0 * (f_new - f - slope * trial))
@@ -335,7 +381,7 @@ def _descend(a, t, dim_a, dim_b):
             steepest = True
             continue
         steepest = False
-        g_new = _tangent(_gradient(a, t_new, dim_a, dim_b), t_new)
+        g_new = _tangent(gradient(), t_new)
         beta = max(0.0, np.vdot(g_new, g_new - _tangent(g, t_new)).real / np.vdot(g, g).real)
         t, f, g, d = t_new, f_new, g_new, -g_new + beta * _tangent(d, t_new)
         step = 2.0 * trial
@@ -363,6 +409,28 @@ def _compress_start(w, kp):
     return (vecs * (1.0 / np.sqrt(eigs))) @ vecs.conj().T @ s
 
 
+def _records(a, k, dim_a, dim_b, budget, seed):
+    """Yield (score, co-isometry) for each seeded restart whose base score
+    improves on all earlier ones by more than 1e-12, in draw order.
+
+    Restarts are scored SCORE_BLOCK at a time, and a block only when the
+    caller asks for a record past the previous block.
+    """
+    rng = np.random.default_rng(seed)
+    rank = a.shape[1]
+    best = np.inf
+    for done in range(0, budget, SCORE_BLOCK):
+        m = min(SCORE_BLOCK, budget - done)
+        ws = _coisometry_stream(rng, m, k, rank)
+        b = np.einsum("dr,mrk->mdk", a, ws)
+        cols = b.transpose(0, 2, 1).reshape(m, k, dim_a, dim_b)
+        scores = np.sum(_column_entropies(cols, dim_a, dim_b), axis=-1)
+        for score, w in zip(scores, ws):
+            if score < best - 1e-12:
+                best = float(score)
+                yield best, w
+
+
 def eof_upper_general(
     rho: DensityMatrix,
     budget: int = DEFAULT_EOF_BUDGET,
@@ -370,17 +438,19 @@ def eof_upper_general(
 ) -> MeasureValue:
     """Upper bound on the entanglement of formation by decomposition search.
 
-    Seeded random-restart co-isometries with side^2 columns are scored in
-    vectorized blocks.  Every restart that improves on all previous base
+    At most budget seeded random-restart co-isometries with side^2
+    columns are scored, in vectorized blocks drawn only while descents
+    still need records.  Every restart that improves on all previous base
     scores (a record) is compressed to rank + 2 columns and refined by
     Riemannian conjugate gradient, record by record.  Refinement stops at
     the first descent that ends below 1e-9, or after AGREEING_DESCENTS
     descents in a row that each end within 1e-12 of the best earlier
     descent; a descent that fails the decomposition check breaks the row.
-    The rule reads the descents alone, and a larger budget only appends
-    records, so the result is monotonically non-increasing in budget.  It
-    is always a valid upper bound because every candidate is an explicit
-    decomposition of rho.
+    The value is the least of the refined records' base scores and their
+    descents.  The rule reads the descents alone, and a larger budget only
+    appends records, so the result is monotonically non-increasing in
+    budget.  It is always a valid upper bound because every candidate is
+    an explicit decomposition of rho.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
@@ -396,26 +466,11 @@ def eof_upper_general(
         value = max(float(_column_entropies(a.T.reshape(1, dim_a, dim_b), dim_a, dim_b)[0]), 0.0)
         return MeasureValue(value, KIND_UPPER, "eof_upper_general")
     kp = min(k, rank + 2)
-    rng = np.random.default_rng(seed)
-    best_base = np.inf
-    records = []
-    done = 0
-    while done < budget:
-        m = min(SCORE_BLOCK, budget - done)
-        ws = _coisometry_stream(rng, m, k, rank)
-        b = np.einsum("dr,mrk->mdk", a, ws)
-        cols = b.transpose(0, 2, 1).reshape(m, k, dim_a, dim_b)
-        scores = np.sum(_column_entropies(cols, dim_a, dim_b), axis=-1)
-        for idx in range(m):
-            if scores[idx] >= best_base - 1e-12:
-                continue
-            best_base = float(scores[idx])
-            records.append(ws[idx])
-        done += m
-    best_val = best_base
+    best_val = np.inf
     best_descent = np.inf
     agreeing = 0
-    for w in records:
+    for score, w in _records(a, k, dim_a, dim_b, budget, seed):
+        best_val = min(best_val, score)
         value, t = _descend(a, _compress_start(w, kp), dim_a, dim_b)
         if not _decomposition_ok(a @ t, rho.entries):
             agreeing = 0
