@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 
 import numpy as np
 
@@ -294,6 +295,7 @@ def _objective(b: np.ndarray, dim_a: int, dim_b: int) -> float:
 
 SCORE_BLOCK = 256
 DESCENT_LIMIT = 5000
+DESCENT_MEMORY = 8
 AGREEING_DESCENTS = 2
 
 
@@ -345,28 +347,74 @@ def _tangent(z, t):
     return z - 0.5 * (z @ t.conj().T + t @ z.conj().T) @ t
 
 
-def _descend(a, t, dim_a, dim_b):
-    """Riemannian conjugate gradient for f(A T) over co-isometries T (T T^dag = 1).
+def _inverse_hessian_times(gv, pairs, sy, yy):
+    """H g for the L-BFGS inverse Hessian H of the stored pairs.
 
-    Polak-Ribiere+ directions, a polar (SVD) retraction and Armijo
-    backtracking to the minimum of the quadratic through f, its slope and
-    the rejected value; each accepted step doubles the next trial step.
-    When no step along a conjugate direction lowers f, the search retries
-    along the gradient; it stops when that fails too, or after
-    DESCENT_LIMIT iterations.  Every point is evaluated once by _evaluate,
-    and an accepted one takes its gradient from that evaluation.  Returns
-    f and T, with f = _evaluate(A, T)[0].
+    gv is g as a real vector; pairs has shape (m, 2, n), the real vectors
+    s_i and y_i, oldest first; sy[i, j] = <s_i, y_j> (read for i <= j)
+    and yy[i, j] = <y_i, y_j>.  This is the two-loop recursion written on
+    inner products: with R the upper triangle of S^T Y, D its diagonal
+    and gamma = <s, y>/<y, y> of the newest pair,
+        a = R^-1 S^T g,   c = R^-T (D a - gamma (Y^T g - Y^T Y a)),
+        H g = gamma (g - Y a) + S c
+    (Byrd, Nocedal & Schnabel, Math. Program. 63, 129 (1994)).  So the
+    vectors enter through two matrix-vector products, and the triangular
+    solves run on at most DESCENT_MEMORY Python floats.
+    """
+    m = len(pairs)
+    stacked = pairs.reshape(2 * m, -1)
+    p = (stacked @ gv).tolist()
+    sg, yg = p[0::2], p[1::2]
+    rows, cols, yy = sy.tolist(), sy.T.tolist(), yy.tolist()
+    gamma = rows[-1][-1] / yy[-1][-1]
+    a = [0.0] * m
+    for i in reversed(range(m)):
+        a[i] = (sg[i] - sum(map(mul, rows[i][i + 1 :], a[i + 1 :]))) / rows[i][i]
+    c = []
+    for i in range(m):
+        rhs = rows[i][i] * a[i] - gamma * (yg[i] - sum(map(mul, yy[i], a)))
+        c.append((rhs - sum(map(mul, cols[i], c))) / rows[i][i])
+    coef = np.array([c, a]).T * [1.0, -gamma]
+    return gamma * gv + coef.ravel() @ stacked
+
+
+def _descend(a, t, dim_a, dim_b):
+    """Riemannian L-BFGS for f(A T) over co-isometries T (T T^dag = 1).
+
+    The direction is -H g, H the inverse Hessian built from the last
+    DESCENT_MEMORY steps s and gradient changes y (Huang, Gallivan &
+    Absil, SIAM J. Optim. 25, 1660 (2015)); each pair is projected onto
+    the tangent space where it is stored and is not transported later,
+    and a pair without positive curvature <s, y> is dropped.  A polar
+    (SVD) retraction and Armijo backtracking to the minimum of the
+    quadratic through f, its slope and the rejected value follow.  The
+    first trial step is 1 along -H g, and twice the last accepted step
+    along -g, the direction before a pair is stored.  When no step along
+    -H g lowers f, the search retries along -g; it stops when that fails
+    too, or after DESCENT_LIMIT iterations.  Every point is evaluated
+    once by _evaluate, and an accepted one takes its gradient from that
+    evaluation.  Returns f and T, with f = _evaluate(A, T)[0].
     """
     f, gradient = _evaluate(a, t, dim_a, dim_b)
     g = _tangent(gradient(), t)
-    d = -g
+    pairs = np.empty((DESCENT_MEMORY, 2, 2 * t.size))
+    sy = np.zeros((DESCENT_MEMORY, DESCENT_MEMORY))
+    yy = np.zeros((DESCENT_MEMORY, DESCENT_MEMORY))
+    stored = 0
     step = 1.0
     steepest = False
     for _ in range(DESCENT_LIMIT):
-        slope = 2.0 * np.vdot(g, d).real
-        if steepest or not slope < 0.0:
-            d, slope = -g, -2.0 * np.vdot(g, g).real
-        trial = step
+        gv = g.view(float).ravel()
+        d, trial = -gv, step
+        if stored and not steepest:
+            kept = slice(stored)
+            hg = _inverse_hessian_times(gv, pairs[kept], sy[kept, kept], yy[kept, kept])
+            if gv @ hg > 0.0:
+                d, trial = -hg, 1.0
+            else:
+                steepest = True
+        slope = 2.0 * (gv @ d)
+        d = d.view(complex).reshape(t.shape)
         while True:
             u, _, vh = np.linalg.svd(t + trial * d, full_matrices=False)
             t_new = u @ vh
@@ -376,14 +424,24 @@ def _descend(a, t, dim_a, dim_b):
             vertex = -slope * trial * trial / (2.0 * (f_new - f - slope * trial))
             trial = min(max(vertex, 0.1 * trial), 0.5 * trial)
         if not f_new < f:
-            if steepest:
+            if steepest or not stored:
                 break
             steepest = True
             continue
         steepest = False
         g_new = _tangent(gradient(), t_new)
-        beta = max(0.0, np.vdot(g_new, g_new - _tangent(g, t_new)).real / np.vdot(g, g).real)
-        t, f, g, d = t_new, f_new, g_new, -g_new + beta * _tangent(d, t_new)
+        s = _tangent(trial * d, t_new).view(float).ravel()
+        y = (g_new - _tangent(g, t_new)).view(float).ravel()
+        if s @ y > 0.0:
+            if stored == DESCENT_MEMORY:
+                pairs[:-1], sy[:-1, :-1], yy[:-1, :-1] = pairs[1:], sy[1:, 1:], yy[1:, 1:]
+                stored -= 1
+            pairs[stored] = s, y
+            w = pairs[: stored + 1].reshape(-1, s.size) @ y
+            sy[: stored + 1, stored] = w[0::2]
+            yy[: stored + 1, stored] = yy[stored, : stored + 1] = w[1::2]
+            stored += 1
+        t, f, g = t_new, f_new, g_new
         step = 2.0 * trial
     return f, t
 
@@ -413,14 +471,19 @@ def _records(a, k, dim_a, dim_b, budget, seed):
     """Yield (score, co-isometry) for each seeded restart whose base score
     improves on all earlier ones by more than 1e-12, in draw order.
 
-    Restarts are scored SCORE_BLOCK at a time, and a block only when the
-    caller asks for a record past the previous block.
+    Restarts are scored in blocks of 1, 2, 4, ... restarts, capped at
+    SCORE_BLOCK, and a block only when the caller asks for a record past
+    the previous block; a search that stops after its first records
+    scores few restarts.  The block sizes do not change which restarts
+    are drawn, as _coisometry_stream interleaves them.
     """
     rng = np.random.default_rng(seed)
     rank = a.shape[1]
     best = np.inf
-    for done in range(0, budget, SCORE_BLOCK):
-        m = min(SCORE_BLOCK, budget - done)
+    done, size = 0, 1
+    while done < budget:
+        m = min(size, budget - done)
+        done, size = done + m, min(2 * size, SCORE_BLOCK)
         ws = _coisometry_stream(rng, m, k, rank)
         b = np.einsum("dr,mrk->mdk", a, ws)
         cols = b.transpose(0, 2, 1).reshape(m, k, dim_a, dim_b)
@@ -442,7 +505,7 @@ def eof_upper_general(
     columns are scored, in vectorized blocks drawn only while descents
     still need records.  Every restart that improves on all previous base
     scores (a record) is compressed to rank + 2 columns and refined by
-    Riemannian conjugate gradient, record by record.  Refinement stops at
+    Riemannian L-BFGS, record by record.  Refinement stops at
     the first descent that ends below 1e-9, or after AGREEING_DESCENTS
     descents in a row that each end within 1e-12 of the best earlier
     descent; a descent that fails the decomposition check breaks the row.

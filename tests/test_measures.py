@@ -382,11 +382,13 @@ def _search_and_descents(monkeypatch, rho, budget, seed):
     "rho, budget, seed, ran, records, scatter",
     [
         (isotropic_2x3(0.8), 400, 7, 3, 5, 0.0),
-        # concurrence 9e-4: the third descent ends 2.3e-12 below the best
-        # of the first two and resets the count.  The first input of a scan
-        # over seeds 3000-3009, then weights 0.19 down to 0.10, at budget 400
+        # concurrence 1.6e-4: the first two descents agree, the third ends
+        # 2.3e-12 above the best of them and resets the count.  The first
+        # input of a scan over seeds 3000-3199, each at weights 1e-4 to
+        # 3.9e-3 below its separability border, at budget 400, whose first
+        # two descents agree and whose third misses by more than 1.2e-12
         (
-            mix(random_low_rank_state(2, 2, 2, seed=3004), maximally_mixed(2, 2), 0.18),
+            mix(random_low_rank_state(2, 2, 2, seed=3105), maximally_mixed(2, 2), 0.3263),
             400,
             0,
             5,
@@ -406,6 +408,15 @@ def test_eof_search_stops_after_agreeing_descents(
     assert ends == every_ends[:ran]
     assert max(ends) - min(ends) >= scatter
     assert 0.0 <= value - every <= 1e-12
+
+
+def test_eof_search_descents_converge_just_past_the_ppt_border(monkeypatch):
+    # with every record refined, each descent ends within 1e-10 of the best;
+    # conjugate gradient stopped at DESCENT_LIMIT 2.9e-7 to 4.0e-7 above it
+    monkeypatch.setattr(measures, "AGREEING_DESCENTS", 1000)
+    _, ends = _search_and_descents(monkeypatch, isotropic_2x3(0.26), 20, 1)
+    assert len(ends) == 4
+    assert max(ends) - min(ends) <= 1e-10
 
 
 def test_eof_search_failed_check_resets_the_agreeing_count(monkeypatch):
@@ -506,6 +517,26 @@ def test_descent_gradient_and_value(dim_a, dim_b):
     assert np.allclose(end @ end.conj().T, np.eye(side), atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_inverse_hessian_matches_the_two_loop_recursion(m):
+    # the L-BFGS product written on inner products, against the two loops
+    # on the vectors themselves
+    rng = np.random.default_rng(m)
+    n = 24
+    s = rng.standard_normal((m, n))
+    y = s * (1.0 + rng.random(n)) + 0.1 * rng.standard_normal((m, n))
+    g = rng.standard_normal(n)
+    q, alphas = g.copy(), []
+    for s_i, y_i in zip(s[::-1], y[::-1]):
+        alphas.append(s_i @ q / (s_i @ y_i))
+        q -= alphas[-1] * y_i
+    r = (s[-1] @ y[-1]) / (y[-1] @ y[-1]) * q
+    for s_i, y_i, alpha in zip(s, y, alphas[::-1]):
+        r += (alpha - y_i @ r / (s_i @ y_i)) * s_i
+    got = measures._inverse_hessian_times(g, np.stack([s, y], axis=1), s @ y.T, y @ y.T)
+    assert np.linalg.norm(got - r) <= 1e-12 * np.linalg.norm(r)
+
+
 def test_qubit_closed_form_keeps_small_schmidt_values():
     # the column diag(1, delta): squared Schmidt values 1 and delta^2 = 1e-14,
     # for which (q - disc)/2 put the term 7.8e-4 (relative) off
@@ -535,14 +566,22 @@ def test_eof_search_scores_blocks_only_while_descents_need_records(monkeypatch):
     sizes = _count_blocks(monkeypatch)
     sep = random_separable_state(2, 2, seed=9)
     value = eof_upper_general(sep, budget=2000, seed=0).value
-    assert sizes == [measures.SCORE_BLOCK]
-    assert value == eof_upper_general(sep, budget=256, seed=0).value
-    # refining every record needs every restart scored
+    assert sizes == [1]
+    assert value == eof_upper_general(sep, budget=1, seed=0).value
+    # refining every record needs every restart scored, in blocks that
+    # double up to SCORE_BLOCK
     rho = random_density_matrix(2, 2, seed=1002)
     monkeypatch.setattr(measures, "AGREEING_DESCENTS", 1000)
     sizes.clear()
     eof_upper_general(rho, budget=600, seed=2)
-    assert sizes == [256, 256, 88]
+    assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 256, 89]
+
+
+def test_restart_blocks_draw_the_restarts_of_one_block():
+    rng = np.random.default_rng(3)
+    blocks = [measures._coisometry_stream(rng, count, 8, 3) for count in (1, 2, 4)]
+    whole = measures._coisometry_stream(np.random.default_rng(3), 7, 8, 3)
+    assert np.array_equal(np.concatenate(blocks), whole)
 
 
 def test_eof_search_argument_validation():

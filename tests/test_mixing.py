@@ -101,7 +101,7 @@ def test_tiny_tail_not_lost_to_cancellation():
     (_, _), tail = binomial_window(10_000, 0.5, half_width=None)
     assert 0.0 < tail < 1e-6
     expected = 2 * binom.cdf(5000 - int(np.ceil(10_000 ** (2 / 3))) - 0, 10_000, 0.5)
-    assert tail == pytest.approx(expected, rel=1e-6)
+    assert tail == pytest.approx(expected, rel=1e-6, abs=0.0)
 
 
 @given(
