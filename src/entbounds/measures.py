@@ -249,48 +249,53 @@ def _xlog2x(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _qubit_terms(g00, g11, g01):
-    """Entropy term of each column whose 2 x 2 Gram matrix is [[g00, g01], [., g11]].
+def _columns(m):
+    """Entropy term of each column, and (log2 q - log2 G) M on request.
 
-    With s1 >= s2 the squared Schmidt values and r = s2/s1, the term
-    q log2 q - s1 log2 s1 - s2 log2 s2 (q = s1 + s2) is computed as
-    q log2(1 + r) - s2 log2 r, and s2 as det/s1, so that neither cancels
-    near a product column.  Returns the terms, s1, s2, log2(1 + r) and
-    log2 r (0 at r = 0).
+    m holds unnormalized columns M of shape (..., dim_a, dim_b), with Gram
+    matrices G = M M^dag and q = tr G.  Returns the terms
+    q log2 q - tr G log2 G and a function of no arguments that returns
+    (log2 q - log2 G) M, the logs taken on the support of G: the column's
+    part of the gradient (Audenaert, Verstraete & De Moor, PRA 64, 052304).
+
+    For dim_a == 2, with s1 >= s2 the eigenvalues of G and r = s2/s1, the
+    term is computed as q log2(1 + r) - s2 log2 r, and s2 as det/s1, so
+    that neither cancels near a product column.  On the support of G,
+    log2 G = l2 + c (G - s2) with c = (l1 - l2)/(s1 - s2) (c = 0 where
+    s1 = s2), so (log2 q - log2 G) M = (log2(1 + r) - log2 r + c s2) M - c G M
+    with no eigendecomposition.  Larger dim_a take the terms from eigvalsh
+    and the logs from eigh, called only when asked for.
     """
-    q = g00 + g11
-    det = np.maximum(g00 * g11 - np.abs(g01) ** 2, 0.0)
-    disc = np.sqrt(np.maximum(q * q - 4.0 * det, 0.0))
-    s1 = (q + disc) / 2.0
-    s1_or_1 = np.where(s1 > 0, s1, 1.0)
-    s2 = det / s1_or_1
-    r = s2 / s1_or_1
-    lp = np.log1p(r) * _INV_LN2
-    lr = np.log2(np.where(r > 0, r, 1.0))
-    return (s1 + s2) * lp - s2 * lr, s1, s2, lp, lr
+    gram = m @ np.conj(np.swapaxes(m, -1, -2))
+    if m.shape[-2] == 2:
+        g00, g11, g01 = gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1]
+        q = g00 + g11
+        det = np.maximum(g00 * g11 - np.abs(g01) ** 2, 0.0)
+        disc = np.sqrt(np.maximum(q * q - 4.0 * det, 0.0))
+        s1 = (q + disc) / 2.0
+        s1_or_1 = np.where(s1 > 0, s1, 1.0)
+        s2 = det / s1_or_1
+        r = s2 / s1_or_1
+        lp = np.log1p(r) * _INV_LN2
+        lr = np.log2(np.where(r > 0, r, 1.0))
 
+        def logs():
+            gap = s1 - s2
+            c = -lr / np.where(gap > 0, gap, np.inf)
+            return (lp - lr + c * s2)[..., None, None] * m - c[..., None, None] * (gram @ m)
 
-def _column_entropies(cols: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Entropy contribution of each unnormalized column, batched.
-
-    cols has shape (..., dim_a, dim_b).  For dim_a == 2 the Gram entries
-    go to the closed form _qubit_terms; larger systems go through batched
-    eigendecompositions.
-    """
-    if dim_a == 2:
-        g00 = np.sum(np.abs(cols[..., 0, :]) ** 2, axis=-1)
-        g11 = np.sum(np.abs(cols[..., 1, :]) ** 2, axis=-1)
-        g01 = np.sum(cols[..., 0, :] * cols[..., 1, :].conj(), axis=-1)
-        return _qubit_terms(g00, g11, g01)[0]
-    gram = cols @ np.conj(np.swapaxes(cols, -1, -2))
+        return (s1 + s2) * lp - s2 * lr, logs
     w = np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    q = np.sum(w, axis=-1)
-    return _xlog2x(q) - np.sum(_xlog2x(w), axis=-1)
 
+    def logs():
+        w, v = np.linalg.eigh(gram)
+        log_w = np.log2(np.where(w > 0, w, 1.0))
+        q = np.sum(np.maximum(w, 0.0), axis=-1)
+        log_q = np.log2(np.where(q > 0, q, 1.0))
+        vh = np.conj(np.swapaxes(v, -1, -2))
+        return v @ ((log_q[..., None, None] - log_w[..., None]) * (vh @ m))
 
-def _objective(b: np.ndarray, dim_a: int, dim_b: int) -> float:
-    k = b.shape[1]
-    return float(np.sum(_column_entropies(b.T.reshape(k, dim_a, dim_b), dim_a, dim_b)))
+    return _xlog2x(np.sum(w, axis=-1)) - np.sum(_xlog2x(w), axis=-1), logs
 
 
 SCORE_BLOCK = 256
@@ -299,47 +304,12 @@ DESCENT_MEMORY = 8
 AGREEING_DESCENTS = 2
 
 
-def _gradient(a, t, dim_a, dim_b):
-    """Z with df = 2 Re<Z, dT> for the objective of B = A T.
-
-    For each column M of B, as a dim_a x dim_b block with G = M M^dag and
-    q = tr G, the gradient is A^dag [(log2 q - log2 G) M], the logs taken
-    on the support of G (Audenaert, Verstraete & De Moor, PRA 64, 052304).
-    """
-    k = t.shape[1]
-    m = (a @ t).T.reshape(k, dim_a, dim_b)
-    w, v = np.linalg.eigh(m @ m.conj().transpose(0, 2, 1))
-    log_w = np.log2(np.where(w > 0, w, 1.0))
-    q = np.sum(np.maximum(w, 0.0), axis=-1)
-    log_q = np.log2(np.where(q > 0, q, 1.0))
-    zm = v @ ((log_q[:, None, None] - log_w[..., None]) * (v.conj().transpose(0, 2, 1) @ m))
-    return a.conj().T @ zm.reshape(k, -1).T
-
-
 def _evaluate(a, t, dim_a, dim_b):
-    """f(A T), and a function of no arguments that returns _gradient(a, t).
-
-    For dim_a == 2 one batched matmul gives the column Gram matrices G,
-    and the gradient reuses them with no eigendecomposition.  On the
-    support of G, log2 G = l2 + c (G - s2) with c = (l1 - l2)/(s1 - s2)
-    (c = 0 where s1 = s2), so with r = s2/s1
-        (log2 q - log2 G) M = (log2(1 + r) - log2 r + c s2) M - c G M.
-    Larger systems use _objective and _gradient.
-    """
-    if dim_a != 2:
-        return _objective(a @ t, dim_a, dim_b), lambda: _gradient(a, t, dim_a, dim_b)
+    """f(A T), and a function of no arguments that returns Z with
+    df = 2 Re<Z, dT>: A^dag [(log2 q - log2 G) M] over the columns M of A T."""
     k = t.shape[1]
-    m = (a @ t).T.reshape(k, 2, dim_b)
-    gram = m @ m.conj().transpose(0, 2, 1)
-    terms, s1, s2, lp, lr = _qubit_terms(gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1])
-
-    def gradient():
-        gap = s1 - s2
-        c = -lr / np.where(gap > 0, gap, np.inf)
-        zm = (lp - lr + c * s2)[:, None, None] * m - c[:, None, None] * (gram @ m)
-        return a.conj().T @ zm.reshape(k, -1).T
-
-    return float(np.sum(terms)), gradient
+    terms, logs = _columns((a @ t).T.reshape(k, dim_a, dim_b))
+    return float(np.sum(terms)), lambda: a.conj().T @ logs().reshape(k, -1).T
 
 
 def _tangent(z, t):
@@ -479,7 +449,7 @@ def _records(a, k, dim_a, dim_b, budget, seed):
     """
     rng = np.random.default_rng(seed)
     rank = a.shape[1]
-    best = np.inf
+    lowest = np.inf
     done, size = 0, 1
     while done < budget:
         m = min(size, budget - done)
@@ -487,11 +457,11 @@ def _records(a, k, dim_a, dim_b, budget, seed):
         ws = _coisometry_stream(rng, m, k, rank)
         b = np.einsum("dr,mrk->mdk", a, ws)
         cols = b.transpose(0, 2, 1).reshape(m, k, dim_a, dim_b)
-        scores = np.sum(_column_entropies(cols, dim_a, dim_b), axis=-1)
+        scores = np.sum(_columns(cols)[0], axis=-1)
         for score, w in zip(scores, ws):
-            if score < best - 1e-12:
-                best = float(score)
-                yield best, w
+            if score < lowest - 1e-12:
+                lowest = float(score)
+                yield lowest, w
 
 
 def eof_upper_general(
@@ -526,7 +496,7 @@ def eof_upper_general(
     rank = int(lam.size)
     a = basis * np.sqrt(lam)
     if rank == 1:
-        value = max(float(_column_entropies(a.T.reshape(1, dim_a, dim_b), dim_a, dim_b)[0]), 0.0)
+        value = max(float(_columns(a.T.reshape(1, dim_a, dim_b))[0][0]), 0.0)
         return MeasureValue(value, KIND_UPPER, "eof_upper_general")
     kp = min(k, rank + 2)
     best_val = np.inf

@@ -20,12 +20,20 @@ from .linalg import DEFAULT_SIZE_CAP, DensityMatrix
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.
+
+    The file gets the mode open(path, "w") gives a new file, 0o666 less
+    the umask, in place of the temp file's 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # the umask can only be read by setting it
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -11,11 +11,9 @@ from entbounds.measures import (
     KIND_UPPER,
     BellDiagonalProbs,
     MeasureValue,
-    _column_entropies,
+    _columns,
     _descend,
     _evaluate,
-    _gradient,
-    _objective,
     best,
     binary_entropy,
     bound_routes,
@@ -487,33 +485,34 @@ def _decomposition_with_delicate_columns(dim_a, dim_b, k, rng):
 @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 3)])
 def test_descent_gradient_and_value(dim_a, dim_b):
     side = dim_a * dim_b
+    k = side + 2
     rng = np.random.default_rng(dim_a + dim_b)
-    b, a, t = _decomposition_with_delicate_columns(dim_a, dim_b, side + 2, rng)
+    b, a, t = _decomposition_with_delicate_columns(dim_a, dim_b, k, rng)
     assert np.allclose(t @ t.conj().T, np.eye(side), atol=1e-12)
-    z = _gradient(a, t, dim_a, dim_b)
     h = 1e-6
-    for _ in range(3):
-        e = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-        central = (
-            _objective(a @ (t + h * e), dim_a, dim_b) - _objective(a @ (t - h * e), dim_a, dim_b)
-        ) / (2 * h)
-        assert central == pytest.approx(2 * np.vdot(z, e).real, rel=1e-6)
     # the evaluation the descent calls, at A T and at B itself (A = 1),
-    # where the delicate columns are exact: its value is _objective's and
-    # its gradient (closed form for dim_a == 2) is the eigh _gradient's
+    # where the delicate columns are exact
     for a_, t_ in ((a, t), (np.eye(side), b)):
-        value, gradient = _evaluate(a_, t_, dim_a, dim_b)
-        assert value == pytest.approx(_objective(a_ @ t_, dim_a, dim_b), rel=1e-12)
-        z_ = _gradient(a_, t_, dim_a, dim_b)
-        assert np.linalg.norm(gradient() - z_) <= 1e-12 * np.linalg.norm(z_)
-        e = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
-        central = (
-            _evaluate(a_, t_ + h * e, dim_a, dim_b)[0] - _evaluate(a_, t_ - h * e, dim_a, dim_b)[0]
-        ) / (2 * h)
-        assert central == pytest.approx(2 * np.vdot(z_, e).real, rel=1e-6)
+        z = _evaluate(a_, t_, dim_a, dim_b)[1]()
+        for _ in range(3):
+            e = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
+            central = (
+                _evaluate(a_, t_ + h * e, dim_a, dim_b)[0] - _evaluate(a_, t_ - h * e, dim_a, dim_b)[0]
+            ) / (2 * h)
+            assert central == pytest.approx(2 * np.vdot(z, e).real, rel=1e-6)
+        if dim_a == 2:
+            # the closed form against the kernel's eigh branch, fed the same
+            # columns with a zero A-row appended
+            m = (a_ @ t_).T.reshape(k, 2, dim_b)
+            terms, logs = _columns(m)
+            padded_terms, padded_logs = _columns(np.concatenate([m, np.zeros((k, 1, dim_b))], axis=1))
+            assert np.linalg.norm(padded_terms - terms) <= 1e-12 * np.linalg.norm(terms)
+            closed, padded = logs(), padded_logs()
+            assert np.linalg.norm(padded[:, :2] - closed) <= 1e-12 * np.linalg.norm(closed)
+            assert np.all(padded[:, 2] == 0.0)
     value, end = _descend(a, t, dim_a, dim_b)
-    assert value == pytest.approx(_objective(a @ end, dim_a, dim_b), abs=1e-12)
-    assert value < _objective(a @ t, dim_a, dim_b)
+    assert value == pytest.approx(_evaluate(a, end, dim_a, dim_b)[0], abs=1e-12)
+    assert value < _evaluate(a, t, dim_a, dim_b)[0]
     assert np.allclose(end @ end.conj().T, np.eye(side), atol=1e-12)
 
 
@@ -545,7 +544,7 @@ def test_qubit_closed_form_keeps_small_schmidt_values():
     q = 1.0 + delta**2
     exact = q * np.log1p(delta**2) / np.log(2.0) - delta**2 * np.log2(delta**2)
     close = pytest.approx(exact, rel=1e-10, abs=0.0)
-    assert _column_entropies(column[None], 2, 2)[0] == close
+    assert _columns(column[None])[0][0] == close
     assert _evaluate(np.eye(4), column.reshape(4, 1), 2, 2)[0] == close
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -159,6 +161,20 @@ def test_state_roundtrip_is_exact(tmp_path):
     back = load_state(str(path))
     assert (back.dim_a, back.dim_b) == (2, 3)
     assert np.array_equal(back.entries, rho.entries)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_atomic_write_takes_the_umask(tmp_path, umask, mode):
+    # the mode a shell redirect or open(path, "w") gives, not mkstemp's 0o600
+    path = tmp_path / "report.json"
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(path), "{}\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_text() == "{}\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_dumps_state_structure():
