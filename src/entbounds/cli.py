@@ -416,8 +416,9 @@ def main(argv=None) -> int:
     args.invocation = "entbounds " + shlex.join(argv)
     try:
         return args.func(args)
-    # OverflowError: an integer argument too large to convert to a float
-    except (EntboundsError, ValueError, OverflowError, OSError) as exc:
+    # OverflowError: an integer argument too large to convert to a float;
+    # MemoryError: an array numpy refuses to allocate, such as a huge grid
+    except (EntboundsError, ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, StateValidityError) and exc.report is not None:
             print(

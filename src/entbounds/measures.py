@@ -242,13 +242,6 @@ def ec_upper(
 _INV_LN2 = 1.0 / np.log(2.0)
 
 
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    mask = x > 0
-    out[mask] = x[mask] * np.log2(x[mask])
-    return out
-
-
 def _columns(m):
     """Entropy term of each column, and (log2 q - log2 G) M on request.
 
@@ -263,8 +256,8 @@ def _columns(m):
     that neither cancels near a product column.  On the support of G,
     log2 G = l2 + c (G - s2) with c = (l1 - l2)/(s1 - s2) (c = 0 where
     s1 = s2), so (log2 q - log2 G) M = (log2(1 + r) - log2 r + c s2) M - c G M
-    with no eigendecomposition.  Larger dim_a take the terms from eigvalsh
-    and the logs from eigh, called only when asked for.
+    with no eigendecomposition.  Larger dim_a take one eigh per call:
+    the terms come from its eigenvalues, the logs from its eigenvectors.
     """
     gram = m @ np.conj(np.swapaxes(m, -1, -2))
     if m.shape[-2] == 2:
@@ -285,17 +278,17 @@ def _columns(m):
             return (lp - lr + c * s2)[..., None, None] * m - c[..., None, None] * (gram @ m)
 
         return (s1 + s2) * lp - s2 * lr, logs
-    w = np.maximum(np.linalg.eigvalsh(gram), 0.0)
+    w, v = np.linalg.eigh(gram)
+    w = np.maximum(w, 0.0)
+    q = np.sum(w, axis=-1)
+    log_w = np.log2(np.where(w > 0, w, 1.0))
+    log_q = np.log2(np.where(q > 0, q, 1.0))
 
     def logs():
-        w, v = np.linalg.eigh(gram)
-        log_w = np.log2(np.where(w > 0, w, 1.0))
-        q = np.sum(np.maximum(w, 0.0), axis=-1)
-        log_q = np.log2(np.where(q > 0, q, 1.0))
         vh = np.conj(np.swapaxes(v, -1, -2))
         return v @ ((log_q[..., None, None] - log_w[..., None]) * (vh @ m))
 
-    return _xlog2x(np.sum(w, axis=-1)) - np.sum(_xlog2x(w), axis=-1), logs
+    return q * log_q - np.sum(w * log_w, axis=-1), logs
 
 
 SCORE_BLOCK = 256

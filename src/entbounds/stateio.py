@@ -52,8 +52,10 @@ def dumps_state(rho: DensityMatrix) -> str:
 def loads_state(text: str, cap: int = DEFAULT_SIZE_CAP) -> DensityMatrix:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StateFileError(f"not valid JSON: {exc}") from exc
+    # ValueError: malformed JSON, or an integer past Python's digit limit
+    # for int(); RecursionError: arrays or objects nested too deeply
+    except (ValueError, RecursionError) as exc:
+        raise StateFileError(f"cannot parse JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFileError("top-level document must be an object")
     for field in ("dim_a", "dim_b", "entries"):

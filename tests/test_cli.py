@@ -686,6 +686,45 @@ def test_console_script_rejects_nan_state(tmp_path):
     assert proc.stderr == "error: entry (1,1) must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000, "error: cannot parse JSON: maximum recursion depth exceeded"),
+        (
+            '{"dim_a": 1' + "0" * 4999 + ', "dim_b": 1, "entries": []}',
+            "error: cannot parse JSON: Exceeds the limit",
+        ),
+    ],
+    ids=["nested-100000-deep", "5000-digit-dim_a"],
+)
+def test_console_script_rejects_unparseable_state(tmp_path, text, message):
+    # json.loads raises RecursionError and int()'s digit-limit ValueError here
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "entbounds", "measure", str(path), "ed_lower"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr
+
+
+def test_refused_allocation_exit_2(monkeypatch, capsys):
+    # what numpy raises for border-scan --grid 1000000000000, stubbed so that
+    # nothing is allocated
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "border_scan", refuse)
+    code, out, err = run_cli(["border-scan", "--system", "2x2", "--grid", "5"], capsys)
+    assert (code, out, err) == (cli.EXIT_INPUT, "", f"error: {message}\n")
+
+
 # ---- console script ----
 
 

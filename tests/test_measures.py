@@ -482,7 +482,8 @@ def _decomposition_with_delicate_columns(dim_a, dim_b, k, rng):
     return b, a, np.linalg.solve(a, b)
 
 
-@pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 3)])
+# at (3, 2) every column's 3 x 3 Gram matrix has a zero eigenvalue
+@pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 3), (3, 2)])
 def test_descent_gradient_and_value(dim_a, dim_b):
     side = dim_a * dim_b
     k = side + 2

@@ -183,24 +183,49 @@ def test_dumps_state_structure():
     assert doc["entries"][0][0] == [0.5, 0.0]
 
 
+def _malformed(text, message, id=None):
+    """A document and the start of its error message; the id defaults to the text."""
+    return pytest.param(text, message, id=id or text)
+
+
+_DIGITS = "1" + "0" * 4999  # past Python's 4,300-digit limit on int("...")
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "{not json",
-        '{"dim_a": 2}',
-        '{"dim_a": 2, "dim_b": "two", "entries": []}',
-        '{"dim_a": 1, "dim_b": 1, "entries": [[[1.0]]]}',
-        '{"dim_a": 1, "dim_b": 1, "entries": [[[1.0, 0.0], [0.0, 0.0]]]}',
-        '"just a string"',
-        '{"dim_a": 1, "dim_b": 1, "entries": [[[NaN, 0.0]]]}',
-        '{"dim_a": 1, "dim_b": 1, "entries": [[[1.0, Infinity]]]}',
-        '{"dim_a": 1, "dim_b": 1, "entries": [[[true, false]]]}',
-        '{"dim_a": true, "dim_b": 1, "entries": [[[1.0, 0.0]]]}',
+        _malformed("{not json", "cannot parse JSON: Expecting property name"),
+        _malformed('{"dim_a": 2}', "missing field 'dim_b'"),
+        _malformed('{"dim_a": 2, "dim_b": "two", "entries": []}', "dim_a and dim_b must be integers"),
+        _malformed('{"dim_a": 1, "dim_b": 1, "entries": [[[1.0]]]}', "entry (0,0) must be a [re, im]"),
+        _malformed('{"dim_a": 1, "dim_b": 1, "entries": [[[1.0, 0.0], [0.0, 0.0]]]}', "row 0 must be"),
+        _malformed('"just a string"', "top-level document must be an object"),
+        _malformed('{"dim_a": 1, "dim_b": 1, "entries": [[[NaN, 0.0]]]}', "entry (0,0) must be finite"),
+        _malformed('{"dim_a": 1, "dim_b": 1, "entries": [[[1.0, Infinity]]]}', "entry (0,0) must be finite"),
+        _malformed('{"dim_a": 1, "dim_b": 1, "entries": [[[true, false]]]}', "entry (0,0) must be a [re, im]"),
+        _malformed('{"dim_a": true, "dim_b": 1, "entries": [[[1.0, 0.0]]]}', "dim_a and dim_b must be integers"),
+        _malformed(
+            '{"dim_a": 1, "dim_b": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}',
+            "entry (0,0) must be finite",
+            id="integer-beyond-the-float-range",
+        ),
+        _malformed("[" * 100_000, "cannot parse JSON: maximum recursion depth", id="nested-100000-deep"),
+        _malformed(
+            f'{{"dim_a": 1, "dim_b": 1, "entries": [[[{_DIGITS}, 0]]]}}',
+            "cannot parse JSON: Exceeds the limit",
+            id="5000-digit-entry",
+        ),
+        _malformed(
+            f'{{"dim_a": {_DIGITS}, "dim_b": 1, "entries": [[[1, 0]]]}}',
+            "cannot parse JSON: Exceeds the limit",
+            id="5000-digit-dim_a",
+        ),
     ],
 )
-def test_loads_state_rejects_malformed_documents(text):
-    with pytest.raises(StateFileError):
+def test_loads_state_rejects_malformed_documents(text, message):
+    with pytest.raises(StateFileError) as err:
         loads_state(text)
+    assert str(err.value).startswith(message)
 
 
 def test_loads_state_rejects_invalid_state_with_report():
