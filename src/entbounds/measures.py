@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
 
 import numpy as np
 
@@ -293,7 +292,6 @@ def _columns(m):
 
 SCORE_BLOCK = 256
 DESCENT_LIMIT = 5000
-DESCENT_MEMORY = 8
 AGREEING_DESCENTS = 2
 
 
@@ -310,72 +308,48 @@ def _tangent(z, t):
     return z - 0.5 * (z @ t.conj().T + t @ z.conj().T) @ t
 
 
-def _inverse_hessian_times(gv, pairs, sy, yy):
-    """H g for the L-BFGS inverse Hessian H of the stored pairs.
+def _inverse_hessian_update(h, s, y):
+    """The BFGS inverse Hessian after the step s and gradient change y.
 
-    gv is g as a real vector; pairs has shape (m, 2, n), the real vectors
-    s_i and y_i, oldest first; sy[i, j] = <s_i, y_j> (read for i <= j)
-    and yy[i, j] = <y_i, y_j>.  This is the two-loop recursion written on
-    inner products: with R the upper triangle of S^T Y, D its diagonal
-    and gamma = <s, y>/<y, y> of the newest pair,
-        a = R^-1 S^T g,   c = R^-T (D a - gamma (Y^T g - Y^T Y a)),
-        H g = gamma (g - Y a) + S c
-    (Byrd, Nocedal & Schnabel, Math. Program. 63, 129 (1994)).  So the
-    vectors enter through two matrix-vector products, and the triangular
-    solves run on at most DESCENT_MEMORY Python floats.
+    With rho = 1/<s, y> > 0, H+ = (1 - rho s y^T) H (1 - rho y s^T) + rho s s^T
+    (Nocedal & Wright, Numerical Optimization, eq. 6.17), written as the
+    rank-2 update H - (u s^T + s u^T), u = rho H y - (rho + rho^2 <y, H y>) s / 2,
+    one matmul of n x 2 by 2 x n.  h is None before the first pair, and H
+    starts from <s, y>/<y, y> times the identity (eq. 6.20).
     """
-    m = len(pairs)
-    stacked = pairs.reshape(2 * m, -1)
-    p = (stacked @ gv).tolist()
-    sg, yg = p[0::2], p[1::2]
-    rows, cols, yy = sy.tolist(), sy.T.tolist(), yy.tolist()
-    gamma = rows[-1][-1] / yy[-1][-1]
-    a = [0.0] * m
-    for i in reversed(range(m)):
-        a[i] = (sg[i] - sum(map(mul, rows[i][i + 1 :], a[i + 1 :]))) / rows[i][i]
-    c = []
-    for i in range(m):
-        rhs = rows[i][i] * a[i] - gamma * (yg[i] - sum(map(mul, yy[i], a)))
-        c.append((rhs - sum(map(mul, cols[i], c))) / rows[i][i])
-    coef = np.array([c, a]).T * [1.0, -gamma]
-    return gamma * gv + coef.ravel() @ stacked
+    sy = s @ y
+    if h is None:
+        h = np.eye(s.size) * (sy / (y @ y))
+    hy = h @ y
+    rho = 1.0 / sy
+    u = rho * hy - 0.5 * (rho + rho * rho * (y @ hy)) * s
+    x = np.stack([u, s])
+    return h - x.T @ x[::-1]
 
 
 def _descend(a, t, dim_a, dim_b):
-    """Riemannian L-BFGS for f(A T) over co-isometries T (T T^dag = 1).
+    """Riemannian BFGS for f(A T) over co-isometries T (T T^dag = 1).
 
-    The direction is -H g, H the inverse Hessian built from the last
-    DESCENT_MEMORY steps s and gradient changes y (Huang, Gallivan &
-    Absil, SIAM J. Optim. 25, 1660 (2015)); each pair is projected onto
-    the tangent space where it is stored and is not transported later,
-    and a pair without positive curvature <s, y> is dropped.  A polar
-    (SVD) retraction and Armijo backtracking to the minimum of the
-    quadratic through f, its slope and the rejected value follow.  The
-    first trial step is 1 along -H g, and twice the last accepted step
-    along -g, the direction before a pair is stored.  When no step along
-    -H g lowers f, the search retries along -g; it stops when that fails
-    too, or after DESCENT_LIMIT iterations.  Every point is evaluated
-    once by _evaluate, and an accepted one takes its gradient from that
-    evaluation.  Returns f and T, with f = _evaluate(A, T)[0].
+    The direction is -H g, H one dense inverse Hessian on the 2 r k real
+    coordinates of T (Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660
+    (2015)), updated by each step s and gradient change y of positive
+    curvature <s, y>; both are projected onto the tangent space at the new
+    point, and H is not transported.  A polar (SVD) retraction and
+    Armijo backtracking to the minimum of the quadratic through f, its
+    slope and the rejected value follow.  The first trial step is 1 along
+    -H g, and twice the last accepted step along -g, the direction before
+    the first update.  The descent stops at its first line search that
+    does not lower f, or after DESCENT_LIMIT iterations.  Every point is
+    evaluated once by _evaluate, and an accepted one takes its gradient
+    from that evaluation.  Returns f and T, with f = _evaluate(A, T)[0].
     """
     f, gradient = _evaluate(a, t, dim_a, dim_b)
     g = _tangent(gradient(), t)
-    pairs = np.empty((DESCENT_MEMORY, 2, 2 * t.size))
-    sy = np.zeros((DESCENT_MEMORY, DESCENT_MEMORY))
-    yy = np.zeros((DESCENT_MEMORY, DESCENT_MEMORY))
-    stored = 0
+    h = None
     step = 1.0
-    steepest = False
     for _ in range(DESCENT_LIMIT):
         gv = g.view(float).ravel()
-        d, trial = -gv, step
-        if stored and not steepest:
-            kept = slice(stored)
-            hg = _inverse_hessian_times(gv, pairs[kept], sy[kept, kept], yy[kept, kept])
-            if gv @ hg > 0.0:
-                d, trial = -hg, 1.0
-            else:
-                steepest = True
+        d, trial = (-gv, step) if h is None else (-(h @ gv), 1.0)
         slope = 2.0 * (gv @ d)
         d = d.view(complex).reshape(t.shape)
         while True:
@@ -387,23 +361,12 @@ def _descend(a, t, dim_a, dim_b):
             vertex = -slope * trial * trial / (2.0 * (f_new - f - slope * trial))
             trial = min(max(vertex, 0.1 * trial), 0.5 * trial)
         if not f_new < f:
-            if steepest or not stored:
-                break
-            steepest = True
-            continue
-        steepest = False
+            break
         g_new = _tangent(gradient(), t_new)
         s = _tangent(trial * d, t_new).view(float).ravel()
         y = (g_new - _tangent(g, t_new)).view(float).ravel()
         if s @ y > 0.0:
-            if stored == DESCENT_MEMORY:
-                pairs[:-1], sy[:-1, :-1], yy[:-1, :-1] = pairs[1:], sy[1:, 1:], yy[1:, 1:]
-                stored -= 1
-            pairs[stored] = s, y
-            w = pairs[: stored + 1].reshape(-1, s.size) @ y
-            sy[: stored + 1, stored] = w[0::2]
-            yy[: stored + 1, stored] = yy[stored, : stored + 1] = w[1::2]
-            stored += 1
+            h = _inverse_hessian_update(h, s, y)
         t, f, g = t_new, f_new, g_new
         step = 2.0 * trial
     return f, t
@@ -468,15 +431,15 @@ def eof_upper_general(
     columns are scored, in vectorized blocks drawn only while descents
     still need records.  Every restart that improves on all previous base
     scores (a record) is compressed to rank + 2 columns and refined by
-    Riemannian L-BFGS, record by record.  Refinement stops at
-    the first descent that ends below 1e-9, or after AGREEING_DESCENTS
-    descents in a row that each end within 1e-12 of the best earlier
-    descent; a descent that fails the decomposition check breaks the row.
-    The value is the least of the refined records' base scores and their
-    descents.  The rule reads the descents alone, and a larger budget only
-    appends records, so the result is monotonically non-increasing in
-    budget.  It is always a valid upper bound because every candidate is
-    an explicit decomposition of rho.
+    Riemannian BFGS with a dense inverse Hessian, record by record.
+    Refinement stops at the first descent that ends below 1e-9, or after
+    AGREEING_DESCENTS descents in a row that each end within 1e-12 of the
+    best earlier descent; a descent that fails the decomposition check
+    breaks the row.  The value is the least of the refined records' base
+    scores and their descents.  The rule reads the descents alone, and a
+    larger budget only appends records, so the result is monotonically
+    non-increasing in budget.  It is always a valid upper bound because
+    every candidate is an explicit decomposition of rho.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")

@@ -133,7 +133,8 @@ def catalytic_rate(delta: float, ec_sigma: float, ed_rho_p: float) -> CatalyticR
     Choosing p so that the sigma content pays for itself gives
     p = (delta/ec) / (1 + delta/ec) and a net factor 1 + delta * k
     with k = 1/ec - 1/ed, an improvement whenever sigma is cheaper to
-    create than the mixture is to distill.
+    create than the mixture is to distill.  Inputs whose p, k or factor
+    overflow a float raise ValueError.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -145,6 +146,10 @@ def catalytic_rate(delta: float, ec_sigma: float, ed_rho_p: float) -> CatalyticR
     p = ratio / (1.0 + ratio)
     k = 1.0 / ec_sigma - 1.0 / ed_rho_p
     factor = 1.0 + delta * k
+    if not np.all(np.isfinite([p, k, factor])):
+        raise ValueError(
+            f"catalytic rate overflows: p={p!r}, k={k!r}, factor={factor!r} are not all finite"
+        )
     return CatalyticRate(
         delta=delta, ec_sigma=ec_sigma, ed_rho_p=ed_rho_p, p=p, k=k, factor=factor
     )

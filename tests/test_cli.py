@@ -636,6 +636,8 @@ def test_non_finite_state_entries_exit_2(tmp_path, capsys, pair):
         ["concentration", "--lambdas", "0.5,inf", "--n-list", "2"],
         ["catalytic", "--delta", "nan", "--ec-sigma", "0.5", "--ed-rho-p", "0.8"],
         ["catalytic", "--delta", "0.1", "--ec-sigma", "inf", "--ed-rho-p", "0.8"],
+        # finite arguments whose rate overflows
+        ["catalytic", "--delta", "1e308", "--ec-sigma", "1e-308", "--ed-rho-p", "1"],
         ["tail-scan", "--p", "nan", "--n-list", "4"],
         ["eta-scan", "--eps-stop", "inf"],
         ["mixing-verify", "x.json", "y.json", "--p", "0.3", "--n", "2", "--tolerance", "nan"],

@@ -380,13 +380,18 @@ def _search_and_descents(monkeypatch, rho, budget, seed):
     "rho, budget, seed, ran, records, scatter",
     [
         (isotropic_2x3(0.8), 400, 7, 3, 5, 0.0),
-        # concurrence 1.6e-4: the first two descents agree, the third ends
-        # 2.3e-12 above the best of them and resets the count.  The first
-        # input of a scan over seeds 3000-3199, each at weights 1e-4 to
-        # 3.9e-3 below its separability border, at budget 400, whose first
-        # two descents agree and whose third misses by more than 1.2e-12
+        # just past the PPT border: descents that spread by a few 1e-12
+        # here would never agree, and all six records would be refined
+        (isotropic_2x3(0.26), 400, 7, 3, 6, 0.0),
+        # concurrence 2.5e-4: the first two descents agree, the third ends
+        # 1.4e-11 above the best of them and resets the count.  The first
+        # hit of a scan over seeds 3000-3199, each at weights 1e-4 to
+        # 3.9e-3 below its separability border in steps of 1e-4, at budget
+        # 400: the first input whose first two descents agree, whose third
+        # misses by more than 1.2e-12, and whose search stops before its
+        # last record
         (
-            mix(random_low_rank_state(2, 2, 2, seed=3105), maximally_mixed(2, 2), 0.3263),
+            mix(random_low_rank_state(2, 2, 2, seed=3111), maximally_mixed(2, 2), 0.1298),
             400,
             0,
             5,
@@ -394,7 +399,7 @@ def _search_and_descents(monkeypatch, rho, budget, seed):
             1e-12,
         ),
     ],
-    ids=["isotropic_2x3", "scattered_2x2"],
+    ids=["isotropic_2x3", "isotropic_2x3_past_ppt_border", "scattered_2x2"],
 )
 def test_eof_search_stops_after_agreeing_descents(
     monkeypatch, rho, budget, seed, ran, records, scatter
@@ -517,24 +522,21 @@ def test_descent_gradient_and_value(dim_a, dim_b):
     assert np.allclose(end @ end.conj().T, np.eye(side), atol=1e-12)
 
 
-@pytest.mark.parametrize("m", [1, 3, 8])
-def test_inverse_hessian_matches_the_two_loop_recursion(m):
-    # the L-BFGS product written on inner products, against the two loops
-    # on the vectors themselves
-    rng = np.random.default_rng(m)
-    n = 24
-    s = rng.standard_normal((m, n))
-    y = s * (1.0 + rng.random(n)) + 0.1 * rng.standard_normal((m, n))
-    g = rng.standard_normal(n)
-    q, alphas = g.copy(), []
-    for s_i, y_i in zip(s[::-1], y[::-1]):
-        alphas.append(s_i @ q / (s_i @ y_i))
-        q -= alphas[-1] * y_i
-    r = (s[-1] @ y[-1]) / (y[-1] @ y[-1]) * q
-    for s_i, y_i, alpha in zip(s, y, alphas[::-1]):
-        r += (alpha - y_i @ r / (s_i @ y_i)) * s_i
-    got = measures._inverse_hessian_times(g, np.stack([s, y], axis=1), s @ y.T, y @ y.T)
-    assert np.linalg.norm(got - r) <= 1e-12 * np.linalg.norm(r)
+@pytest.mark.parametrize("n", [4, 24])
+def test_inverse_hessian_update_keeps_the_secant_equation(n):
+    # three successive pairs of positive curvature, the first from h = None:
+    # each update maps y to s and stays symmetric, to rounding, and
+    # positive definite
+    rng = np.random.default_rng(n)
+    h = None
+    for _ in range(3):
+        s = rng.standard_normal(n)
+        y = s * (1.0 + rng.random(n)) + 0.1 * rng.standard_normal(n)
+        assert s @ y > 0.0
+        h = measures._inverse_hessian_update(h, s, y)
+        assert np.linalg.norm(h @ y - s) <= 1e-12 * np.linalg.norm(s)
+        assert np.max(np.abs(h - h.T)) <= 1e-14 * np.max(np.abs(h))
+        np.linalg.cholesky(h)
 
 
 def test_qubit_closed_form_keeps_small_schmidt_values():

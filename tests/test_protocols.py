@@ -196,6 +196,13 @@ def test_catalytic_identity(delta, ec, ed):
     assert 0.0 < record.p < 1.0
 
 
+@pytest.mark.parametrize("args", [(1.0, 1e-320, 1.0), (1e308, 1e-308, 1.0)])
+def test_catalytic_rate_refuses_overflow(args):
+    # p came out as inf/inf = nan and the factor as inf
+    with pytest.raises(ValueError, match="overflows"):
+        catalytic_rate(*args)
+
+
 def test_catalytic_rate_rejects_nonpositive():
     for args in ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -2.0)):
         with pytest.raises(ValueError):
