@@ -379,23 +379,12 @@ def _coisometry_stream(rng, count, k, r):
     return haar_qr(g[..., 0] + 1j * g[..., 1]).conj().transpose(0, 2, 1)
 
 
-def _compress_start(w, kp):
-    """Restrict a co-isometry to its kp heaviest columns and repair it.
-
-    The kp = rank + 2 heaviest columns of a Haar co-isometry are full
-    rank almost surely, so the Gram matrix of the kept columns is
-    invertible.
-    """
-    norms = np.sum(np.abs(w) ** 2, axis=0)
-    keep = np.sort(np.argsort(norms)[::-1][:kp])
-    s = w[:, keep]
-    eigs, vecs = np.linalg.eigh(s @ s.conj().T)
-    return (vecs * (1.0 / np.sqrt(eigs))) @ vecs.conj().T @ s
-
-
 def _records(a, k, dim_a, dim_b, budget, seed):
-    """Yield (score, co-isometry) for each seeded restart whose base score
+    """Yield (score, co-isometry) for each seeded restart whose score
     improves on all earlier ones by more than 1e-12, in draw order.
+
+    Each restart is a random r x k co-isometry T, r the rank of A, and its
+    score is f(A T), the value of the point a descent from it starts at.
 
     Restarts are scored in blocks of 1, 2, 4, ... restarts, capped at
     SCORE_BLOCK, and a block only when the caller asks for a record past
@@ -411,8 +400,7 @@ def _records(a, k, dim_a, dim_b, budget, seed):
         m = min(size, budget - done)
         done, size = done + m, min(2 * size, SCORE_BLOCK)
         ws = _coisometry_stream(rng, m, k, rank)
-        b = np.einsum("dr,mrk->mdk", a, ws)
-        cols = b.transpose(0, 2, 1).reshape(m, k, dim_a, dim_b)
+        cols = (a @ ws).transpose(0, 2, 1).reshape(m, k, dim_a, dim_b)
         scores = np.sum(_columns(cols)[0], axis=-1)
         for score, w in zip(scores, ws):
             if score < lowest - 1e-12:
@@ -427,16 +415,16 @@ def eof_upper_general(
 ) -> MeasureValue:
     """Upper bound on the entanglement of formation by decomposition search.
 
-    At most budget seeded random-restart co-isometries with side^2
+    At most budget seeded random-restart co-isometries with rank + 2
     columns are scored, in vectorized blocks drawn only while descents
-    still need records.  Every restart that improves on all previous base
-    scores (a record) is compressed to rank + 2 columns and refined by
-    Riemannian BFGS with a dense inverse Hessian, record by record.
+    still need records.  Every restart that improves on all previous
+    scores (a record) is refined from there by Riemannian BFGS with a
+    dense inverse Hessian, record by record.
     Refinement stops at the first descent that ends below 1e-9, or after
     AGREEING_DESCENTS descents in a row that each end within 1e-12 of the
     best earlier descent; a descent that fails the decomposition check
-    breaks the row.  The value is the least of the refined records' base
-    scores and their descents.  The rule reads the descents alone, and a
+    breaks the row.  The value is the least of the refined records' scores
+    and their descents.  The rule reads the descents alone, and a
     larger budget only appends records, so the result is monotonically
     non-increasing in budget.  It is always a valid upper bound because
     every candidate is an explicit decomposition of rho.
@@ -444,7 +432,6 @@ def eof_upper_general(
     if budget < 1:
         raise ValueError("budget must be a positive integer")
     dim_a, dim_b = rho.dim_a, rho.dim_b
-    k = rho.side * rho.side
     eigs, vecs = np.linalg.eigh((rho.entries + rho.entries.conj().T) / 2.0)
     keep = eigs > 1e-12
     lam = eigs[keep]
@@ -454,13 +441,13 @@ def eof_upper_general(
     if rank == 1:
         value = max(float(_columns(a.T.reshape(1, dim_a, dim_b))[0][0]), 0.0)
         return MeasureValue(value, KIND_UPPER, "eof_upper_general")
-    kp = min(k, rank + 2)
+    kp = rank + 2
     best_val = np.inf
     best_descent = np.inf
     agreeing = 0
-    for score, w in _records(a, k, dim_a, dim_b, budget, seed):
+    for score, w in _records(a, kp, dim_a, dim_b, budget, seed):
         best_val = min(best_val, score)
-        value, t = _descend(a, _compress_start(w, kp), dim_a, dim_b)
+        value, t = _descend(a, w, dim_a, dim_b)
         if not _decomposition_ok(a @ t, rho.entries):
             agreeing = 0
             continue

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,27 +381,12 @@ def _search_and_descents(monkeypatch, rho, budget, seed):
 @pytest.mark.parametrize(
     "rho, budget, seed, ran, records, scatter",
     [
-        (isotropic_2x3(0.8), 400, 7, 3, 5, 0.0),
+        (isotropic_2x3(0.8), 400, 0, 3, 10, 0.0),
         # just past the PPT border: descents that spread by a few 1e-12
-        # here would never agree, and all six records would be refined
-        (isotropic_2x3(0.26), 400, 7, 3, 6, 0.0),
-        # concurrence 2.5e-4: the first two descents agree, the third ends
-        # 1.4e-11 above the best of them and resets the count.  The first
-        # hit of a scan over seeds 3000-3199, each at weights 1e-4 to
-        # 3.9e-3 below its separability border in steps of 1e-4, at budget
-        # 400: the first input whose first two descents agree, whose third
-        # misses by more than 1.2e-12, and whose search stops before its
-        # last record
-        (
-            mix(random_low_rank_state(2, 2, 2, seed=3111), maximally_mixed(2, 2), 0.1298),
-            400,
-            0,
-            5,
-            7,
-            1e-12,
-        ),
+        # here would never agree, and all four records would be refined
+        (isotropic_2x3(0.26), 400, 7, 3, 4, 0.0),
     ],
-    ids=["isotropic_2x3", "isotropic_2x3_past_ppt_border", "scattered_2x2"],
+    ids=["isotropic_2x3", "isotropic_2x3_past_ppt_border"],
 )
 def test_eof_search_stops_after_agreeing_descents(
     monkeypatch, rho, budget, seed, ran, records, scatter
@@ -418,14 +405,14 @@ def test_eof_search_descents_converge_just_past_the_ppt_border(monkeypatch):
     # conjugate gradient stopped at DESCENT_LIMIT 2.9e-7 to 4.0e-7 above it
     monkeypatch.setattr(measures, "AGREEING_DESCENTS", 1000)
     _, ends = _search_and_descents(monkeypatch, isotropic_2x3(0.26), 20, 1)
-    assert len(ends) == 4
+    assert len(ends) == 7
     assert max(ends) - min(ends) <= 1e-10
 
 
 def test_eof_search_failed_check_resets_the_agreeing_count(monkeypatch):
     # descents 2, 4 and 5 agree with the best, but descent 3 fails the
-    # decomposition check and resets the count: the search stops only
-    # after descent 5, its last record
+    # decomposition check and resets the count: the search stops after
+    # descent 5, where it stops after descent 3 when every check passes
     ok = measures._decomposition_ok
     checks = []
 
@@ -434,8 +421,86 @@ def test_eof_search_failed_check_resets_the_agreeing_count(monkeypatch):
         return len(checks) != 3 and ok(b, rho_entries)
 
     monkeypatch.setattr(measures, "_decomposition_ok", failing_third)
-    _, ends = _search_and_descents(monkeypatch, isotropic_2x3(0.8), 400, 7)
+    _, ends = _search_and_descents(monkeypatch, isotropic_2x3(0.8), 400, 0)
     assert len(ends) == 5
+
+
+@pytest.mark.parametrize(
+    "ends, failing, ran, value",
+    [
+        # two descents in a row within 1e-12 of the best earlier one
+        ([0.5, 0.5, 0.5], (), 3, 0.5),
+        # a miss by 1e-11 resets the count
+        ([0.5, 0.5, 0.5 + 1e-11, 0.5, 0.5], (), 5, 0.5),
+        # a descent below 1e-9 ends the search at once
+        ([0.5, 5e-10], (), 2, 5e-10),
+        # a descent that fails the decomposition check resets the count,
+        # and its value is not taken
+        ([0.5, 0.5, 0.25, 0.5, 0.5], (2,), 5, 0.5),
+    ],
+    ids=["agree", "miss", "below_1e-9", "failed_check"],
+)
+def test_eof_search_stop_rule_on_scripted_descents(monkeypatch, ends, failing, ran, value):
+    # descent i ends at ends[i], at its start T, or at 2 T, which is not a
+    # decomposition of rho, for i in failing.  The input has ten records,
+    # all scored above 0.79, so the rule, not the records, ends the search
+    calls = []
+
+    def scripted(a, t, dim_a, dim_b):
+        i = len(calls)
+        calls.append(t)
+        return ends[i], 2.0 * t if i in failing else t
+
+    monkeypatch.setattr(measures, "_descend", scripted)
+    assert eof_upper_general(isotropic_2x3(0.8), budget=400, seed=0).value == value
+    assert len(calls) == ran
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (3, 3)])
+def test_eof_search_descends_from_each_record_as_scored(monkeypatch, dim_a, dim_b):
+    # every record refined by a descent that stays at its start; each record
+    # reaches the descent unchanged, and its score is the value there
+    records, starts = [], []
+    records_of = measures._records
+
+    def recording_records(*args):
+        for score, w in records_of(*args):
+            records.append((score, w))
+            yield score, w
+
+    def staying(a, t, dim_a, dim_b):
+        starts.append((a, t))
+        return 1.0, t
+
+    monkeypatch.setattr(measures, "AGREEING_DESCENTS", 1000)
+    monkeypatch.setattr(measures, "_records", recording_records)
+    monkeypatch.setattr(measures, "_descend", staying)
+    eof_upper_general(random_density_matrix(dim_a, dim_b, seed=4), budget=200, seed=0)
+    assert len(starts) == len(records) >= 3
+    for (score, w), (a, t) in zip(records, starts):
+        rank = a.shape[1]
+        assert t is w
+        assert w.shape == (rank, rank + 2)
+        assert np.allclose(w @ w.conj().T, np.eye(rank), rtol=0.0, atol=1e-12)
+        assert _evaluate(a, w, dim_a, dim_b)[0] == pytest.approx(score, rel=1e-12, abs=0.0)
+
+
+def test_eof_search_scoring_memory_is_bounded_by_rank(monkeypatch):
+    # every record refined by a descent that stays at its start, so all 511
+    # restarts are scored, in the blocks 1, 2, ..., 256.  Scored on
+    # side^2 = 1296 columns instead of rank + 2 = 38, they peaked at 962 MiB
+    monkeypatch.setattr(measures, "AGREEING_DESCENTS", 1000)
+    monkeypatch.setattr(measures, "_descend", lambda a, t, dim_a, dim_b: (0.5, t))
+    sizes = _count_blocks(monkeypatch)
+    rho = random_density_matrix(6, 6, seed=0)
+    tracemalloc.start()
+    try:
+        eof_upper_general(rho, budget=511, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == 511
+    assert peak < 64 * 2**20
 
 
 def _near_border_2x2() -> DensityMatrix:
