@@ -42,6 +42,7 @@ STATES = {
     ),
     "ginibre.json": lambda: random_density_matrix(2, 2, seed=5),
     "iso23.json": lambda: isotropic_2x3(0.6),
+    "ginibre23.json": lambda: random_density_matrix(2, 3, seed=5),
 }
 
 CLOSED_FORMS = (
@@ -93,6 +94,12 @@ CASES = {
     "mixing_verify_full": (
         ["mixing-verify", "werner09.json", "ginibre.json", "--p", "0.3", "--n", "4",
          "--half-width", "4"],
+        (),
+    ),
+    # d = 6: 2x3 copies pair into 36-dimensional sectors
+    "mixing_verify_2x3": (
+        ["mixing-verify", "iso23.json", "ginibre23.json", "--p", "0.3", "--n", "4",
+         "--half-width", "1"],
         (),
     ),
     "catalytic": (
