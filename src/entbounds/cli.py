@@ -260,6 +260,8 @@ def cmd_eta_scan(args) -> int:
     grid = np.logspace(
         np.log10(args.eps_start), np.log10(args.eps_stop), args.eps_points
     )
+    if np.any(grid[1:] == grid[:-1]):
+        raise ValueError("the epsilon grid repeats a point: widen it or take fewer --eps-points")
     xi = (
         maximally_mixed(2, 2)
         if args.xi_file is None

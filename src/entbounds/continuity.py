@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import BallNotCertifiedError, EntboundsError, StateValidityError
 from .linalg import CERTIFICATION_TOL, DensityMatrix, mix, trace_distance
 from .measures import MeasureValue, ec_upper, ed_lower, is_ppt, log_negativity
-from .sampling import ensure_rng, random_density_matrix
+from .sampling import random_density_matrix
 
 MAX_DIRECTION_RETRIES = 200
 
@@ -92,7 +94,7 @@ def sample_ball(spec: BallSpec) -> list[DensityMatrix]:
     epsilon, so shrinking the radius under a fixed seed rescales the
     same sample set along the same rays.
     """
-    rng = ensure_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     center = spec.center
     n_surface = surface_count(spec.sample_count)
     samples: list[DensityMatrix] = []

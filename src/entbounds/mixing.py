@@ -219,23 +219,26 @@ def _mixture_in_copy_order(spec: MixtureSpec, cap: int) -> np.ndarray:
     return acc
 
 
-def _swap_sectors(dims: tuple[int, int], n: int) -> tuple[np.ndarray, ...]:
+def _swap_sectors(dims: tuple[int, int], n: int) -> tuple:
     """Q, the orthogonal basis change that splits each swapped pair of copies.
 
     Copies 2k and 2k+1 (k < n // 2) span C^d x C^d, d = d_A d_B, which
     splits into the d(d+1)/2 symmetric vectors |ii> and
     (|ij> + |ji>)/sqrt 2 and the d(d-1)/2 antisymmetric ones
     (|ij> - |ji>)/sqrt 2, for i < j; an unpaired last copy keeps its
-    basis.  A sector picks the symmetric or the antisymmetric part of
-    every pair, and the rows of Q run sector by sector.  Row r of Q is
-    sum_t coef[t, r] e_{src[t, r]} over 2^(n // 2) terms, src in copy
-    order, |a1 b1 a2 b2 ...>.  Returns the sector sizes, src, coef.
+    basis.  Q, in CSR, is the Kronecker product of these one-pair changes
+    and an identity for the unpaired copy: its columns are in copy
+    order, |a1 b1 a2 b2 ...>, and its rows run sector by sector, where a
+    sector picks the symmetric or the antisymmetric part of every pair.
+    A row's terms run by increasing column.  Returns the sector sizes, Q.
     """
+    from scipy import sparse  # where it is needed, as in _binom_logpmf
+
     d = dims[0] * dims[1]
     i, j = np.triu_indices(d)
     ia, ja = np.triu_indices(d, 1)
     h = math.sqrt(0.5)
-    # rows of one pair: symmetric, then antisymmetric; |ii> has one term
+    # rows of one pair: symmetric, then antisymmetric
     pair_src = np.array([np.r_[i * d + j, ia * d + ja], np.r_[j * d + i, ja * d + ia]])
     pair_coef = np.array(
         [
@@ -243,24 +246,23 @@ def _swap_sectors(dims: tuple[int, int], n: int) -> tuple[np.ndarray, ...]:
             np.r_[np.where(i == j, 0.0, h), np.full(ia.size, -h)],
         ]
     )
+    # the second term of |ii>, of coefficient 0, is summed into its first
+    rows = np.tile(np.arange(d * d), 2)
+    pair = sparse.csr_array((pair_coef.ravel(), (rows, pair_src.ravel())), shape=(d * d,) * 2)
     pair_half = (np.arange(d * d) >= i.size).astype(int)
-    src, coef, sector = np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)), np.zeros(1, dtype=int)
+    q, sector = sparse.eye_array(1, format="csr"), np.zeros(1, dtype=int)
     for _ in range(n // 2):
-        terms = 2 * src.shape[0]
-        src = (src[:, None, :, None] * d * d + pair_src[None, :, None, :]).reshape(terms, -1)
-        coef = (coef[:, None, :, None] * pair_coef[None, :, None, :]).reshape(terms, -1)
+        q = sparse.kron(q, pair, format="csr")
         sector = (2 * sector[:, None] + pair_half).ravel()
     if n % 2:
-        src = (src[:, :, None] * d + np.arange(d)).reshape(src.shape[0], -1)
-        coef, sector = np.repeat(coef, d, axis=1), np.repeat(sector, d)
-    order = np.argsort(sector, kind="stable")
-    return np.bincount(sector), src[:, order], coef[:, order]
+        q, sector = sparse.kron(q, sparse.eye_array(d), format="csr"), np.repeat(sector, d)
+    return np.bincount(sector), q[np.argsort(sector, kind="stable")]
 
 
 def _swap_sector_distance(diff: np.ndarray, dims: tuple[int, int], n: int) -> float:
     """Upper bound on tr|diff| / 2 from the blocks of B = Q diff Q^T.
 
-    diff is in copy order, the order of Q's src.
+    diff is in copy order, the order of Q's columns.
 
     A diff that commutes with the disjoint copy swaps is block-diagonal
     in the sectors of _swap_sectors.  Pinching alone could only lower
@@ -269,22 +271,21 @@ def _swap_sector_distance(diff: np.ndarray, dims: tuple[int, int], n: int) -> fl
     T = (sum of block trace norms + sqrt(N) ||off||_F) / 2 is never below
     tr|diff| / 2, and for a copy-symmetric diff the off part is rounding.
 
-    Q is applied by index gathers into one band of a sector's rows of B,
-    filled SLAB_ROWS rows at a time: row r of the band needs only rows
-    src[:, r] of diff, so each entry sums the same terms in the same
-    order as a whole-band gather would.  The band, sector size x side,
-    is the largest array beside diff.
+    Q is applied by two sparse products into one band of a sector's rows
+    of B, filled SLAB_ROWS rows at a time: those rows of Q times diff,
+    then that slab times Q^T.  Each entry sums its terms in the order Q's
+    row stores them, as the whole band's products would.  The band,
+    sector size x side, is the largest array beside diff.
     """
-    sizes, src, coef = _swap_sectors(dims, n)
+    sizes, q = _swap_sectors(dims, n)
     norms, off = 0.0, 0.0
     start = 0
     for size in sizes:
         rows = slice(start, start + size)
         band = np.empty((size, diff.shape[1]), dtype=complex)
         for i in range(0, size, SLAB_ROWS):
-            part = slice(start + i, start + min(i + SLAB_ROWS, size))
-            slab = sum(c[part, None] * diff[s[part]] for s, c in zip(src, coef))
-            band[i : i + SLAB_ROWS] = sum(slab[:, s] * c for s, c in zip(src, coef))
+            slab = q[start + i : start + min(i + SLAB_ROWS, size)] @ diff
+            band[i : i + SLAB_ROWS] = (q @ slab.T).T
         norms += trace_norm(band[:, rows])
         band[:, rows] = 0.0
         off += float(np.vdot(band, band).real)
@@ -312,12 +313,9 @@ def verify_mixing_bound(
     """
     diff = _mixture_in_copy_order(spec, cap)
     mixed = mix(spec.rho, spec.sigma, spec.p).entries
-    # the power of all but the last copy is 1/(d_A d_B)^2 of the side^2
-    slabs = (
-        _kron_row_slabs(reduce(np.kron, [mixed] * (spec.n - 1)), mixed)
-        if spec.n > 1
-        else [(slice(None), mixed)]
-    )
+    # the power of all but the last copy is 1/(d_A d_B)^2 of the side^2; only
+    # the generator holds it, so it is freed once the slabs are spent
+    slabs = _kron_row_slabs(reduce(np.kron, [mixed] * (spec.n - 1), np.ones((1, 1))), mixed)
     for rows, slab in slabs:
         np.subtract(slab, diff[rows], out=diff[rows])
     t = min(_swap_sector_distance(diff, (spec.rho.dim_a, spec.rho.dim_b), spec.n), 1.0)

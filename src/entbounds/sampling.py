@@ -7,13 +7,6 @@ import numpy as np
 from .linalg import DensityMatrix
 
 
-def ensure_rng(seed) -> np.random.Generator:
-    """Accept a Generator, a seed, or None and return a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
@@ -21,7 +14,7 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 def random_density_matrix(dim_a: int, dim_b: int, seed=None) -> DensityMatrix:
     """Ginibre-induced random state: G G^dag normalized to unit trace."""
     side = dim_a * dim_b
-    g = _ginibre(side, side, ensure_rng(seed))
+    g = _ginibre(side, side, np.random.default_rng(seed))
     m = g @ g.conj().T
     return DensityMatrix(dim_a, dim_b, m / m.trace())
 

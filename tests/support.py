@@ -29,7 +29,7 @@ from entbounds.linalg import (
 from entbounds.measures import KIND_LOWER, MeasureValue, ec_upper, ed_lower
 from entbounds.mixing import MixtureSpec, _mixture_in_copy_order, _tail_mass
 from entbounds.protocols import LOG2, _check_distribution
-from entbounds.sampling import _ginibre, ensure_rng, haar_qr
+from entbounds.sampling import _ginibre, haar_qr
 
 
 def embedded_invocation(report: str) -> str:
@@ -46,7 +46,7 @@ def random_isometry(rows: int, cols: int, seed=None) -> np.ndarray:
     """rows x cols matrix V with V^dag V = identity (requires rows >= cols)."""
     if rows < cols:
         raise ValueError("isometry needs rows >= cols")
-    return haar_qr(_ginibre(rows, cols, ensure_rng(seed)))
+    return haar_qr(_ginibre(rows, cols, np.random.default_rng(seed)))
 
 
 def random_unitary(dim: int, seed=None) -> np.ndarray:
@@ -56,7 +56,7 @@ def random_unitary(dim: int, seed=None) -> np.ndarray:
 
 def random_pure_amplitudes(dim_a: int, dim_b: int, seed=None) -> np.ndarray:
     """Unit vector on C^dim_a x C^dim_b from one Ginibre column."""
-    v = _ginibre(dim_a * dim_b, 1, ensure_rng(seed)).reshape(-1)
+    v = _ginibre(dim_a * dim_b, 1, np.random.default_rng(seed)).reshape(-1)
     return v / np.linalg.norm(v)
 
 
@@ -68,7 +68,7 @@ def product_amplitudes(vec_a, vec_b) -> np.ndarray:
 
 
 def random_product_amplitudes(dim_a: int, dim_b: int, seed=None) -> np.ndarray:
-    rng = ensure_rng(seed)
+    rng = np.random.default_rng(seed)
     a = _ginibre(dim_a, 1, rng).reshape(-1)
     b = _ginibre(dim_b, 1, rng).reshape(-1)
     return product_amplitudes(a, b)
@@ -77,7 +77,7 @@ def random_product_amplitudes(dim_a: int, dim_b: int, seed=None) -> np.ndarray:
 def random_low_rank_state(dim_a: int, dim_b: int, rank: int, seed=None) -> DensityMatrix:
     """G G^dag over its trace for a side x rank Ginibre G: the draw of
     random_density_matrix, with rank columns in place of side."""
-    g = _ginibre(dim_a * dim_b, rank, ensure_rng(seed))
+    g = _ginibre(dim_a * dim_b, rank, np.random.default_rng(seed))
     m = g @ g.conj().T
     return DensityMatrix(dim_a, dim_b, m / m.trace())
 
@@ -106,7 +106,7 @@ def random_separable_state(
     dim_a: int, dim_b: int, seed=None, terms: int | None = None
 ) -> DensityMatrix:
     """Convex mixture of random product projectors (separable by construction)."""
-    rng = ensure_rng(seed)
+    rng = np.random.default_rng(seed)
     if terms is None:
         terms = 2 * dim_a * dim_b
     weights = rng.dirichlet(np.ones(terms))
@@ -232,7 +232,7 @@ def random_kraus_set(dim: int, count: int, seed=None) -> list[np.ndarray]:
 
 def random_local_unitary_conjugate(rho: DensityMatrix, seed=None) -> DensityMatrix:
     """Conjugate by a product unitary u_A x u_B."""
-    rng = ensure_rng(seed)
+    rng = np.random.default_rng(seed)
     ua = random_unitary(rho.dim_a, rng)
     ub = random_unitary(rho.dim_b, rng)
     u = np.kron(ua, ub)

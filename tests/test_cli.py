@@ -668,6 +668,22 @@ def test_eta_scan_epsilon_out_of_range_exit_2(flag, value, capsys):
     assert err == f"error: {flag} must lie in (0, 1], got {float(value)!r}\n"
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--eps-start", "1e-3", "--eps-stop", "1e-3", "--eps-points", "2"],
+        # np.logspace repeats 0.1 on this grid
+        ["--eps-start", "0.1", "--eps-stop", "0.10000000000000002", "--eps-points", "5"],
+    ],
+    ids=["equal-ends", "rounded-steps"],
+)
+def test_eta_scan_grid_with_a_repeated_point_exit_2(bounds, capsys):
+    code, out, err = run_cli_strict(["eta-scan", *bounds], capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_json_reports_refuse_non_finite_numbers():
     with pytest.raises(ValueError):
         cli._json_text({"value": math.nan})

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 from scipy.stats import binom
 
 from entbounds import mixing
@@ -231,11 +232,9 @@ def test_swap_sector_sizes(dims, n, sizes):
 
 @pytest.mark.parametrize("dims,n", [((2, 2), 1), ((2, 2), 2), ((2, 2), 3), ((2, 3), 2), ((1, 3), 3)])
 def test_swap_sector_basis_is_orthogonal_and_block_diagonalises_powers(dims, n):
-    sizes, src, coef = _swap_sectors(dims, n)
+    sizes, q = _swap_sectors(dims, n)
     side = (dims[0] * dims[1]) ** n
-    q = np.zeros((side, side))
-    for s, c in zip(src, coef):
-        q[np.arange(side), s] += c
+    q = q.toarray()
     assert np.max(np.abs(q @ q.T - np.eye(side))) < 1e-15
     rho = random_density_matrix(*dims, seed=n)
     b = q @ kron_power(rho.entries, n) @ q.T
@@ -308,15 +307,17 @@ def bipartite_path_distance(spec, monkeypatch):
     """T as computed with Pi and the power regrouped into bipartite order.
 
     The difference is taken between the bipartite operators, and the
-    sector indices are mapped from copy order through argsort(ab_order).
+    columns of Q are mapped from copy order through argsort(ab_order).
     """
     dims, n = (spec.rho.dim_a, spec.rho.dim_b), spec.n
     power = tensor_power(mix(spec.rho, spec.sigma, spec.p), n).entries
     diff = power - build_truncated_mixture(spec).pi.entries
-    sizes, src, coef = _swap_sectors(dims, n)
+    sizes, q = _swap_sectors(dims, n)
     to_bipartite = np.argsort(ab_order(dims, n))
+    # each row keeps its terms in their order, only their columns move
+    q = csr_array((q.data, to_bipartite[q.indices], q.indptr), shape=q.shape)
     with monkeypatch.context() as patch:
-        patch.setattr(mixing, "_swap_sectors", lambda *_: (sizes, to_bipartite[src], coef))
+        patch.setattr(mixing, "_swap_sectors", lambda *_: (sizes, q))
         return min(mixing._swap_sector_distance(diff, dims, n), 1.0)
 
 
