@@ -248,14 +248,14 @@ def _swap_sectors(dims: tuple[int, int], n: int) -> tuple:
     )
     # the second term of |ii>, of coefficient 0, is summed into its first
     rows = np.tile(np.arange(d * d), 2)
-    pair = sparse.csr_array((pair_coef.ravel(), (rows, pair_src.ravel())), shape=(d * d,) * 2)
+    pair = sparse.csr_matrix((pair_coef.ravel(), (rows, pair_src.ravel())), shape=(d * d,) * 2)
     pair_half = (np.arange(d * d) >= i.size).astype(int)
-    q, sector = sparse.eye_array(1, format="csr"), np.zeros(1, dtype=int)
+    q, sector = sparse.identity(1, format="csr"), np.zeros(1, dtype=int)
     for _ in range(n // 2):
         q = sparse.kron(q, pair, format="csr")
         sector = (2 * sector[:, None] + pair_half).ravel()
     if n % 2:
-        q, sector = sparse.kron(q, sparse.eye_array(d), format="csr"), np.repeat(sector, d)
+        q, sector = sparse.kron(q, sparse.identity(d), format="csr"), np.repeat(sector, d)
     return np.bincount(sector), q[np.argsort(sector, kind="stable")]
 
 

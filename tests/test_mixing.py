@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
+from scipy.sparse import csr_matrix
 from scipy.stats import binom
 
 from entbounds import mixing
@@ -315,7 +315,7 @@ def bipartite_path_distance(spec, monkeypatch):
     sizes, q = _swap_sectors(dims, n)
     to_bipartite = np.argsort(ab_order(dims, n))
     # each row keeps its terms in their order, only their columns move
-    q = csr_array((q.data, to_bipartite[q.indices], q.indptr), shape=q.shape)
+    q = csr_matrix((q.data, to_bipartite[q.indices], q.indptr), shape=q.shape)
     with monkeypatch.context() as patch:
         patch.setattr(mixing, "_swap_sectors", lambda *_: (sizes, q))
         return min(mixing._swap_sector_distance(diff, dims, n), 1.0)
