@@ -96,7 +96,8 @@ CASES = {
          "--half-width", "4"],
         (),
     ),
-    # d = 6: 2x3 copies pair into 36-dimensional sectors
+    # 2x3 copies, d = 6: each swapped pair splits into 21 symmetric and 15
+    # antisymmetric dimensions, against 10 and 6 for the qubit pairs above
     "mixing_verify_2x3": (
         ["mixing-verify", "iso23.json", "ginibre23.json", "--p", "0.3", "--n", "4",
          "--half-width", "1"],
