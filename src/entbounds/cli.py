@@ -18,7 +18,7 @@ import math
 import shlex
 import sys
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .continuity import (
     ball_constants,
     border_scan,
     corridor_consistency_check,
-    lipschitz_bound,
+    lipschitz_bounds,
     sample_ball,
     surface_count,
 )
@@ -37,11 +37,12 @@ from .errors import (
     SizeCapError,
     StateValidityError,
 )
-from .linalg import CERTIFICATION_TOL, DEFAULT_SIZE_CAP, trace_distance
+from .linalg import CERTIFICATION_TOL, DEFAULT_SIZE_CAP, trace_distances
 from .measures import (
     DEFAULT_EOF_BUDGET,
     KIND_EXACT,
     MeasureValue,
+    bound_values,
     concurrence_2x2,
     ec_upper,
     ed_lower,
@@ -181,24 +182,20 @@ def cmd_ball_scan(args) -> int:
     center = load_state(args.center_file, cap=args.cap)
     spec = BallSpec(center=center, epsilon=args.epsilon, sample_count=args.samples, seed=args.seed)
     samples = sample_ball(spec)
-    # both bounds passed explicitly: a default is bound at import, out of a tracer's reach
-    ed, ec = ed_lower, partial(ec_upper, budget=args.budget, seed=args.seed)
-    constants = ball_constants(spec, samples=samples, ed=ed, ec=ec)
+    ec = partial(bound_values, "ec_upper", budget=args.budget, seed=args.seed)
+    constants = ball_constants(spec, samples=samples, ec=ec)
     tol = CERTIFICATION_TOL if args.tolerance is None else args.tolerance
     corridor = corridor_consistency_check(
-        center, samples[0], constants, np.linspace(0.0, 1.0, args.p_points), ed=ed, ec=ec, tolerance=tol
+        center, samples[0], constants, np.linspace(0.0, 1.0, args.p_points), ec=ec, tolerance=tol
     )
-    lipschitz_rows = []
-    for index, state in enumerate(samples):
-        t = trace_distance(center, state)
-        lipschitz_rows.append(
-            {
-                "sample": index,
-                "trace_distance": t,
-                "on_surface": index < surface_count(args.samples),
-                "bound": lipschitz_bound(center, state, constants),
-            }
+    distances = trace_distances(center, samples)
+    n_surface = surface_count(args.samples)
+    lipschitz_rows = [
+        {"sample": index, "trace_distance": t, "on_surface": index < n_surface, "bound": bound}
+        for index, (t, bound) in enumerate(
+            zip(distances.tolist(), lipschitz_bounds(distances, constants).tolist())
         )
+    ]
     payload = {
         "audit": _audit(args),
         "center_file": args.center_file,
@@ -292,7 +289,9 @@ def cmd_catalytic(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: main() parses every argv with the same parser
     # options of more than one subcommand, each declared once; each
     # subcommand takes only those it reads, as Actions of its own
     shared = {

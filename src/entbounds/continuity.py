@@ -10,14 +10,28 @@ wedged between the two surrogates can move inside the ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BallNotCertifiedError, EntboundsError, StateValidityError
-from .linalg import CERTIFICATION_TOL, DensityMatrix, mix, trace_distance
-from .measures import MeasureValue, ec_upper, ed_lower, is_ppt, log_negativity
-from .sampling import random_density_matrix
+from .linalg import (
+    CERTIFICATION_TOL,
+    STACK_BLOCK,
+    DensityMatrix,
+    _check_state,
+    _distance,
+    _mix,
+    blocks,
+    mix,
+    trace_distances,
+)
+from .measures import MeasureValue, _log_negativity, _pt_spectra, bound_values
+from .sampling import _ginibre_state
+
+# a bound hook maps a list of states of one shape to one value per state
+BoundHook = Callable[[Sequence[DensityMatrix]], Sequence[float]]
 
 MAX_DIRECTION_RETRIES = 200
 
@@ -92,67 +106,73 @@ def sample_ball(spec: BallSpec) -> list[DensityMatrix]:
     and double as directions for mixture families); the rest draw u
     uniformly from (0, 1].  The draw sequence does not depend on
     epsilon, so shrinking the radius under a fixed seed rescales the
-    same sample set along the same rays.
+    same sample set along the same rays.  Each sample is validated where
+    it is made, and the directions as one stack per STACK_BLOCK draws.
     """
     rng = np.random.default_rng(spec.seed)
     center = spec.center
     n_surface = surface_count(spec.sample_count)
     samples: list[DensityMatrix] = []
+    drawn: list[np.ndarray] = []
     for index in range(spec.sample_count):
         for _ in range(MAX_DIRECTION_RETRIES):
-            direction = random_density_matrix(center.dim_a, center.dim_b, seed=rng)
+            direction = _ginibre_state(center.side, rng)
+            drawn.append(direction)
+            if len(drawn) == STACK_BLOCK:
+                _check_state(np.array(drawn))
+                drawn.clear()
             u = 1.0 if index < n_surface else 1.0 - rng.random()
-            t0 = trace_distance(center, direction)
+            t0 = float(_distance(center.entries - direction))
             if t0 < 1e-12:
                 continue
             s = u * spec.epsilon / t0
             if s > 1.0:
                 continue
-            samples.append(mix(center, direction, s))
+            samples.append(DensityMatrix(center.dim_a, center.dim_b, _mix(center.entries, direction, s)))
             break
         else:
             raise EntboundsError(
                 f"could not place ball sample {index} after "
                 f"{MAX_DIRECTION_RETRIES} direction draws"
             )
+    if drawn:
+        _check_state(np.array(drawn))
     return samples
 
 
 def ball_constants(
     spec: BallSpec,
     samples: Sequence[DensityMatrix] | None = None,
-    ed: Callable[[DensityMatrix], MeasureValue] = ed_lower,
-    ec: Callable[[DensityMatrix], MeasureValue] = ec_upper,
+    ed: BoundHook = partial(bound_values, "ed_lower"),
+    ec: BoundHook = partial(bound_values, "ec_upper"),
 ) -> BallConstants:
     """Sampled surrogate extrema over the ball and the derived constants.
 
     The minimum of the distillation lower bound ed and the maximum of the
     cost upper bound ec run over the center plus the samples.  They are
-    estimates of the true extrema, hence provenance "sampled".  Bind a
-    search budget and seed into ec with functools.partial.
+    estimates of the true extrema, hence provenance "sampled".  ed and ec
+    each take the list of the center and the samples once; bind a search
+    budget and seed into ec with functools.partial(bound_values, "ec_upper", ...).
     """
     if samples is None:
         samples = sample_ball(spec)
-    ed_center = ed(spec.center).value
-    if ed_center <= 0.0:
+    states = [spec.center, *samples]
+    ed_values = np.asarray(ed(states), dtype=float)
+    if ed_values[0] <= 0.0:
         raise BallNotCertifiedError(
             "center has vacuous distillation lower bound; shrink epsilon "
             "or pick a certified-distillable center"
         )
-    ed_values = [ed_center]
-    ec_values = [ec(spec.center).value]
-    for index, state in enumerate(samples):
-        ed_value = ed(state).value
-        if ed_value <= 0.0:
-            raise BallNotCertifiedError(
-                f"sample {index} has vacuous distillation lower bound; "
-                "the ball leaves the certified-distillable region",
-                sample_index=index,
-            )
-        ed_values.append(ed_value)
-        ec_values.append(ec(state).value)
-    ed_min = min(ed_values)
-    ec_max = max(ec_values)
+    vacuous = np.flatnonzero(ed_values[1:] <= 0.0)
+    if vacuous.size:
+        index = int(vacuous[0])
+        raise BallNotCertifiedError(
+            f"sample {index} has vacuous distillation lower bound; "
+            "the ball leaves the certified-distillable region",
+            sample_index=index,
+        )
+    ed_min = float(np.min(ed_values))
+    ec_max = float(np.max(ec(states)))
     r = min(ed_min / ec_max, 1.0)
     reversible = r == 1.0
     delta = 0.0 if reversible else ec_max * (1.0 - r) / r
@@ -186,19 +206,26 @@ def kappa(p: float, r: float) -> float:
     return scaled / (scaled + r)
 
 
+def lipschitz_bounds(distances, constants: BallConstants) -> np.ndarray:
+    """delta / epsilon times each trace distance T(center, state), for states
+    inside the ball."""
+    epsilon = constants.epsilon
+    ts = np.asarray(distances, dtype=float)
+    outside = np.flatnonzero(ts > epsilon + CERTIFICATION_TOL)
+    if outside.size:
+        raise ValueError(
+            f"state lies outside the ball: T = {float(ts[outside[0]])} exceeds epsilon = {epsilon}"
+        )
+    return constants.delta / epsilon * ts
+
+
 def lipschitz_bound(
     center: DensityMatrix,
     other: DensityMatrix,
     constants: BallConstants,
 ) -> float:
     """delta / epsilon times T(center, other) for states inside the ball."""
-    epsilon = constants.epsilon
-    t = trace_distance(center, other)
-    if t > epsilon + CERTIFICATION_TOL:
-        raise ValueError(
-            f"state lies outside the ball: T = {t} exceeds epsilon = {epsilon}"
-        )
-    return constants.delta / epsilon * t
+    return float(lipschitz_bounds(trace_distances(center, [other]), constants)[0])
 
 
 def corridor_consistency_check(
@@ -206,8 +233,8 @@ def corridor_consistency_check(
     sigma_surface: DensityMatrix,
     constants: BallConstants,
     p_grid,
-    ed: Callable[[DensityMatrix], MeasureValue] = ed_lower,
-    ec: Callable[[DensityMatrix], MeasureValue] = ec_upper,
+    ed: BoundHook = partial(bound_values, "ed_lower"),
+    ec: BoundHook = partial(bound_values, "ec_upper"),
     tolerance: float = CERTIFICATION_TOL,
 ) -> CorridorReport:
     """Check the two-sided surrogate corridor along the mixture family.
@@ -217,19 +244,19 @@ def corridor_consistency_check(
     the same with center and rho_p swapped, both up to the tolerance.
     Any true asymptotic measure is wedged between the two surrogates,
     so a violation indicts the implementation rather than the bound.
+    ed and ec each take the list of the center and the mixtures once.
     The reverse_mix_available flag records whether the affine extension
     past the center (weight p - 1) still lands on a valid state.
     """
-    ed_center = ed(center).value
-    ec_center = ec(center).value
+    ps = [float(p) for p in p_grid]
+    states = [center, *(mix(center, sigma_surface, p) for p in ps)]
+    ed_values = np.asarray(ed(states), dtype=float).tolist()
+    ec_values = np.asarray(ec(states), dtype=float).tolist()
+    ed_center, ec_center = ed_values[0], ec_values[0]
     rows = []
-    for p in p_grid:
-        p = float(p)
-        rho_p = mix(center, sigma_surface, p)
+    for p, ed_mixture, ec_mixture in zip(ps, ed_values[1:], ec_values[1:]):
         kap = kappa(p, constants.r)
         scale = 1.0 - kap
-        ec_mixture = ec(rho_p).value
-        ed_mixture = ed(rho_p).value
         margin_center = ec_mixture - scale * ed_center
         margin_mixture = ec_center - scale * ed_mixture
         try:
@@ -256,6 +283,15 @@ def corridor_consistency_check(
     )
 
 
+def _border_state(family: Callable[[float], DensityMatrix], param: float) -> DensityMatrix:
+    state = family(param)
+    if not isinstance(state, DensityMatrix):
+        raise TypeError("family must produce DensityMatrix values")
+    if state.dim_a != 2:
+        raise ValueError("family must keep the first party a qubit")
+    return state
+
+
 def border_scan(
     family: Callable[[float], DensityMatrix],
     param_grid,
@@ -263,23 +299,16 @@ def border_scan(
 ) -> list[BorderRow]:
     """Log-negativity, PPT margin and an optional eof along a 2 x N path.
 
-    The eof column holds eof(state).value, or None without eof: the
-    Wootters closed form for two qubits, the seeded search elsewhere.
+    The partial-transpose spectra are taken as one stack per STACK_BLOCK
+    grid points.  The eof column holds eof(state).value, or None without
+    eof: the Wootters closed form for two qubits, the seeded search elsewhere.
     """
     rows = []
-    for param in param_grid:
-        param = float(param)
-        state = family(param)
-        if not isinstance(state, DensityMatrix):
-            raise TypeError("family must produce DensityMatrix values")
-        if state.dim_a != 2:
-            raise ValueError("family must keep the first party a qubit")
-        rows.append(
-            BorderRow(
-                param=param,
-                log_neg=log_negativity(state).value,
-                ppt_margin=is_ppt(state).margin,
-                eof=None if eof is None else eof(state).value,
-            )
-        )
+    for params in blocks([float(param) for param in param_grid]):
+        states = [_border_state(family, param) for param in params]
+        spectra = _pt_spectra(states)
+        for param, state, log_neg, margin in zip(
+            params, states, _log_negativity(spectra).tolist(), spectra[:, 0].tolist()
+        ):
+            rows.append(BorderRow(param, log_neg, margin, None if eof is None else eof(state).value))
     return rows

@@ -20,6 +20,8 @@ PSD_FLOOR = -1e-9
 # default slack of a certified inequality (mixing bound, ball corridor)
 CERTIFICATION_TOL = 1e-9
 DEFAULT_SIZE_CAP = 4096
+# states per block of a stacked evaluation (ball, corridor, border and eta scans)
+STACK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -35,32 +37,52 @@ class ValidationReport:
 def _check_state(entries: np.ndarray) -> None:
     """Raise StateValidityError unless entries satisfy the three invariants.
 
-    The passing path is a hermiticity check, a trace check and one
-    Cholesky of entries - PSD_FLOOR*I, which succeeds iff the minimum
-    eigenvalue exceeds PSD_FLOOR; eigvalsh runs only to fill the
-    ValidationReport of a failure.
+    entries is one matrix or a stack (..., side, side) of them.  The
+    passing path is a hermiticity check, a trace check and one Cholesky
+    of entries - PSD_FLOOR*I, which succeeds iff every minimum eigenvalue
+    exceeds PSD_FLOOR; only a failure takes each matrix's defects and
+    eigvalsh, for the ValidationReport.
     """
-    if not np.all(np.isfinite(entries)):
-        raise StateValidityError("entries must be finite (no NaN or infinity)")
-    herm = float(np.max(np.abs(entries - entries.conj().T)))
-    trace_defect = float(abs(entries.trace() - 1.0))
-    if herm <= HERMITICITY_TOL and trace_defect <= TRACE_TOL:
-        try:
-            np.linalg.cholesky(entries - PSD_FLOOR * np.eye(entries.shape[0]))
-            return
-        except np.linalg.LinAlgError:
-            pass
-    min_eig = float(np.linalg.eigvalsh((entries + entries.conj().T) / 2.0)[0])
+    if np.isfinite(entries).all():
+        herm = np.abs(entries - entries.conj().swapaxes(-1, -2)).max()
+        trace_defect = np.abs(entries.trace(axis1=-2, axis2=-1) - 1.0).max()
+        if herm <= HERMITICITY_TOL and trace_defect <= TRACE_TOL:
+            try:
+                np.linalg.cholesky(entries - PSD_FLOOR * np.eye(entries.shape[-1]))
+                return
+            except np.linalg.LinAlgError:
+                pass
+    _raise_first_failure(entries)
+
+
+def _raise_first_failure(entries: np.ndarray) -> None:
+    """Raise for the first matrix of entries that fails an invariant; for a
+    stack the message names it, by its index in the flattened stack,
+    before the one-matrix message.  Returns if none fails, which happens
+    when a Cholesky failed within rounding of the floor."""
+    flat = entries.reshape(-1, *entries.shape[-2:])
+    where = "state {}: " if entries.ndim > 2 else ""
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    # the matrices before the first non-finite one
+    head = flat[: len(flat) if finite.all() else np.argmin(finite)]
+    herm = np.abs(head - head.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    trace_defect = np.abs(head.trace(axis1=1, axis2=2) - 1.0)
+    min_eig = np.linalg.eigvalsh((head + head.conj().swapaxes(1, 2)) / 2.0)[:, 0]
+    failed = (herm > HERMITICITY_TOL) | (trace_defect > TRACE_TOL) | (min_eig < PSD_FLOOR)
+    if not failed.any():
+        if len(head) < len(flat):
+            raise StateValidityError(where.format(len(head)) + "entries must be finite (no NaN or infinity)")
+        return
+    i = np.argmax(failed)
+    herm, trace_defect, min_eig = float(herm[i]), float(trace_defect[i]), float(min_eig[i])
     if herm > HERMITICITY_TOL:
         message = f"hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"
     elif trace_defect > TRACE_TOL:
         message = f"trace defect {trace_defect:.3e} exceeds {TRACE_TOL:.0e}"
-    elif min_eig < PSD_FLOOR:
-        message = f"minimum eigenvalue {min_eig:.3e} below {PSD_FLOOR:.0e}"
     else:
-        return  # Cholesky failed within rounding of the floor
+        message = f"minimum eigenvalue {min_eig:.3e} below {PSD_FLOOR:.0e}"
     report = ValidationReport(herm, trace_defect, min_eig, passed=False)
-    raise StateValidityError(message, report=report)
+    raise StateValidityError(where.format(i) + message, report=report)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,33 +127,87 @@ def partial_trace(rho: DensityMatrix, party: str) -> np.ndarray:
     raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
-def partial_transpose(rho: DensityMatrix) -> np.ndarray:
-    """Transpose on the B indices only."""
-    da, db = rho.dim_a, rho.dim_b
-    t = rho.entries.reshape(da, db, da, db).transpose(0, 3, 2, 1)
-    return np.ascontiguousarray(t.reshape(rho.side, rho.side))
+def state_list(states) -> tuple[list[DensityMatrix], tuple[int, int]]:
+    """One state, or a sequence of states of one shape, as a list, with
+    the shared (dim_a, dim_b); DimensionMismatchError for mixed shapes."""
+    if isinstance(states, DensityMatrix):
+        return [states], (states.dim_a, states.dim_b)
+    states = list(states)
+    dims = {(s.dim_a, s.dim_b) for s in states}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"states of one shape expected, got dims {sorted(dims)}")
+    return states, dims.pop()
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
+def stack(states) -> tuple[np.ndarray, tuple[int, int]]:
+    """The entries of one state, or of a sequence of states of one shape,
+    as one (n, side, side) array, with the shared (dim_a, dim_b)."""
+    states, dims = state_list(states)
+    return np.array([s.entries for s in states]), dims
+
+
+def blocks(items):
+    """Consecutive slices of at most STACK_BLOCK items: a stacked
+    evaluation over them holds a few block-sized arrays at a time."""
+    for start in range(0, len(items), STACK_BLOCK):
+        yield items[start : start + STACK_BLOCK]
+
+
+def partial_transpose(states) -> np.ndarray:
+    """Transpose on the B indices only: a side x side array for one state,
+    an (n, side, side) stack for a sequence of n states of one shape."""
+    entries, (dim_a, dim_b) = stack(states)
+    t = entries.reshape(-1, dim_a, dim_b, dim_a, dim_b).transpose(0, 1, 4, 3, 2)
+    t = t.reshape(entries.shape)
+    return t[0] if isinstance(states, DensityMatrix) else t
+
+
+def trace_norm(m: np.ndarray):
+    """Sum of singular values; for Hermitian input, sum of |eigenvalues|.
+
+    m is one square matrix, which gives a float, or a stack
+    (..., side, side), which gives an array of shape m.shape[:-2]; each
+    matrix of a stack takes the route it would take alone.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("trace_norm expects a square matrix")
-    if m.size == 0:
-        return 0.0
-    if float(np.max(np.abs(m - m.conj().T))) <= HERMITICITY_TOL:
-        return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError("trace_norm expects a square matrix or a stack of them")
+    gap = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    hermitian = gap <= HERMITICITY_TOL
+    if hermitian.all():
+        norms = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+    else:
+        norms = np.empty(hermitian.shape)
+        norms[hermitian] = np.abs(np.linalg.eigvalsh(m[hermitian])).sum(axis=-1)
+        norms[~hermitian] = np.linalg.svd(m[~hermitian], compute_uv=False).sum(axis=-1)
+    return float(norms) if m.ndim == 2 else norms
+
+
+def _distance(diff: np.ndarray):
+    """tr|diff| / 2 clamped to [0, 1], for one difference of states or a stack."""
+    return np.minimum(np.maximum(0.5 * trace_norm(diff), 0.0), 1.0)
+
+
+def trace_distances(rho: DensityMatrix, states) -> np.ndarray:
+    """T(rho, sigma) for each sigma of a sequence of states of rho's shape,
+    stacked in blocks of STACK_BLOCK."""
+    parts = []
+    for block in blocks(states):
+        entries, dims = stack(block)
+        _same_dims(rho, *dims)
+        parts.append(_distance(rho.entries - entries))
+    return np.concatenate(parts)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """T(rho, sigma) = tr|rho - sigma| / 2."""
-    if (rho.dim_a, rho.dim_b) != (sigma.dim_a, sigma.dim_b):
-        raise DimensionMismatchError(
-            f"dims ({rho.dim_a},{rho.dim_b}) vs ({sigma.dim_a},{sigma.dim_b})"
-        )
-    val = 0.5 * trace_norm(rho.entries - sigma.entries)
-    return float(min(max(val, 0.0), 1.0))
+    _same_dims(rho, sigma.dim_a, sigma.dim_b)
+    return float(_distance(rho.entries - sigma.entries))
+
+
+def _same_dims(rho: DensityMatrix, dim_a: int, dim_b: int) -> None:
+    if (rho.dim_a, rho.dim_b) != (dim_a, dim_b):
+        raise DimensionMismatchError(f"dims ({rho.dim_a},{rho.dim_b}) vs ({dim_a},{dim_b})")
 
 
 def mix(rho: DensityMatrix, sigma: DensityMatrix, p: float) -> DensityMatrix:
@@ -141,11 +217,12 @@ def mix(rho: DensityMatrix, sigma: DensityMatrix, p: float) -> DensityMatrix:
     combination can leave the positive cone; the resulting error carries
     the offending minimum eigenvalue in its report.
     """
-    if (rho.dim_a, rho.dim_b) != (sigma.dim_a, sigma.dim_b):
-        raise DimensionMismatchError(
-            f"dims ({rho.dim_a},{rho.dim_b}) vs ({sigma.dim_a},{sigma.dim_b})"
-        )
+    _same_dims(rho, sigma.dim_a, sigma.dim_b)
     if not -1.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [-1, 1], got {p}")
-    entries = (1.0 - p) * rho.entries + p * sigma.entries
-    return DensityMatrix(rho.dim_a, rho.dim_b, entries)
+    return DensityMatrix(rho.dim_a, rho.dim_b, _mix(rho.entries, sigma.entries, p))
+
+
+def _mix(a: np.ndarray, b: np.ndarray, p):
+    """(1-p) a + p b; p a float, or an array of shape (n, 1, 1) for a stack."""
+    return (1.0 - p) * a + p * b

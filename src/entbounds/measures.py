@@ -4,6 +4,11 @@ Everything is reported in base-2 units (ebits).  Exact closed forms carry
 kind="exact"; surrogates standing in for the uncomputable asymptotic
 rates carry kind="lower_bound" or kind="upper_bound" so that bound
 directions are never silently mixed.
+
+The closed forms (concurrence, Bell weights, hashing, the partial-transpose
+spectrum) are kernels over a stack (n, side, side) of states; each
+one-state function is the kernel on a stack of one, with the same bits as
+row i of a larger stack.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatchError, StateValidityError
-from .linalg import PSD_FLOOR, DensityMatrix, partial_transpose
+from .linalg import PSD_FLOOR, DensityMatrix, blocks, partial_transpose, stack, state_list
 from .sampling import haar_qr
 from .states import bell_basis
 
@@ -46,30 +51,6 @@ class MeasureValue:
         return {"value": self.value, "kind": self.kind, "method": self.method}
 
 
-@dataclass(frozen=True)
-class BellDiagonalProbs:
-    """Four Bell-basis weights, non-negative and summing to one."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=float).reshape(-1)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        if probs.shape != (4,):
-            raise ValueError("exactly four probabilities required")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to one within 1e-12")
-
-
-@dataclass(frozen=True)
-class PptVerdict:
-    ppt: bool
-    margin: float
-
-
 def _shannon(probs: np.ndarray) -> float:
     p = np.asarray(probs, dtype=float)
     p = p[p > 0]
@@ -98,118 +79,158 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return max(_shannon(np.clip(eigs, 0.0, None)), 0.0)
 
 
-def is_ppt(rho: DensityMatrix) -> PptVerdict:
-    """Positivity of the partial transpose, with the minimum eigenvalue as margin."""
-    pt = partial_transpose(rho)
-    margin = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[0])
-    return PptVerdict(margin >= PSD_FLOOR, margin)
+def _pt_spectra(states) -> np.ndarray:
+    """Ascending eigenvalues of the partial transpose of one state, shape
+    (side,), or of each of a sequence of states of one shape, (n, side)."""
+    pt = partial_transpose(states)
+    return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
+
+
+def _log_negativity(spectra: np.ndarray) -> np.ndarray:
+    """log2 of the trace norm of each partial transpose, from its spectrum."""
+    return np.maximum(np.log2(np.abs(spectra).sum(axis=-1)), 0.0)
 
 
 def log_negativity(rho: DensityMatrix) -> MeasureValue:
     """log2 of the trace norm of the partial transpose; zero iff PPT."""
-    pt = partial_transpose(rho)
-    eigs = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
-    value = float(np.log2(np.sum(np.abs(eigs))))
-    return MeasureValue(max(value, 0.0), KIND_EXACT, "log_negativity")
+    return MeasureValue(_log_negativity(_pt_spectra(rho)), KIND_EXACT, "log_negativity")
 
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_PAULI_Y, _PAULI_Y).real
 
 
-def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+def _qubit_pairs(states, name: str) -> np.ndarray:
+    entries, dims = stack(states)
+    if dims != (2, 2):
+        raise DimensionMismatchError(f"{name} requires a 2x2 system")
+    return entries
 
 
-def _two_qubits(rho: DensityMatrix) -> bool:
-    return (rho.dim_a, rho.dim_b) == (2, 2)
+def _concurrences(m: np.ndarray) -> np.ndarray:
+    """Concurrence max(0, s1 - s2 - s3 - s4) of each two-qubit state of a stack (n, 4, 4).
+
+    The s_i are the decreasing square-rooted eigenvalues of
+    rho (YxY) rho* (YxY) (Wootters, PRL 80, 2245 (1998)); they are
+    computed here as the singular values of sqrt(rho) (YxY) conj(sqrt(rho)),
+    which is the same spectrum with far better behavior near rank deficiency.
+    """
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    root = (v * np.sqrt(w.clip(0.0, None))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    s = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    return np.minimum(np.maximum(s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3], 0.0), 1.0)
 
 
 def concurrence_2x2(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence max(0, s1 - s2 - s3 - s4).
+    """Two-qubit concurrence."""
+    return float(_concurrences(_qubit_pairs(rho, "concurrence_2x2"))[0])
 
-    The s_i are the decreasing square-rooted eigenvalues of
-    rho (YxY) rho* (YxY); they are computed here as the singular values
-    of sqrt(rho) (YxY) conj(sqrt(rho)), which is the same spectrum with
-    far better behavior near rank deficiency.
-    """
-    if not _two_qubits(rho):
-        raise DimensionMismatchError("concurrence_2x2 requires a 2x2 system")
-    root = _sqrtm_psd(rho.entries)
-    z = root @ _YY @ root.conj()
-    s = np.linalg.svd(z, compute_uv=False)
-    return float(min(max(s[0] - s[1] - s[2] - s[3], 0.0), 1.0))
+
+def _eof_2x2(m: np.ndarray) -> np.ndarray:
+    """Closed-form entanglement of formation of each two-qubit state of a stack."""
+    cs = _concurrences(m).tolist()
+    return np.array([binary_entropy((1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0) for c in cs])
 
 
 def eof_2x2(rho: DensityMatrix) -> MeasureValue:
     """Closed-form two-qubit entanglement of formation."""
-    c = concurrence_2x2(rho)
-    x = (1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0
-    return MeasureValue(binary_entropy(x), KIND_EXACT, "eof_2x2")
+    return MeasureValue(_eof_2x2(_qubit_pairs(rho, "eof_2x2"))[0], KIND_EXACT, "eof_2x2")
 
 
-def twirl_to_bell_diagonal(rho: DensityMatrix) -> BellDiagonalProbs:
-    """Bell-basis diagonal weights of a two-qubit state.
+def _bell_weights(m: np.ndarray) -> np.ndarray:
+    """Bell-basis diagonal weights of each two-qubit state of a stack, (n, 4).
 
     The twirl keeps the Bell-diagonal part and removes off-diagonals;
-    the first entry is the fidelity with the maximally entangled state.
+    the first weight is the fidelity with the maximally entangled state.
     """
-    if not _two_qubits(rho):
-        raise DimensionMismatchError("twirl_to_bell_diagonal requires a 2x2 system")
     basis = bell_basis()
-    diag = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, rho.entries, basis))
+    diag = np.real(np.einsum("ij,...jk,ki->...i", basis.conj().T, m, basis))
     clamped = np.where((diag < 0) & (diag >= PSD_FLOOR), 0.0, diag)
-    if np.any(clamped < 0):
-        raise StateValidityError(
-            f"Bell weight {clamped.min():.3e} below clamp floor"
-        )
-    return BellDiagonalProbs(clamped / clamped.sum())
+    if (clamped < 0).any():
+        raise StateValidityError(f"Bell weight {clamped.min():.3e} below clamp floor")
+    return clamped / clamped.sum(axis=-1, keepdims=True)
 
 
-def hashing_yield(probs: BellDiagonalProbs) -> MeasureValue:
-    """max(0, 1 - H(probs)): one-way distillation yield for Bell-diagonal states."""
-    value = max(0.0, 1.0 - _shannon(probs.probs))
-    return MeasureValue(value, KIND_LOWER, "hashing_yield")
+def _hashing(weights: np.ndarray) -> np.ndarray:
+    """max(0, 1 - H(w)) for each row w of Bell weights: the one-way
+    distillation yield of a Bell-diagonal state.  H runs one row at a
+    time: a product over all rows at once rounds differently."""
+    return np.array([max(0.0, 1.0 - _shannon(w)) for w in weights])
 
 
-def best(kind: str, routes, rho: DensityMatrix) -> MeasureValue:
+def best(kind: str, routes, states):
     """The max over routes for a lower bound, the min for an upper bound.
 
-    A route is a (method, fn) pair; fn(rho) is a float, or None where it
-    does not apply, and one route must.  A later route wins only by more
-    than 1e-12, so routes that agree to rounding keep the earlier name.
+    states is one state, which gives one MeasureValue, or a sequence of
+    states of one shape, which gives a list of one per state.  A route is
+    a (method, fn) pair; fn(states) gives one float per state (or one
+    float for all), or None where it does not apply, and one route must.
+    For each state, a later route wins only by more than 1e-12, so routes
+    that agree to rounding keep the earlier name.
     """
+    listed, _ = state_list(states)
     sign = 1.0 if kind == KIND_LOWER else -1.0
-    kept = None
+    values = methods = None
     for method, fn in routes:
-        value = fn(rho)
-        if value is not None and (kept is None or sign * (value - kept[1]) > 1e-12):
-            kept = method, value
-    return MeasureValue(kept[1], kind, kept[0])
+        found = fn(listed)
+        if found is None:
+            continue
+        found = np.asarray(found, dtype=float)
+        found = found.tolist() if found.ndim else [float(found)] * len(listed)
+        if values is None:
+            values, methods = found, [method] * len(listed)
+            continue
+        for i, value in enumerate(found):
+            if sign * (value - values[i]) > 1e-12:
+                values[i], methods[i] = value, method
+    out = [MeasureValue(value, kind, method) for value, method in zip(values, methods)]
+    return out[0] if isinstance(states, DensityMatrix) else out
 
 
-def _hashing_2x2(rho: DensityMatrix) -> float | None:
+def _hashing_2x2(states) -> np.ndarray | None:
     # the yield reads the Bell weights through their entropy alone, so the
     # best of the 24 local relabelings is the yield of the sorted weights
-    if not _two_qubits(rho):
+    entries, dims = stack(states)
+    if dims != (2, 2):
         return None
-    ordered = np.sort(twirl_to_bell_diagonal(rho).probs)[::-1]
-    return hashing_yield(BellDiagonalProbs(ordered)).value
+    return _hashing(np.sort(_bell_weights(entries), axis=-1)[:, ::-1])
 
 
 def bound_routes(budget: int = DEFAULT_EOF_BUDGET, seed: int = 0) -> dict:
-    """Each bound's routes, in order.  The search reads budget and seed; it
-    skips two qubits, where ball-scan calls ec_upper hundreds of times."""
+    """Each bound's routes, in order; a route maps a sequence of states of
+    one shape to their values.  The search reads budget and seed and runs
+    state by state; it skips two qubits, where ball-scan evaluates
+    ec_upper on hundreds of states."""
     search = partial(eof_upper_general, budget=budget, seed=seed)
+
+    def qubits(states) -> bool:
+        return state_list(states)[1] == (2, 2)
+
     return {
-        "ed_lower": (("ed_lower_hashing", _hashing_2x2), ("ed_lower_vacuous", lambda rho: 0.0)),
+        "ed_lower": (("ed_lower_hashing", _hashing_2x2), ("ed_lower_vacuous", lambda states: 0.0)),
         "ec_upper": (
-            ("ec_upper_eof_2x2", lambda rho: eof_2x2(rho).value if _two_qubits(rho) else None),
-            ("ec_upper_eof_search", lambda rho: None if _two_qubits(rho) else search(rho).value),
+            ("ec_upper_eof_2x2", lambda states: _eof_2x2(stack(states)[0]) if qubits(states) else None),
+            (
+                "ec_upper_eof_search",
+                lambda states: None if qubits(states) else [search(s).value for s in state_list(states)[0]],
+            ),
         ),
     }
+
+
+def bound_values(
+    bound: str,
+    states,
+    budget: int = DEFAULT_EOF_BUDGET,
+    seed: int = 0,
+) -> np.ndarray:
+    """The value of a bound, "ed_lower" or "ec_upper", on each of a sequence
+    of states of one shape, as ed_lower and ec_upper give them one by one;
+    the states are evaluated in blocks of STACK_BLOCK."""
+    kind = KIND_LOWER if bound == "ed_lower" else KIND_UPPER
+    routes = bound_routes(budget, seed)[bound]
+    states, _ = state_list(states)
+    return np.concatenate([[m.value for m in best(kind, routes, block)] for block in blocks(states)])
 
 
 def ed_lower(rho: DensityMatrix) -> MeasureValue:

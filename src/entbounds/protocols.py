@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, mix
-from .measures import hashing_yield, twirl_to_bell_diagonal
+from .linalg import DensityMatrix, _check_state, _mix, blocks
+from .measures import _bell_weights, _hashing
 from .mixing import _binom_reach
 from .states import phi_plus
 
@@ -112,18 +112,22 @@ def eta_continuity_scan(xi: DensityMatrix, eps_grid) -> list[EtaScanRow]:
     """Hashing yield of (1-eps) phi_plus + eps xi over a grid of eps.
 
     The yield of the twirled state is 1 - H(probs) clamped at 0, so the
-    curve decays continuously from 1 as the contamination grows.
+    curve decays continuously from 1 as the contamination grows.  The
+    mixtures are made and validated as one stack per STACK_BLOCK points.
     """
     if (xi.dim_a, xi.dim_b) != (2, 2):
         raise ValueError("contamination state must be two-qubit")
     target = phi_plus()
-    rows = []
-    for eps in eps_grid:
-        eps = float(eps)
+    grid = [float(eps) for eps in eps_grid]
+    for eps in grid:
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
-        probs = twirl_to_bell_diagonal(mix(target, xi, eps))
-        rows.append(EtaScanRow(epsilon=eps, value=hashing_yield(probs).value))
+    rows = []
+    for block in blocks(grid):
+        mixtures = _mix(target.entries, xi.entries, np.array(block)[:, None, None])
+        _check_state(mixtures)
+        values = _hashing(_bell_weights(mixtures)).tolist()
+        rows += [EtaScanRow(epsilon=eps, value=value) for eps, value in zip(block, values)]
     return rows
 
 

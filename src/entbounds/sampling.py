@@ -11,12 +11,16 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def _ginibre_state(side: int, rng: np.random.Generator) -> np.ndarray:
+    """The entries of a Ginibre-induced random state, not yet validated."""
+    g = _ginibre(side, side, rng)
+    m = g @ g.conj().T
+    return m / m.trace()
+
+
 def random_density_matrix(dim_a: int, dim_b: int, seed=None) -> DensityMatrix:
     """Ginibre-induced random state: G G^dag normalized to unit trace."""
-    side = dim_a * dim_b
-    g = _ginibre(side, side, np.random.default_rng(seed))
-    m = g @ g.conj().T
-    return DensityMatrix(dim_a, dim_b, m / m.trace())
+    return DensityMatrix(dim_a, dim_b, _ginibre_state(dim_a * dim_b, np.random.default_rng(seed)))
 
 
 def haar_qr(g: np.ndarray) -> np.ndarray:

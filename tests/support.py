@@ -1,9 +1,10 @@
 """Helpers that only the tests use: seeded random amplitudes, unitaries,
 low-rank and separable states, unvalidated matrices, channels, tensor
 products, the n-copy operators in A|B order, named states, an
-entanglement-entropy reference, a non-raising validation report, a
-conversion-rate record, full-range references for the binomial sums and
-the invocation a report embeds.
+entanglement-entropy reference, a non-raising validation report, the
+one-state Bell twirl, hashing yield and PPT verdict, a conversion-rate
+record, full-range references for the binomial sums and the invocation
+a report embeds.
 
 They build on entbounds and are not part of its API.
 """
@@ -26,7 +27,16 @@ from entbounds.linalg import (
     DensityMatrix,
     ValidationReport,
 )
-from entbounds.measures import KIND_LOWER, MeasureValue, ec_upper, ed_lower
+from entbounds.measures import (
+    KIND_LOWER,
+    MeasureValue,
+    _bell_weights,
+    _hashing,
+    _pt_spectra,
+    _qubit_pairs,
+    ec_upper,
+    ed_lower,
+)
 from entbounds.mixing import MixtureSpec, _mixture_in_copy_order, _tail_mass
 from entbounds.protocols import LOG2, _check_distribution
 from entbounds.sampling import _ginibre, haar_qr
@@ -222,6 +232,47 @@ def validate(rho: DensityMatrix) -> ValidationReport:
         and min_eig >= PSD_FLOOR
     )
     return ValidationReport(herm, trace_defect, min_eig, passed)
+
+
+@dataclass(frozen=True)
+class BellDiagonalProbs:
+    """Four Bell-basis weights, non-negative and summing to one."""
+
+    probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        probs = np.array(self.probs, dtype=float).reshape(-1)
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
+        if probs.shape != (4,):
+            raise ValueError("exactly four probabilities required")
+        if np.any(probs < 0):
+            raise ValueError("probabilities must be non-negative")
+        if abs(float(probs.sum()) - 1.0) > 1e-12:
+            raise ValueError("probabilities must sum to one within 1e-12")
+
+
+def twirl_to_bell_diagonal(rho: DensityMatrix) -> BellDiagonalProbs:
+    """Bell-basis diagonal weights of one two-qubit state: the one-state
+    case of the package's stacked twirl."""
+    return BellDiagonalProbs(_bell_weights(_qubit_pairs(rho, "twirl_to_bell_diagonal"))[0])
+
+
+def hashing_yield(probs: BellDiagonalProbs) -> MeasureValue:
+    """max(0, 1 - H(probs)): one-way distillation yield for Bell-diagonal states."""
+    return MeasureValue(_hashing(probs.probs[None])[0], KIND_LOWER, "hashing_yield")
+
+
+@dataclass(frozen=True)
+class PptVerdict:
+    ppt: bool
+    margin: float
+
+
+def is_ppt(rho: DensityMatrix) -> PptVerdict:
+    """Positivity of the partial transpose, with the minimum eigenvalue as margin."""
+    margin = float(_pt_spectra(rho)[0])
+    return PptVerdict(margin >= PSD_FLOOR, margin)
 
 
 def random_kraus_set(dim: int, count: int, seed=None) -> list[np.ndarray]:

@@ -17,8 +17,7 @@ from entbounds.continuity import (
 )
 from entbounds.errors import EmptyWindowError
 from entbounds.measures import (
-    KIND_UPPER,
-    MeasureValue,
+    bound_values,
     concurrence_2x2,
     ec_upper,
     ed_lower,
@@ -125,7 +124,7 @@ def test_criterion_04_werner_ball_corridors(tmp_path):
         samples[0],
         constants,
         np.linspace(0.0, 1.0, 20),
-        ec=lambda s: MeasureValue(0.5 * ec_upper(s).value, KIND_UPPER, "halved"),
+        ec=lambda states: 0.5 * bound_values("ec_upper", states),
     )
     assert not broken.all_passed
     assert time.perf_counter() - start < 120.0

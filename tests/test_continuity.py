@@ -18,9 +18,7 @@ from entbounds.continuity import (
 from entbounds.errors import BallNotCertifiedError, DimensionMismatchError
 from entbounds.linalg import DensityMatrix, mix, trace_distance
 from entbounds.measures import (
-    KIND_LOWER,
-    KIND_UPPER,
-    MeasureValue,
+    bound_values,
     ec_upper,
     ed_lower,
     eof_2x2,
@@ -164,8 +162,8 @@ def test_ball_constants_reversible_flag_with_injected_surrogates():
     spec = BallSpec(center=werner(0.95), epsilon=1e-4, sample_count=5, seed=10)
     constants = ball_constants(
         spec,
-        ed=lambda s: MeasureValue(0.5, KIND_LOWER, "injected"),
-        ec=lambda s: MeasureValue(0.5, KIND_UPPER, "injected"),
+        ed=lambda states: np.full(len(states), 0.5),
+        ec=lambda states: np.full(len(states), 0.5),
     )
     assert constants.reversible
     assert constants.r == 1.0
@@ -239,7 +237,7 @@ def test_corridor_negative_control_reports_violation():
         samples[0],
         constants,
         np.linspace(0, 1, 10),
-        ec=lambda s: MeasureValue(0.5 * ec_upper(s).value, KIND_UPPER, "halved"),
+        ec=lambda states: 0.5 * bound_values("ec_upper", states),
     )
     assert not broken.all_passed
     assert any(not row.passed for row in broken.rows)

@@ -11,7 +11,6 @@ from entbounds.linalg import DensityMatrix, mix
 from entbounds.measures import (
     KIND_LOWER,
     KIND_UPPER,
-    BellDiagonalProbs,
     MeasureValue,
     _columns,
     _descend,
@@ -24,17 +23,17 @@ from entbounds.measures import (
     ed_lower,
     eof_2x2,
     eof_upper_general,
-    hashing_yield,
-    is_ppt,
     log_negativity,
-    twirl_to_bell_diagonal,
     von_neumann_entropy,
 )
 from entbounds.sampling import haar_qr, random_density_matrix
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from support import (
+    BellDiagonalProbs,
     apply_one_sided_channel,
     entanglement_entropy,
+    hashing_yield,
+    is_ppt,
     max_entangled,
     pure_state,
     random_kraus_set,
@@ -43,6 +42,7 @@ from support import (
     random_pure_amplitudes,
     random_separable_state,
     tensor_power,
+    twirl_to_bell_diagonal,
 )
 
 PHI = phi_plus()

@@ -402,7 +402,12 @@ def test_binom_reach_over_the_limit_raises_before_allocating():
         _binom_reach(11_300_000_000, 0.5)
 
 
-@pytest.mark.parametrize("dims,n", [((2, 3), 4), ((2, 2), 5)])
+# just above the peaks read (1.611 and 1.762), so that keeping a 1/d^2
+# part such as the (n - 1)-copy power alive through the sector pass fails
+PEAK_BOUNDS = {((2, 3), 4): 1.63, ((2, 2), 5): 1.78}
+
+
+@pytest.mark.parametrize("dims,n", list(PEAK_BOUNDS))
 def test_mixing_check_peak_stays_under_two_sides_squared(dims, n):
     # in units of one side x side complex array: the difference (1), the
     # band of the largest sector (0.34 and 0.39) and the eigensolver's
@@ -415,7 +420,7 @@ def test_mixing_check_peak_stays_under_two_sides_squared(dims, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 16 * side**2, peak / (16 * side**2)
+    assert peak < PEAK_BOUNDS[dims, n] * 16 * side**2, peak / (16 * side**2)
 
 
 @pytest.mark.parametrize(
