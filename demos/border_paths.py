@@ -3,12 +3,16 @@ Measure behavior crossing the separability border
 =================================================
 """
 
+from functools import partial
+
 import numpy as np
 
-from entbounds import border_scan, eof_2x2, isotropic_2x3, werner
+from entbounds import border_scan, isotropic_2x3, werner
+from entbounds.measures import bound_values
 
-# Werner path: the border sits at weight 1/3
-rows = border_scan(werner, np.linspace(0.25, 0.45, 9), eof_2x2)
+# Werner path: the border sits at weight 1/3; on two qubits the ec_upper
+# bound is the Wootters closed form of the entanglement of formation
+rows = border_scan(werner, np.linspace(0.25, 0.45, 9), partial(bound_values, "ec_upper"))
 print("two-qubit Werner path")
 print(f"{'w':>8} {'eof':>12} {'log_neg':>12} {'ppt_margin':>12}")
 for row in rows:

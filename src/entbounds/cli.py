@@ -220,13 +220,13 @@ def cmd_ball_scan(args) -> int:
 def cmd_border_scan(args) -> int:
     if args.grid < 2:
         raise ValueError("grid must contain at least 2 points")
+    eof = partial(bound_values, "ec_upper", budget=args.budget, seed=args.seed)
     if args.system == "2x2":
-        family, eof, header = werner, eof_2x2, ["param", "eof", "log_neg", "ppt_margin"]
+        family, header = werner, ["param", "eof", "log_neg", "ppt_margin"]
+    elif args.include_eof:
+        family, header = isotropic_2x3, ["param", "log_neg", "ppt_margin", "eof_upper"]
     else:
-        family, eof, header = isotropic_2x3, None, ["param", "log_neg", "ppt_margin"]
-        if args.include_eof:
-            eof = partial(eof_upper_general, budget=args.budget, seed=args.seed)
-            header.append("eof_upper")
+        family, header, eof = isotropic_2x3, ["param", "log_neg", "ppt_margin"], None
     rows = border_scan(family, np.linspace(0.0, 1.0, args.grid), eof)
     table = [{name: getattr(row, "eof" if name == "eof_upper" else name) for name in header} for row in rows]
     _emit(args.out, _csv_text(args, table))

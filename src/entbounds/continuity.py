@@ -27,7 +27,7 @@ from .linalg import (
     mix,
     trace_distances,
 )
-from .measures import MeasureValue, _log_negativity, _pt_spectra, bound_values
+from .measures import _log_negativity, _pt_spectra, bound_values
 from .sampling import _ginibre_state
 
 # a bound hook maps a list of states of one shape to one value per state
@@ -295,20 +295,22 @@ def _border_state(family: Callable[[float], DensityMatrix], param: float) -> Den
 def border_scan(
     family: Callable[[float], DensityMatrix],
     param_grid,
-    eof: Callable[[DensityMatrix], MeasureValue] | None = None,
+    eof: BoundHook | None = None,
 ) -> list[BorderRow]:
     """Log-negativity, PPT margin and an optional eof along a 2 x N path.
 
-    The partial-transpose spectra are taken as one stack per STACK_BLOCK
-    grid points.  The eof column holds eof(state).value, or None without
-    eof: the Wootters closed form for two qubits, the seeded search elsewhere.
+    The partial-transpose spectra and the eof column are taken one block
+    of STACK_BLOCK grid points at a time.  eof is a bound hook, as in
+    ball_constants: it maps the block's list of states to one value
+    each, for instance partial(bound_values, "ec_upper"), the Wootters
+    closed form for two qubits and the seeded search elsewhere.  Without
+    eof the column holds None.
     """
     rows = []
     for params in blocks([float(param) for param in param_grid]):
         states = [_border_state(family, param) for param in params]
         spectra = _pt_spectra(states)
-        for param, state, log_neg, margin in zip(
-            params, states, _log_negativity(spectra).tolist(), spectra[:, 0].tolist()
-        ):
-            rows.append(BorderRow(param, log_neg, margin, None if eof is None else eof(state).value))
+        eofs = [None] * len(states) if eof is None else np.asarray(eof(states), dtype=float).tolist()
+        for row in zip(params, _log_negativity(spectra).tolist(), spectra[:, 0].tolist(), eofs):
+            rows.append(BorderRow(*row))
     return rows

@@ -2,9 +2,10 @@
 
 Mixing n copies drawn independently from {rho with weight 1-p, sigma
 with weight p} and keeping only draw counts l inside a window around
-n*p yields the state Pi built here.  The discarded binomial tail mass
-t bounds the trace distance between Pi and the n-fold power of the
-mixed state (1-p) rho + p sigma.
+n*p yields a state Pi.  The discarded binomial tail mass t bounds the
+trace distance between Pi and the n-fold power of the mixed state
+(1-p) rho + p sigma; verify_mixing_bound checks that bound on the
+copy-swap blocks of the two operators, never forming either whole.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .linalg import CERTIFICATION_TOL, DEFAULT_SIZE_CAP, DensityMatrix, mix, tra
 # longest binomial reach summed, 32 MiB per float64 array: n up to about
 # 1.1e10 at p = 1/2 and 4.5e10 at p near 0 or 1, where float(n) is exact
 MAX_REACH_TERMS = 2**22
-
-# rows per slab when a side x side array is filled in pieces: 32 rows of
-# side 4096 are 2 MiB, against 256 MiB for the whole array
-SLAB_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -163,30 +160,85 @@ def binomial_window(
     return (lo, hi), _tail_mass(n, p, lo, hi)
 
 
-def _kron_row_slabs(a: np.ndarray, b: np.ndarray):
-    """Yield (rows, np.kron(a[i:j], b)), the row slabs of np.kron(a, b).
+def _pair_isometries(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric and antisymmetric halves of one pair of copies.
 
-    Each entry of a Kronecker product is one product a[i, k] * b[r, l],
-    so a slab equals those rows of the whole product bit for bit.  A
-    slab has SLAB_ROWS rows, or b's row count if that is larger.
+    A pair of copies spans C^d x C^d, d = d_A d_B, which splits into the
+    d(d+1)/2 symmetric vectors |ii> and (|ij> + |ji>)/sqrt 2 and the
+    d(d-1)/2 antisymmetric ones (|ij> - |ji>)/sqrt 2, for i < j.  Each
+    half is a real isometry whose rows are its vectors in the pair basis
+    |ij>, at i d + j.  At d = 1 the antisymmetric half has no rows.
     """
-    step = max(1, SLAB_ROWS // b.shape[0])
-    for i in range(0, a.shape[0], step):
-        slab = np.kron(a[i : i + step], b)
-        start = i * b.shape[0]
-        yield slice(start, start + slab.shape[0]), slab
+    h = math.sqrt(0.5)
+    halves = []
+    for offset, sign in ((0, 1.0), (1, -1.0)):
+        i, j = np.triu_indices(d, offset)
+        rows = np.arange(i.size)
+        half = np.zeros((i.size, d * d))
+        half[rows, i * d + j] = np.where(i == j, 1.0, h)
+        half[rows, j * d + i] = np.where(i == j, 1.0, sign * h)
+        halves.append(half)
+    return halves[0], halves[1]
 
 
-def _mixture_in_copy_order(spec: MixtureSpec, cap: int) -> np.ndarray:
-    """Pi as a writable array in copy order, |a1 b1 a2 b2 ...>.
+def _pair_terms(a: np.ndarray, b: np.ndarray, mixed: np.ndarray) -> np.ndarray:
+    """What one pair of copies contributes: a x a, a x b + b x a and b x b
+    to Pi for 0, 1 and 2 sigma draws, and mixed x mixed to the power.
+    Each term commutes with the swap of the two copies."""
+    return np.array(
+        [np.kron(a, a), np.kron(a, b) + np.kron(b, a), np.kron(b, b), np.kron(mixed, mixed)]
+    )
 
-    The weighted sums S_m(l) = Binomial(m, p)(l) * block_m(l) obey
-    S_m(l) = S_{m-1}(l) x (1-p) rho + S_{m-1}(l-1) x p sigma, so Pi is
-    built copy by copy, keeping only the l that can still reach the
-    window.  The last copy closes the window sum with two krons, each
-    added into the zeroed side x side result one row slab at a time, so
-    no second side x side array is made.  Raises SizeCapError before any
-    side x side allocation.
+
+def _window_sum(sites, window: tuple[int, int]) -> np.ndarray:
+    """Sum of the krons of the sites' terms over the counts in the window.
+
+    A site is a pair of copies, with terms for 0, 1 and 2 sigma draws,
+    or one copy, with terms for 0 and 1.  The partial sums by count obey
+    S_k(l) = sum_s S_{k-1}(l - s) x term_s, and only the l that can
+    still reach the window are kept.  The last site closes the window
+    sum with one kron per term.
+    """
+    lo, hi = window
+    left = sum(len(site) - 1 for site in sites)  # copies still to draw
+    blocks = {0: np.ones((1, 1))}
+    for site in sites[:-1]:
+        left -= len(site) - 1
+        blocks = {
+            l: sum(np.kron(blocks[l - s], term) for s, term in enumerate(site) if l - s in blocks)
+            for l in range(max(0, lo - left), min(max(blocks) + len(site) - 1, hi) + 1)
+        }
+    acc = 0.0
+    for s, term in enumerate(sites[-1]):
+        window_blocks = [blocks[l] for l in range(lo - s, hi - s + 1) if l in blocks]
+        if window_blocks:
+            acc += np.kron(sum(window_blocks), term)
+    return acc
+
+
+def verify_mixing_bound(
+    spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP, tol: float = CERTIFICATION_TOL
+) -> MixingReport:
+    """Check T(((1-p)rho + p sigma)^(x n), Pi) <= tail_mass + tol.
+
+    The tail bound is stated against T, which already includes the 1/2
+    of the trace-norm convention.  T is capped at 1, the largest
+    distance between two states.
+
+    Both operators commute with the swap of each pair of copies, so they
+    are block-diagonal in the sectors that pick the symmetric or the
+    antisymmetric half (_pair_isometries) of each of the K = n // 2
+    pairs; an unpaired last copy keeps its basis.  Each term of a pair
+    (_pair_terms, with a = (1-p) rho, b = p sigma and m the mixed state)
+    has a block on each half: that half's isometry V times the term
+    times V^T.  Pi's block on a sector is the window sum (_window_sum)
+    of these pair blocks, and the power's block is its own kron chain of
+    the m x m pair blocks, independent of Pi's recursion.  Permuting
+    the pairs commutes with both operators and carries a sector onto any
+    other with as many antisymmetric pairs j, so
+    T = sum_j C(K, j) tr|X_j| / 2 over one block X_j per j: K + 1
+    eigensolves, the largest on the all-symmetric block.  Raises
+    SizeCapError when side^n exceeds cap, before anything is built.
     """
     n, p = spec.n, spec.p
     lo, hi = spec.window
@@ -197,129 +249,24 @@ def _mixture_in_copy_order(spec: MixtureSpec, cap: int) -> np.ndarray:
     kept = float(np.sum(np.exp(_binom_logpmf(np.arange(lo, hi + 1), n, p))))
     if kept <= 0.0:
         raise ValueError("window carries no probability mass (tail mass 1)")
-    factors = ((0, (1.0 - p) * spec.rho.entries), (1, p * spec.sigma.entries))
-    blocks = {0: np.ones((1, 1), dtype=complex)}
-    for m in range(1, n):
-        blocks = {
-            l: sum(
-                np.kron(blocks[l - shift], factor)
-                for shift, factor in factors
-                if l - shift in blocks
-            )
-            for l in range(max(0, lo - (n - m)), min(m, hi) + 1)
-        }
-    acc = np.zeros((side**n, side**n), dtype=complex)
-    for shift, factor in factors:
-        window = [blocks[l] for l in range(lo - shift, hi - shift + 1) if l in blocks]
-        if window:
-            # added, not assigned: 0 + x and x differ in the sign of zero
-            for rows, slab in _kron_row_slabs(sum(window), factor):
-                acc[rows] += slab
-    acc /= kept
-    return acc
-
-
-def _swap_sectors(dims: tuple[int, int], n: int) -> tuple:
-    """Q, the orthogonal basis change that splits each swapped pair of copies.
-
-    Copies 2k and 2k+1 (k < n // 2) span C^d x C^d, d = d_A d_B, which
-    splits into the d(d+1)/2 symmetric vectors |ii> and
-    (|ij> + |ji>)/sqrt 2 and the d(d-1)/2 antisymmetric ones
-    (|ij> - |ji>)/sqrt 2, for i < j; an unpaired last copy keeps its
-    basis.  Q, in CSR, is the Kronecker product of these one-pair changes
-    and an identity for the unpaired copy: its columns are in copy
-    order, |a1 b1 a2 b2 ...>, and its rows run sector by sector, where a
-    sector picks the symmetric or the antisymmetric part of every pair.
-    A row's terms run by increasing column.  Returns the sector sizes, Q.
-    """
-    from scipy import sparse  # where it is needed, as in _binom_logpmf
-
-    d = dims[0] * dims[1]
-    i, j = np.triu_indices(d)
-    ia, ja = np.triu_indices(d, 1)
-    h = math.sqrt(0.5)
-    # rows of one pair: symmetric, then antisymmetric
-    pair_src = np.array([np.r_[i * d + j, ia * d + ja], np.r_[j * d + i, ja * d + ia]])
-    pair_coef = np.array(
-        [
-            np.r_[np.where(i == j, 1.0, h), np.full(ia.size, h)],
-            np.r_[np.where(i == j, 0.0, h), np.full(ia.size, -h)],
-        ]
-    )
-    # the second term of |ii>, of coefficient 0, is summed into its first
-    rows = np.tile(np.arange(d * d), 2)
-    pair = sparse.csr_matrix((pair_coef.ravel(), (rows, pair_src.ravel())), shape=(d * d,) * 2)
-    pair_half = (np.arange(d * d) >= i.size).astype(int)
-    q, sector = sparse.identity(1, format="csr"), np.zeros(1, dtype=int)
-    for _ in range(n // 2):
-        q = sparse.kron(q, pair, format="csr")
-        sector = (2 * sector[:, None] + pair_half).ravel()
-    if n % 2:
-        q, sector = sparse.kron(q, sparse.identity(d), format="csr"), np.repeat(sector, d)
-    return np.bincount(sector), q[np.argsort(sector, kind="stable")]
-
-
-def _swap_sector_distance(diff: np.ndarray, dims: tuple[int, int], n: int) -> float:
-    """Upper bound on tr|diff| / 2 from the blocks of B = Q diff Q^T.
-
-    diff is in copy order, the order of Q's columns.
-
-    A diff that commutes with the disjoint copy swaps is block-diagonal
-    in the sectors of _swap_sectors.  Pinching alone could only lower
-    the trace norm, so the part of B off the sector blocks enters as
-    sqrt(N) times its Frobenius norm, N the side: then
-    T = (sum of block trace norms + sqrt(N) ||off||_F) / 2 is never below
-    tr|diff| / 2, and for a copy-symmetric diff the off part is rounding.
-
-    Q is applied by two sparse products into one band of a sector's rows
-    of B, filled SLAB_ROWS rows at a time: those rows of Q times diff,
-    then that slab times Q^T.  Each entry sums its terms in the order Q's
-    row stores them, as the whole band's products would.  The band,
-    sector size x side, is the largest array beside diff.
-    """
-    sizes, q = _swap_sectors(dims, n)
-    norms, off = 0.0, 0.0
-    start = 0
-    for size in sizes:
-        rows = slice(start, start + size)
-        band = np.empty((size, diff.shape[1]), dtype=complex)
-        for i in range(0, size, SLAB_ROWS):
-            slab = q[start + i : start + min(i + SLAB_ROWS, size)] @ diff
-            band[i : i + SLAB_ROWS] = (q @ slab.T).T
-        norms += trace_norm(band[:, rows])
-        band[:, rows] = 0.0
-        off += float(np.vdot(band, band).real)
-        start += size
-    return 0.5 * (norms + math.sqrt(diff.shape[0] * off))
-
-
-def verify_mixing_bound(
-    spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP, tol: float = CERTIFICATION_TOL
-) -> MixingReport:
-    """Check T(((1-p)rho + p sigma)^(x n), Pi) <= tail_mass + tol.
-
-    The tail bound is stated against T, which already includes the 1/2
-    of the trace-norm convention.  T is taken block by block over the
-    copy-swap sectors (_swap_sector_distance): an upper bound on the
-    trace distance, equal to it up to rounding when Pi is copy-symmetric,
-    and capped at 1, the largest distance between two states.
-
-    Pi and the power stay in copy order, the order of the sector
-    indices, so neither is regrouped.  The power is its own kron chain
-    of the mixed state, independent of the recursion that builds Pi.
-    Its last kron is made one row slab at a time and subtracted into
-    Pi's array, so the difference overwrites Pi and the power is never
-    whole: the one side x side array is the difference.
-    """
-    diff = _mixture_in_copy_order(spec, cap)
-    mixed = mix(spec.rho, spec.sigma, spec.p).entries
-    # the power of all but the last copy is 1/(d_A d_B)^2 of the side^2; only
-    # the generator holds it, so it is freed once the slabs are spent
-    slabs = _kron_row_slabs(reduce(np.kron, [mixed] * (spec.n - 1), np.ones((1, 1))), mixed)
-    for rows, slab in slabs:
-        np.subtract(slab, diff[rows], out=diff[rows])
-    t = min(_swap_sector_distance(diff, (spec.rho.dim_a, spec.rho.dim_b), spec.n), 1.0)
-    tail_mass = _tail_mass(spec.n, spec.p, *spec.window)
+    a, b = (1.0 - p) * spec.rho.entries, p * spec.sigma.entries
+    mixed = mix(spec.rho, spec.sigma, p).entries
+    terms = _pair_terms(a, b, mixed)
+    halves = [v @ terms @ v.T for v in _pair_isometries(spec.rho.dim_a * spec.rho.dim_b)]
+    k, last = divmod(n, 2)
+    total = 0.0
+    # at d = 1 the antisymmetric half is empty, and so is every class with j > 0
+    for j in range(k + 1 if halves[1].size else 1):
+        pairs = [halves[0]] * (k - j) + [halves[1]] * j
+        x = _window_sum([pair[:3] for pair in pairs] + [(a, b)] * last, spec.window)
+        x /= kept
+        chain = [pair[3] for pair in pairs] + [mixed] * last
+        # the power's block minus Pi's, written over Pi's: the power's block
+        # is freed before the eigensolve, which then holds the only other copies
+        np.subtract(reduce(np.kron, chain, np.ones((1, 1))), x, out=x)
+        total += math.comb(k, j) * trace_norm(x)
+    t = min(0.5 * total, 1.0)
+    tail_mass = _tail_mass(n, p, lo, hi)
     bound = tail_mass + tol
     return MixingReport(
         trace_distance=t,

@@ -1,10 +1,11 @@
 """Helpers that only the tests use: seeded random amplitudes, unitaries,
 low-rank and separable states, unvalidated matrices, channels, tensor
-products, the n-copy operators in A|B order, named states, an
-entanglement-entropy reference, a non-raising validation report, the
-one-state Bell twirl, hashing yield and PPT verdict, a conversion-rate
-record, full-range references for the binomial sums and the invocation
-a report embeds.
+products, the n-copy operators in A|B order, the dense n-copy mixture
+and copy-swap basis the mixing check's blocks are tested against, named
+states, an entanglement-entropy reference, a non-raising validation
+report, the one-state Bell twirl, hashing yield and PPT verdict, a
+conversion-rate record, full-range references for the binomial sums and
+the invocation a report embeds.
 
 They build on entbounds and are not part of its API.
 """
@@ -37,7 +38,7 @@ from entbounds.measures import (
     ec_upper,
     ed_lower,
 )
-from entbounds.mixing import MixtureSpec, _mixture_in_copy_order, _tail_mass
+from entbounds.mixing import MixtureSpec, _binom_logpmf, _pair_isometries, _tail_mass
 from entbounds.protocols import LOG2, _check_distribution
 from entbounds.sampling import _ginibre, haar_qr
 
@@ -187,6 +188,66 @@ class TruncatedMixture:
     tail_mass: float
 
 
+def mixture_in_copy_order(spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+    """Pi as a writable array in copy order, |a1 b1 a2 b2 ...>: the dense
+    oracle of the block-by-block mixing check.
+
+    The weighted sums S_m(l) = Binomial(m, p)(l) * block_m(l) obey
+    S_m(l) = S_{m-1}(l) x (1-p) rho + S_{m-1}(l-1) x p sigma, so Pi is
+    built copy by copy, keeping only the l that can still reach the
+    window.  The last copy closes the window sum with two krons, each
+    added into the zeroed side x side result.  Raises SizeCapError
+    before any side x side allocation.
+    """
+    n, p = spec.n, spec.p
+    lo, hi = spec.window
+    side = spec.rho.side
+    # for side >= 2, side^n > cap iff this is, without forming side^n for a huge n
+    if side ** min(n, cap.bit_length()) > cap:
+        raise SizeCapError(f"{side}^{n}" if n > 1 else side, cap)
+    kept = float(np.sum(np.exp(_binom_logpmf(np.arange(lo, hi + 1), n, p))))
+    if kept <= 0.0:
+        raise ValueError("window carries no probability mass (tail mass 1)")
+    factors = ((0, (1.0 - p) * spec.rho.entries), (1, p * spec.sigma.entries))
+    blocks = {0: np.ones((1, 1), dtype=complex)}
+    for m in range(1, n):
+        blocks = {
+            l: sum(
+                np.kron(blocks[l - shift], factor)
+                for shift, factor in factors
+                if l - shift in blocks
+            )
+            for l in range(max(0, lo - (n - m)), min(m, hi) + 1)
+        }
+    acc = np.zeros((side**n, side**n), dtype=complex)
+    for shift, factor in factors:
+        window = [blocks[l] for l in range(lo - shift, hi - shift + 1) if l in blocks]
+        if window:
+            acc += np.kron(sum(window), factor)
+    acc /= kept
+    return acc
+
+
+def copy_swap_basis(dims: tuple[int, int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q, the dense orthogonal change from copy order to the copy-swap
+    sectors, and each row's sector.
+
+    Copies 2k and 2k+1 (k < n // 2) split into the rows of the symmetric
+    and then the antisymmetric pair isometry; an unpaired last copy keeps
+    its basis.  A sector picks one half of every pair, and its label has
+    bit K - 1 - k set where pair k is antisymmetric, K = n // 2.
+    """
+    d = dims[0] * dims[1]
+    sym, anti = _pair_isometries(d)
+    pair, half = np.vstack([sym, anti]), np.r_[np.zeros(len(sym), int), np.ones(len(anti), int)]
+    q, sector = np.ones((1, 1)), np.zeros(1, dtype=int)
+    for _ in range(n // 2):
+        q, sector = np.kron(q, pair), (2 * sector[:, None] + half).ravel()
+    if n % 2:
+        q, sector = np.kron(q, np.eye(d)), np.repeat(sector, d)
+    return q, sector
+
+
 def build_truncated_mixture(spec: MixtureSpec) -> TruncatedMixture:
     """Pi of the mixing check, regrouped once into bipartite order, and its tail mass.
 
@@ -195,7 +256,7 @@ def build_truncated_mixture(spec: MixtureSpec) -> TruncatedMixture:
     """
     n, dim_a, dim_b = spec.n, spec.rho.dim_a, spec.rho.dim_b
     order = ab_order((dim_a, dim_b), n)
-    pi = _mixture_in_copy_order(spec, DEFAULT_SIZE_CAP)[np.ix_(order, order)]
+    pi = mixture_in_copy_order(spec)[np.ix_(order, order)]
     return TruncatedMixture(
         pi=unchecked(dim_a**n, dim_b**n, pi),
         tail_mass=_tail_mass(n, spec.p, *spec.window),

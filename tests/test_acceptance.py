@@ -2,6 +2,7 @@
 
 import json
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ def test_criterion_05_measure_instantiations():
 
 
 def test_criterion_06_border_continuity():
-    rows = border_scan(werner, np.linspace(0.0, 1.0, 200), eof_2x2)
+    rows = border_scan(werner, np.linspace(0.0, 1.0, 200), partial(bound_values, "ec_upper"))
     for row in rows:
         if row.param <= 1 / 3:
             assert row.eof <= 1e-9
@@ -169,7 +170,7 @@ def test_criterion_06_border_continuity():
     log_negs = [row.log_neg for row in rows]
     assert all(b >= a - 1e-12 for a, b in zip(eofs, eofs[1:]))
     assert all(b >= a - 1e-12 for a, b in zip(log_negs, log_negs[1:]))
-    near = border_scan(werner, [1 / 3 + 1e-4], eof_2x2)[0]
+    near = border_scan(werner, [1 / 3 + 1e-4], partial(bound_values, "ec_upper"))[0]
     assert near.eof <= 1e-3
     assert near.log_neg <= 1e-3
     rows_2x3 = border_scan(isotropic_2x3, np.linspace(0.0, 1.0, 200))

@@ -22,7 +22,6 @@ from entbounds.measures import (
     ec_upper,
     ed_lower,
     eof_2x2,
-    eof_upper_general,
 )
 from entbounds.sampling import random_density_matrix
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
@@ -263,8 +262,14 @@ def test_corridor_reverse_mix_flag():
 # ---- border scans ----
 
 
+def wootters(states):
+    """An eof hook that takes eof_2x2 state by state, so it refuses any
+    state that is not two qubits."""
+    return [eof_2x2(state).value for state in states]
+
+
 def test_border_2x2_werner_threshold():
-    rows = border_scan(werner, np.linspace(0, 1, 101), eof_2x2)
+    rows = border_scan(werner, np.linspace(0, 1, 101), partial(bound_values, "ec_upper"))
     for row in rows:
         expected_c = max(0.0, (3 * row.param - 1) / 2)
         if expected_c == 0.0:
@@ -278,16 +283,16 @@ def test_border_2x2_werner_threshold():
 
 
 def test_border_2x2_continuity_near_threshold():
-    rows = border_scan(werner, [1 / 3 + 1e-4], eof_2x2)
+    rows = border_scan(werner, [1 / 3 + 1e-4], partial(bound_values, "ec_upper"))
     assert rows[0].eof <= 1e-3
     assert rows[0].log_neg <= 1e-3
 
 
 def test_border_2x2_rejects_bad_family():
     with pytest.raises(TypeError):
-        border_scan(lambda p: np.eye(4) / 4, [0.1], eof_2x2)
+        border_scan(lambda p: np.eye(4) / 4, [0.1], wootters)
     with pytest.raises(DimensionMismatchError):
-        border_scan(lambda p: maximally_mixed(2, 3), [0.1], eof_2x2)
+        border_scan(lambda p: maximally_mixed(2, 3), [0.1], wootters)
 
 
 def test_border_2xn_margin_matches_closed_form():
@@ -301,7 +306,7 @@ def test_border_2xn_margin_matches_closed_form():
 
 
 def test_border_2xn_optional_eof_column():
-    eof = partial(eof_upper_general, budget=60, seed=0)
+    eof = partial(bound_values, "ec_upper", budget=60, seed=0)
     rows = border_scan(isotropic_2x3, [0.0, 0.9], eof)
     assert rows[0].eof <= 1e-6  # maximally mixed is separable
     assert rows[1].eof > 0.1

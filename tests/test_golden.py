@@ -145,10 +145,12 @@ def run_in(workdir: str, argv: list[str]) -> dict[str, bytes]:
 def run_on_one_blas_thread(workdir: str, argv: list[str]) -> tuple[int, str, str]:
     """Run argv in a child process with one BLAS thread, as CI does.
 
-    The eigensolvers and dot products of mixing-verify's sector pass
-    round differently with more than one BLAS thread (the narrow case
-    reads 0.19359201821640493 on one and ...495 on two), and the thread
-    count is fixed when numpy loads, so the case gets its own process.
+    BLAS may split an eigensolve or a product between threads and round
+    it differently: the dense sector pass that mixing-verify once ran
+    read the narrow case 0.19359201821640493 on one thread and ...495 on
+    two.  Its class blocks read the same on one and two threads at these
+    sizes, but the thread count is fixed when numpy loads, so the case
+    still gets its own process.
     """
     env = {
         **os.environ,

@@ -7,7 +7,6 @@ from entbounds.errors import (
     StateValidityError,
 )
 from entbounds.linalg import (
-    DEFAULT_SIZE_CAP,
     DensityMatrix,
     mix,
     partial_trace,
@@ -15,7 +14,8 @@ from entbounds.linalg import (
     trace_distance,
     trace_norm,
 )
-from entbounds.mixing import MixtureSpec, _mixture_in_copy_order
+from entbounds import mixing
+from entbounds.mixing import MixtureSpec, verify_mixing_bound
 from entbounds.sampling import random_density_matrix
 from entbounds.states import maximally_mixed, phi_plus
 from support import (
@@ -121,14 +121,18 @@ def test_tensor_power_matches_repeated_tensor():
     assert (p3.dim_a, p3.dim_b) == (8, 8)
 
 
-def test_tensor_power_of_trivial_state_beyond_numpy_axis_limit():
+def test_tensor_power_of_trivial_state_beyond_numpy_axis_limit(monkeypatch):
     # 40 copies of a 1x1 state: 80 unit axes, more than numpy's 64
     one = DensityMatrix(1, 1, [[1.0]])
     power = tensor_power(one, 40)
     assert (power.dim_a, power.dim_b, power.entries.tolist()) == (1, 1, [[1.0]])
-    # side 1 passes the cap guard at any copy count
+    # side 1 passes the cap guard at any copy count, and its one class is 1 x 1:
+    # every pair's antisymmetric half is empty, so no other class is built
     spec = MixtureSpec(one, one, p=0.0, n=40, window=(0, 40))
-    assert _mixture_in_copy_order(spec, DEFAULT_SIZE_CAP).tolist() == [[1.0]]
+    shapes = []
+    monkeypatch.setattr(mixing, "trace_norm", lambda x: shapes.append(x.shape) or trace_norm(x))
+    report = verify_mixing_bound(spec)
+    assert (shapes, report.trace_distance, report.passed) == ([(1, 1)], 0.0, True)
 
 
 def test_partial_trace_of_pure_state_marginals_share_spectrum():

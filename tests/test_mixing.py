@@ -1,3 +1,4 @@
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -9,13 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
 from scipy.stats import binom
 
 from entbounds import mixing
 from entbounds.errors import DimensionMismatchError, EmptyWindowError, SizeCapError
 from entbounds.linalg import (
-    DEFAULT_SIZE_CAP,
     HERMITICITY_TOL,
     PSD_FLOOR,
     DensityMatrix,
@@ -26,19 +25,22 @@ from entbounds.linalg import (
 from entbounds.mixing import (
     MixtureSpec,
     _binom_reach,
-    _mixture_in_copy_order,
-    _swap_sectors,
+    _pair_isometries,
+    _pair_terms,
     binomial_window,
     tail_mass_scan,
     verify_mixing_bound,
 )
 from entbounds.protocols import concentration_yield
 from entbounds.sampling import random_density_matrix
+from entbounds.stateio import dumps_state
 from support import (
     ab_order,
     build_truncated_mixture,
+    copy_swap_basis,
     full_range_binom_pmf,
     full_range_tail_mass,
+    mixture_in_copy_order,
     tensor_power,
 )
 
@@ -219,29 +221,45 @@ def dense_distance(spec, pi):
 
 
 @pytest.mark.parametrize(
-    "dims,n,sizes",
+    "dims,n,sizes,counts",
     [
-        ((2, 2), 5, [400, 240, 240, 144]),
-        ((2, 3), 4, [441, 315, 315, 225]),
-        ((2, 2), 6, [1000, 600, 600, 360, 600, 360, 360, 216]),
+        ((2, 2), 5, [400, 240, 144], [1, 2, 1]),
+        ((2, 3), 4, [441, 315, 225], [1, 2, 1]),
+        ((2, 2), 6, [1000, 600, 360, 216], [1, 3, 3, 1]),
     ],
 )
-def test_swap_sector_sizes(dims, n, sizes):
-    assert list(_swap_sectors(dims, n)[0]) == sizes
+def test_sector_class_sizes_and_multiplicities(dims, n, sizes, counts, monkeypatch):
+    # a stand-in for the eigensolve: class j reads 2^-8(j + 1), so T holds
+    # each class's multiplicity in a byte of its own
+    seen = []
+
+    def spy(x):
+        seen.append(x.shape)
+        return 2.0 ** (-8 * len(seen))
+
+    monkeypatch.setattr(mixing, "trace_norm", spy)
+    report = verify_mixing_bound(random_spec(*dims, n, seed=5))
+    assert seen == [(size, size) for size in sizes]
+    assert report.trace_distance == 0.5 * sum(c * 2.0 ** (-8 * (j + 1)) for j, c in enumerate(counts))
 
 
-@pytest.mark.parametrize("dims,n", [((2, 2), 1), ((2, 2), 2), ((2, 2), 3), ((2, 3), 2), ((1, 3), 3)])
-def test_swap_sector_basis_is_orthogonal_and_block_diagonalises_powers(dims, n):
-    sizes, q = _swap_sectors(dims, n)
-    side = (dims[0] * dims[1]) ** n
-    q = q.toarray()
-    assert np.max(np.abs(q @ q.T - np.eye(side))) < 1e-15
-    rho = random_density_matrix(*dims, seed=n)
-    b = q @ kron_power(rho.entries, n) @ q.T
-    edges = np.cumsum(np.r_[0, sizes])
-    for lo, hi in zip(edges, edges[1:]):
-        b[lo:hi, lo:hi] = 0.0
-    assert np.max(np.abs(b)) < 1e-15
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)])
+def test_pair_isometries_are_orthogonal_and_block_diagonalise_pair_terms(dims):
+    d = dims[0] * dims[1]
+    sym, anti = _pair_isometries(d)
+    assert (sym.shape, anti.shape) == ((d * (d + 1) // 2, d * d), (d * (d - 1) // 2, d * d))
+    q = np.vstack([sym, anti])
+    assert np.max(np.abs(q @ q.T - np.eye(d * d))) < 1e-15
+    rho, sigma = random_density_matrix(*dims, seed=d), random_density_matrix(*dims, seed=d + 1)
+    a, b = 0.7 * rho.entries, 0.3 * sigma.entries
+    terms = _pair_terms(a, b, mix(rho, sigma, 0.3).entries)
+    # T0, T1, T2 and m x m in that order
+    assert np.array_equal(terms[1], np.kron(a, b) + np.kron(b, a))
+    for term in terms:
+        rotated = q @ term @ q.T
+        rotated[: len(sym), : len(sym)] = 0.0
+        rotated[len(sym) :, len(sym) :] = 0.0
+        assert np.max(np.abs(rotated), initial=0.0) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -272,63 +290,76 @@ def test_unvalidated_n_copy_operators_are_states(dims, n):
         assert abs(m.trace() - 1.0) <= 1e-12
 
 
-def swap_breaking(pi, dim_a, eps=1e-6):
-    """Copy-order Pi plus eps (|0><y| + |y><0|), y = |1> on the A side of copy 1 only.
+@pytest.mark.parametrize(
+    "dims,n",
+    [((1, 2), n) for n in range(2, 7)]
+    + [((1, 3), n) for n in range(2, 6)]
+    + [((2, 2), n) for n in range(2, 5)]
+    + [((2, 3), 2), ((2, 3), 3)],
+)
+def test_sectors_of_one_class_share_their_trace_norm(dims, n, monkeypatch):
+    """Each of the 2^K copy-swap sectors of the dense difference, taken
+    with the dense basis change, has the trace norm of its class's block,
+    and the difference has nothing between sectors."""
+    spec = random_spec(*dims, n, seed=500 + 10 * n + dims[1])
+    seen = []
 
-    Swapping copies 1 and 2 moves y, so the perturbed Pi is not
-    copy-symmetric, and part of the perturbation lies between sectors.
-    y = side // dim_a is the same flat index in copy and bipartite order.
-    """
-    y = pi.shape[0] // dim_a
-    entries = np.array(pi)
-    entries[0, y] += eps
-    entries[y, 0] += eps
-    return entries
+    def spy(x):
+        seen.append(trace_norm(x))
+        return seen[-1]
+
+    monkeypatch.setattr(mixing, "trace_norm", spy)
+    report = verify_mixing_bound(spec)
+    power = kron_power(mix(spec.rho, spec.sigma, spec.p).entries, n)
+    q, sector = copy_swap_basis(dims, n)
+    rotated = q @ (power - mixture_in_copy_order(spec)) @ q.T
+    norms = []
+    for s in range(2 ** (n // 2)):
+        rows = np.flatnonzero(sector == s)
+        if rows.size:
+            block = rotated[np.ix_(rows, rows)]
+            norms.append(trace_norm(block))
+            assert abs(norms[-1] - seen[s.bit_count()]) <= 1e-13, (s, norms[-1], seen)
+            rotated[np.ix_(rows, rows)] = 0.0
+    assert np.max(np.abs(rotated)) < 1e-15
+    assert abs(report.trace_distance - 0.5 * sum(norms)) <= 1e-13
 
 
 @pytest.mark.parametrize("dims,n", [((2, 2), 2), ((2, 2), 3), ((2, 2), 4), ((2, 3), 2), ((2, 3), 3)])
-def test_swap_breaking_pi_never_reads_closer(dims, n, monkeypatch):
-    for seed in range(2):
-        spec = random_spec(*dims, n, seed=700 + seed)
-        broken = swap_breaking(_mixture_in_copy_order(spec, DEFAULT_SIZE_CAP), dims[0])
-        # verify_mixing_bound overwrites Pi with the difference, so hand out copies
-        monkeypatch.setattr(mixing, "_mixture_in_copy_order", lambda *_: broken.copy())
+def test_perturbed_pair_term_fails_and_never_reads_closer(dims, n, monkeypatch):
+    """A negative control: eps (g x g), g real symmetric, so that it commutes
+    with the swap, added to the builder's a x a pair term.  T stays at or
+    above the dense distance of the operators that term builds, and a
+    full window, where Pi was the power, fails."""
+    g = np.random.default_rng(n).normal(size=(dims[0] * dims[1],) * 2)
+    g += g.T
+    error = np.zeros((4, *np.kron(g, g).shape))
+    error[0] = 1e-6 * np.kron(g, g)
+    monkeypatch.setattr(mixing, "_pair_terms", lambda *args: _pair_terms(*args) + error)
+    specs = [random_spec(*dims, n, seed=700 + seed) for seed in range(2)]
+    for spec in specs + [replace(specs[-1], window=(0, n))]:
         report = verify_mixing_bound(spec)
         power = kron_power(mix(spec.rho, spec.sigma, spec.p).entries, n)
-        assert report.trace_distance >= 0.5 * trace_norm(power - broken) - 1e-15
-    # with a full window Pi is the n-fold power, and the broken one fails
-    spec = replace(spec, window=(0, n))
-    broken = swap_breaking(_mixture_in_copy_order(spec, DEFAULT_SIZE_CAP), dims[0])
-    monkeypatch.setattr(mixing, "_mixture_in_copy_order", lambda *_: broken.copy())
-    assert not verify_mixing_bound(spec).passed
+        dense = 0.5 * trace_norm(power - perturbed_mixture(spec, error[0]))
+        assert report.trace_distance >= dense - 1e-13, (spec.window, report, dense)
+    # the last window is the full one
+    assert not report.passed
 
 
-def bipartite_path_distance(spec, monkeypatch):
-    """T as computed with Pi and the power regrouped into bipartite order.
-
-    The difference is taken between the bipartite operators, and the
-    columns of Q are mapped from copy order through argsort(ab_order).
-    """
-    dims, n = (spec.rho.dim_a, spec.rho.dim_b), spec.n
-    power = tensor_power(mix(spec.rho, spec.sigma, spec.p), n).entries
-    diff = power - build_truncated_mixture(spec).pi.entries
-    sizes, q = _swap_sectors(dims, n)
-    to_bipartite = np.argsort(ab_order(dims, n))
-    # each row keeps its terms in their order, only their columns move
-    q = csr_matrix((q.data, to_bipartite[q.indices], q.indptr), shape=q.shape)
-    with monkeypatch.context() as patch:
-        patch.setattr(mixing, "_swap_sectors", lambda *_: (sizes, q))
-        return min(mixing._swap_sector_distance(diff, dims, n), 1.0)
-
-
-@pytest.mark.parametrize(
-    "dims,n", [((2, 2), n) for n in range(1, 6)] + [((2, 3), n) for n in range(1, 5)]
-)
-def test_copy_order_distance_is_bit_identical_to_bipartite_path(dims, n, monkeypatch):
-    for seed in range(3 if n < 4 else 1):
-        spec = random_spec(*dims, n, seed=900 + 10 * n + seed)
-        expected = bipartite_path_distance(spec, monkeypatch)
-        assert verify_mixing_bound(spec).trace_distance == expected, (seed, expected)
+def perturbed_mixture(spec, error):
+    """Pi in copy order with error added to the a x a term of every pair,
+    summed over the explicit draw counts of the pairs and the last copy."""
+    a, b = (1.0 - spec.p) * spec.rho.entries, spec.p * spec.sigma.entries
+    pair = [np.kron(a, a) + error, np.kron(a, b) + np.kron(b, a), np.kron(b, b)]
+    lo, hi = spec.window
+    k, last = divmod(spec.n, 2)
+    acc = 0.0
+    for counts in product(*[range(3)] * k, *[range(2)] * last):
+        if lo <= sum(counts) <= hi:
+            factors = [pair[c] for c in counts[:k]] + [(a, b)[c] for c in counts[k:]]
+            acc = acc + reduce(np.kron, factors)
+    kept = sum(binom.pmf(l, spec.n, spec.p) for l in range(lo, hi + 1))
+    return acc / kept
 
 
 def test_verify_mixing_bound_respects_cap():
@@ -337,10 +368,13 @@ def test_verify_mixing_bound_respects_cap():
         verify_mixing_bound(spec, cap=1024)
 
 
-def test_mixture_in_copy_order_respects_default_cap():
-    spec = MixtureSpec(RHO, RHO, p=0.5, n=7, window=(0, 7))
+def test_verify_mixing_bound_checks_the_default_cap_first():
+    # the window carries no mass either, which would raise ValueError
+    spec = MixtureSpec(RHO, RHO, p=0.0, n=7, window=(1, 7))
     with pytest.raises(SizeCapError, match=r"matrix side 4\^7 exceeds size cap 4096"):
-        _mixture_in_copy_order(spec, DEFAULT_SIZE_CAP)
+        verify_mixing_bound(spec)
+    with pytest.raises(ValueError, match="window carries no probability mass"):
+        verify_mixing_bound(replace(spec, n=6, window=(1, 6)))
 
 
 def test_tail_mass_scan_rows():
@@ -402,16 +436,17 @@ def test_binom_reach_over_the_limit_raises_before_allocating():
         _binom_reach(11_300_000_000, 0.5)
 
 
-# just above the peaks read (1.611 and 1.762), so that keeping a 1/d^2
-# part such as the (n - 1)-copy power alive through the sector pass fails
-PEAK_BOUNDS = {((2, 3), 4): 1.63, ((2, 2), 5): 1.78}
+# just above the peaks read (0.357 and 0.467), so that a side x side array
+# left anywhere in the check fails, and so does a second class block kept
+# alive through the eigensolve (0.12 and 0.15)
+PEAK_BOUNDS = {((2, 3), 4): 0.37, ((2, 2), 5): 0.48}
 
 
 @pytest.mark.parametrize("dims,n", list(PEAK_BOUNDS))
 def test_mixing_check_peak_stays_under_two_sides_squared(dims, n):
-    # in units of one side x side complex array: the difference (1), the
-    # band of the largest sector (0.34 and 0.39) and the eigensolver's
-    # copy of its block; Pi and the power whole together would be 2 alone
+    # in units of one side x side complex array: three blocks of the largest
+    # class, which is 441^2 / 1296^2 = 0.116 and 400^2 / 1024^2 = 0.153 of
+    # one; the block, and trace_norm's hermiticity check of it
     spec = random_spec(*dims, n, seed=404)
     side = (dims[0] * dims[1]) ** n
     tracemalloc.start()
@@ -423,27 +458,22 @@ def test_mixing_check_peak_stays_under_two_sides_squared(dims, n):
     assert peak < PEAK_BOUNDS[dims, n] * 16 * side**2, peak / (16 * side**2)
 
 
-@pytest.mark.parametrize(
-    "a_shape,b_shape",
-    [
-        ((1, 1), (4, 4)),  # the last copy of Pi at n = 1
-        ((16, 16), (4, 4)),  # whole slabs only
-        ((37, 5), (6, 6)),  # 5 rows of a per slab, the last one partial
-        ((9, 3), (1, 7)),  # a one-row b: a single partial slab
-        ((70, 2), (1, 1)),
-        ((3, 2), (40, 3)),  # b taller than a slab: one row of a each
-    ],
-)
-def test_kron_row_slabs_equal_the_whole_product_bytes(a_shape, b_shape):
-    rng = np.random.default_rng(17)
-    a, b = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in (a_shape, b_shape))
-    a.flat[::3] = complex(-0.0, -0.0)  # tobytes() tells the sign of zero
-    whole = np.kron(a, b)
-    slabs = list(mixing._kron_row_slabs(a, b))
-    covered = np.concatenate([np.arange(whole.shape[0])[rows] for rows, _ in slabs])
-    assert np.array_equal(covered, np.arange(whole.shape[0]))
-    assert all(slab.tobytes() == whole[rows].tobytes() for rows, slab in slabs)
-    assert np.concatenate([slab for _, slab in slabs]).tobytes() == whole.tobytes()
+def test_mixing_verify_process_imports_no_sparse_module(tmp_path):
+    files = []
+    for seed, name in enumerate(("rho", "sigma"), start=1):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(dumps_state(random_density_matrix(2, 2, seed=seed)))
+    argv = ["mixing-verify", *map(str, files), "--p", "0.3", "--n", "3", "--half-width", "1"]
+    # -X importtime prints one stderr line per module the process imports
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "entbounds", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()]
+    assert "entbounds.mixing" in imported and "scipy.special" in imported
+    assert not [name for name in imported if name.startswith("scipy.sparse")]
 
 
 def test_tail_mass_scan_underflow_reads_positive_with_log10():
