@@ -172,7 +172,11 @@ def trace_norm(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("trace_norm expects a square matrix or a stack of them")
-    gap = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    # |conj(m) - m^T|, the entries of |m - m^H| transposed, in one
+    # temporary the size of m that holds each step in place
+    gap = m.conj()
+    gap -= m.swapaxes(-1, -2)
+    gap = np.abs(gap, out=gap).real.max(axis=(-2, -1), initial=0.0)
     hermitian = gap <= HERMITICITY_TOL
     if hermitian.all():
         norms = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)

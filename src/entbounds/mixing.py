@@ -5,7 +5,8 @@ with weight p} and keeping only draw counts l inside a window around
 n*p yields a state Pi.  The discarded binomial tail mass t bounds the
 trace distance between Pi and the n-fold power of the mixed state
 (1-p) rho + p sigma; verify_mixing_bound checks that bound on the
-copy-swap blocks of the two operators, never forming either whole.
+copy-swap blocks of the two operators, each split by the swaps of whole
+pairs of copies, never forming either operator whole.
 """
 
 from __future__ import annotations
@@ -160,23 +161,33 @@ def binomial_window(
     return (lo, hi), _tail_mass(n, p, lo, hi)
 
 
-def _pair_isometries(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric and antisymmetric halves of one pair of copies.
+def _swap_halves(x: np.ndarray, f: int, post: int) -> tuple[np.ndarray, np.ndarray]:
+    """x's blocks on the symmetric and the antisymmetric half of two
+    adjacent factors C^f x C^f, for an x that commutes with their swap.
 
-    A pair of copies spans C^d x C^d, d = d_A d_B, which splits into the
-    d(d+1)/2 symmetric vectors |ii> and (|ij> + |ji>)/sqrt 2 and the
-    d(d-1)/2 antisymmetric ones (|ij> - |ji>)/sqrt 2, for i < j.  Each
-    half is a real isometry whose rows are its vectors in the pair basis
-    |ij>, at i d + j.  At d = 1 the antisymmetric half has no rows.
+    x acts on C^pre x C^f x C^f x C^post, or is a stack of such
+    operators.  The symmetric half has the vectors |ii> and
+    (|ij> + |ji>)/sqrt 2, the antisymmetric one (|ij> - |ji>)/sqrt 2,
+    i < j, in np.triu_indices order, and each half keeps the pre and
+    post factors around it.  As x commutes with the swap, the entry of a
+    half at rows ij, columns kl is x[ij, kl] +- x[ij, lk], times sqrt 1/2
+    for each of ij and kl that is an |ii>: two gathers of x's rows and
+    columns by index arithmetic, O(side^2) work and no matmul.  At f = 1
+    the antisymmetric half is empty.
     """
-    h = math.sqrt(0.5)
+    pre = x.shape[-1] // (f * f * post)
+    outer = np.arange(pre)[:, None, None] * (f * f)
     halves = []
-    for offset, sign in ((0, 1.0), (1, -1.0)):
-        i, j = np.triu_indices(d, offset)
-        rows = np.arange(i.size)
-        half = np.zeros((i.size, d * d))
-        half[rows, i * d + j] = np.where(i == j, 1.0, h)
-        half[rows, j * d + i] = np.where(i == j, 1.0, sign * h)
+    for offset, combine in ((0, np.add), (1, np.subtract)):
+        i, j = np.triu_indices(f, offset)
+        rows = ((outer + (i * f + j)[:, None]) * post + np.arange(post)).ravel()
+        swapped = ((outer + (j * f + i)[:, None]) * post + np.arange(post)).ravel()
+        half = x[..., rows[:, None], rows]
+        combine(half, x[..., rows[:, None], swapped], out=half)
+        if offset == 0:
+            scale = np.repeat(np.tile(np.where(i == j, math.sqrt(0.5), 1.0), pre), post)
+            half *= scale[:, None]
+            half *= scale
         halves.append(half)
     return halves[0], halves[1]
 
@@ -190,14 +201,16 @@ def _pair_terms(a: np.ndarray, b: np.ndarray, mixed: np.ndarray) -> np.ndarray:
     )
 
 
-def _window_sum(sites, window: tuple[int, int]) -> np.ndarray:
-    """Sum of the krons of the sites' terms over the counts in the window.
+def _window_sum(sites, window: tuple[int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sum of the krons of the sites' terms over the counts in the window,
+    as (left, term) pairs whose krons add up to it.
 
     A site is a pair of copies, with terms for 0, 1 and 2 sigma draws,
     or one copy, with terms for 0 and 1.  The partial sums by count obey
     S_k(l) = sum_s S_{k-1}(l - s) x term_s, and only the l that can
-    still reach the window are kept.  The last site closes the window
-    sum with one kron per term.
+    still reach the window are kept.  The last site's terms are left
+    open: each comes with the sum of the partial sums it carries into
+    the window, so that the caller forms the whole block in one pass.
     """
     lo, hi = window
     left = sum(len(site) - 1 for site in sites)  # copies still to draw
@@ -208,12 +221,12 @@ def _window_sum(sites, window: tuple[int, int]) -> np.ndarray:
             l: sum(np.kron(blocks[l - s], term) for s, term in enumerate(site) if l - s in blocks)
             for l in range(max(0, lo - left), min(max(blocks) + len(site) - 1, hi) + 1)
         }
-    acc = 0.0
+    closing = []
     for s, term in enumerate(sites[-1]):
         window_blocks = [blocks[l] for l in range(lo - s, hi - s + 1) if l in blocks]
         if window_blocks:
-            acc += np.kron(sum(window_blocks), term)
-    return acc
+            closing.append((sum(window_blocks), term))
+    return closing
 
 
 def verify_mixing_bound(
@@ -226,18 +239,23 @@ def verify_mixing_bound(
     distance between two states.
 
     Both operators commute with the swap of each pair of copies, so they
-    are block-diagonal in the sectors that pick the symmetric or the
-    antisymmetric half (_pair_isometries) of each of the K = n // 2
-    pairs; an unpaired last copy keeps its basis.  Each term of a pair
-    (_pair_terms, with a = (1-p) rho, b = p sigma and m the mixed state)
-    has a block on each half: that half's isometry V times the term
-    times V^T.  Pi's block on a sector is the window sum (_window_sum)
-    of these pair blocks, and the power's block is its own kron chain of
-    the m x m pair blocks, independent of Pi's recursion.  Permuting
-    the pairs commutes with both operators and carries a sector onto any
-    other with as many antisymmetric pairs j, so
-    T = sum_j C(K, j) tr|X_j| / 2 over one block X_j per j: K + 1
-    eigensolves, the largest on the all-symmetric block.  Raises
+    are block-diagonal in the sectors that pick the symmetric (S) or the
+    antisymmetric (A) half of each of the K = n // 2 pairs; an unpaired
+    last copy keeps its basis.  Each term of a pair (_pair_terms, with
+    a = (1-p) rho, b = p sigma and m the mixed state) has a block on each
+    half, gathered by _swap_halves.  Pi's block on a sector is the window
+    sum (_window_sum) of these pair blocks, and the power's block is its
+    own kron chain of the m x m pair blocks, independent of Pi's
+    recursion; their difference is written in one einsum over the krons
+    that close both at the last site.  Permuting the pairs commutes with
+    both operators and carries a sector onto any other with as many A
+    pairs j, so one block X_j per j, on S^(K-j) x A^j, stands for
+    C(K, j) sectors.  X_j also commutes with the swap of two S pairs and
+    with the swap of two A pairs, so the same kernel splits it by the
+    swap of its first two S pairs and of its first two A pairs, where it
+    has them, into at most four halves; factors are paired by kind, never
+    by dimension.  T is sum_j C(K, j) sum_halves tr|half| / 2, and the
+    largest eigensolve is a half of the all-S block.  Raises
     SizeCapError when side^n exceeds cap, before anything is built.
     """
     n, p = spec.n, spec.p
@@ -251,20 +269,36 @@ def verify_mixing_bound(
         raise ValueError("window carries no probability mass (tail mass 1)")
     a, b = (1.0 - p) * spec.rho.entries, p * spec.sigma.entries
     mixed = mix(spec.rho, spec.sigma, p).entries
-    terms = _pair_terms(a, b, mixed)
-    halves = [v @ terms @ v.T for v in _pair_isometries(spec.rho.dim_a * spec.rho.dim_b)]
+    d = spec.rho.dim_a * spec.rho.dim_b
+    sym, anti = _swap_halves(_pair_terms(a, b, mixed), d, 1)
+    sym_dim, anti_dim = len(sym[0]), len(anti[0])
     k, last = divmod(n, 2)
     total = 0.0
     # at d = 1 the antisymmetric half is empty, and so is every class with j > 0
-    for j in range(k + 1 if halves[1].size else 1):
-        pairs = [halves[0]] * (k - j) + [halves[1]] * j
-        x = _window_sum([pair[:3] for pair in pairs] + [(a, b)] * last, spec.window)
-        x /= kept
+    for j in range(k + 1 if anti_dim else 1):
+        pairs = [sym] * (k - j) + [anti] * j
+        closing = _window_sum([pair[:3] for pair in pairs] + [(a, b)] * last, spec.window)
         chain = [pair[3] for pair in pairs] + [mixed] * last
-        # the power's block minus Pi's, written over Pi's: the power's block
-        # is freed before the eigensolve, which then holds the only other copies
-        np.subtract(reduce(np.kron, chain, np.ones((1, 1))), x, out=x)
-        total += math.comb(k, j) * trace_norm(x)
+        # the power's block minus Pi's as one sum of krons, written in one
+        # pass: the power's chain split at its last site, then Pi's closing
+        # pairs over -kept
+        lefts = [reduce(np.kron, chain[:-1], np.ones((1, 1)))] + [-w / kept for w, _ in closing]
+        rights = [chain[-1]] + [term for _, term in closing]
+        x = np.einsum("sik,sjl->ijkl", np.array(lefts), np.array(rights))
+        x = x.reshape(x.shape[0] * x.shape[1], -1)
+        halves = [x]
+        # the swap of the first two S pairs, then of the first two A pairs;
+        # the factors are S^(k-j) x A^j x C^d for an unpaired copy
+        if k - j >= 2:
+            post = sym_dim ** (k - j - 2) * anti_dim**j * d**last
+            halves = [h for block in halves for h in _swap_halves(block, sym_dim, post)]
+        if j >= 2:
+            post = anti_dim ** (j - 2) * d**last
+            halves = [h for block in halves for h in _swap_halves(block, anti_dim, post)]
+        del x
+        # the swap of one-dimensional factors (S at d = 1, A at d = 2) has an
+        # empty antisymmetric half
+        total += math.comb(k, j) * sum(trace_norm(h) for h in halves if h.size)
     t = min(0.5 * total, 1.0)
     tail_mass = _tail_mass(n, p, lo, hi)
     bound = tail_mass + tol

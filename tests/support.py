@@ -38,7 +38,7 @@ from entbounds.measures import (
     ec_upper,
     ed_lower,
 )
-from entbounds.mixing import MixtureSpec, _binom_logpmf, _pair_isometries, _tail_mass
+from entbounds.mixing import MixtureSpec, _binom_logpmf, _tail_mass
 from entbounds.protocols import LOG2, _check_distribution
 from entbounds.sampling import _ginibre, haar_qr
 
@@ -228,24 +228,77 @@ def mixture_in_copy_order(spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP) -> np.
     return acc
 
 
-def copy_swap_basis(dims: tuple[int, int], n: int) -> tuple[np.ndarray, np.ndarray]:
+def pair_isometries(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric and antisymmetric halves of one pair of copies as
+    dense real isometries.
+
+    A pair of copies spans C^d x C^d, which splits into the d(d+1)/2
+    symmetric vectors |ii> and (|ij> + |ji>)/sqrt 2 and the d(d-1)/2
+    antisymmetric ones (|ij> - |ji>)/sqrt 2, for i < j.  Each half's rows
+    are its vectors in the pair basis |ij>, at i d + j.  At d = 1 the
+    antisymmetric half has no rows.
+    """
+    h = np.sqrt(0.5)
+    halves = []
+    for offset, sign in ((0, 1.0), (1, -1.0)):
+        i, j = np.triu_indices(d, offset)
+        rows = np.arange(i.size)
+        half = np.zeros((i.size, d * d))
+        half[rows, i * d + j] = np.where(i == j, 1.0, h)
+        half[rows, j * d + i] = np.where(i == j, 1.0, sign * h)
+        halves.append(half)
+    return halves[0], halves[1]
+
+
+def copy_swap_basis(
+    dims: tuple[int, int], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q, the dense orthogonal change from copy order to the copy-swap
-    sectors, and each row's sector.
+    sectors split by pair swaps, and each row's sector and half.
 
     Copies 2k and 2k+1 (k < n // 2) split into the rows of the symmetric
     and then the antisymmetric pair isometry; an unpaired last copy keeps
     its basis.  A sector picks one half of every pair, and its label has
-    bit K - 1 - k set where pair k is antisymmetric, K = n // 2.
+    bit K - 1 - k set where pair k is antisymmetric, K = n // 2.  Within
+    a sector, the swap of its first two symmetric pairs and the swap of
+    its first two antisymmetric pairs commute, and the rows are their
+    joint eigenvectors: a row's half has bit 1 set where it is odd under
+    the first swap and bit 0 where it is odd under the second.
     """
     d = dims[0] * dims[1]
-    sym, anti = _pair_isometries(d)
-    pair, half = np.vstack([sym, anti]), np.r_[np.zeros(len(sym), int), np.ones(len(anti), int)]
+    sym, anti = pair_isometries(d)
+    pair, kind = np.vstack([sym, anti]), np.r_[np.zeros(len(sym), int), np.ones(len(anti), int)]
     q, sector = np.ones((1, 1)), np.zeros(1, dtype=int)
     for _ in range(n // 2):
-        q, sector = np.kron(q, pair), (2 * sector[:, None] + half).ravel()
+        q, sector = np.kron(q, pair), (2 * sector[:, None] + kind).ravel()
     if n % 2:
         q, sector = np.kron(q, np.eye(d)), np.repeat(sector, d)
-    return q, sector
+    k = n // 2
+    copies = np.arange(d**n).reshape((d,) * n)
+    half = np.zeros(len(q), dtype=int)
+    for s in np.unique(sector):
+        rows = np.flatnonzero(sector == s)
+        kinds = [(s >> (k - 1 - pos)) & 1 for pos in range(k)]
+        # the first two S pairs and the first two A pairs of the sector
+        firsts = [[pos for pos in range(k) if kinds[pos] == wanted][:2] for wanted in (0, 1)]
+        if max(map(len, firsts)) < 2:
+            continue
+        # the S swap, with eigenvalues +-1, plus twice the A swap: 3, -1, 1
+        # and -3 on the halves 0, 1, 2 and 3; a kind with fewer than two
+        # pairs adds its weight, as the identity
+        involutions = np.diag(np.full(rows.size, 3.0))
+        for weight, first in zip((1.0, 2.0), firsts):
+            if len(first) == 2:
+                i, j = first
+                axes = np.arange(n)
+                axes[[2 * i, 2 * i + 1, 2 * j, 2 * j + 1]] = [2 * j, 2 * j + 1, 2 * i, 2 * i + 1]
+                swap = copies.transpose(axes).ravel()
+                involutions += weight * (q[rows][:, swap] @ q[rows].T - np.eye(rows.size))
+        values, vectors = np.linalg.eigh(involutions)
+        q[rows] = vectors.T @ q[rows]
+        a_sign = np.sign(values)
+        half[rows] = 2 * (values - 2 * a_sign < 0) + (a_sign < 0)
+    return q, sector, half
 
 
 def build_truncated_mixture(spec: MixtureSpec) -> TruncatedMixture:

@@ -84,8 +84,7 @@ CASES = {
     "eta_scan_xi_file": (
         ["eta-scan", "--eps-points", "7", "--xi-file", "ginibre.json"], ()
     ),
-    # a narrow window, and a full one whose T is rounding alone; the
-    # largest sector (400 rows) ends in a partial row slab
+    # a narrow window, and a full one whose T is rounding alone
     "mixing_verify_narrow": (
         ["mixing-verify", "werner09.json", "ginibre.json", "--p", "0.3", "--n", "5",
          "--half-width", "1"],
@@ -148,9 +147,9 @@ def run_on_one_blas_thread(workdir: str, argv: list[str]) -> tuple[int, str, str
     BLAS may split an eigensolve or a product between threads and round
     it differently: the dense sector pass that mixing-verify once ran
     read the narrow case 0.19359201821640493 on one thread and ...495 on
-    two.  Its class blocks read the same on one and two threads at these
-    sizes, but the thread count is fixed when numpy loads, so the case
-    still gets its own process.
+    two, and the halves of its class blocks read it ...0465 on one and
+    ...0473 on two.  The thread count is fixed when numpy loads, so the
+    case gets its own process.
     """
     env = {
         **os.environ,

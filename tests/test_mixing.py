@@ -25,8 +25,8 @@ from entbounds.linalg import (
 from entbounds.mixing import (
     MixtureSpec,
     _binom_reach,
-    _pair_isometries,
     _pair_terms,
+    _swap_halves,
     binomial_window,
     tail_mass_scan,
     verify_mixing_bound,
@@ -41,6 +41,7 @@ from support import (
     full_range_binom_pmf,
     full_range_tail_mass,
     mixture_in_copy_order,
+    pair_isometries,
     tensor_power,
 )
 
@@ -223,14 +224,14 @@ def dense_distance(spec, pi):
 @pytest.mark.parametrize(
     "dims,n,sizes,counts",
     [
-        ((2, 2), 5, [400, 240, 144], [1, 2, 1]),
-        ((2, 3), 4, [441, 315, 225], [1, 2, 1]),
-        ((2, 2), 6, [1000, 600, 360, 216], [1, 3, 3, 1]),
+        ((2, 2), 5, [220, 180, 240, 84, 60], [1, 1, 2, 1, 1]),
+        ((2, 3), 4, [231, 210, 315, 120, 105], [1, 1, 2, 1, 1]),
+        ((2, 2), 6, [550, 450, 330, 270, 210, 150, 126, 90], [1, 1, 3, 3, 3, 3, 1, 1]),
     ],
 )
 def test_sector_class_sizes_and_multiplicities(dims, n, sizes, counts, monkeypatch):
-    # a stand-in for the eigensolve: class j reads 2^-8(j + 1), so T holds
-    # each class's multiplicity in a byte of its own
+    # a stand-in for the eigensolve: the i-th eigensolved block reads
+    # 2^-8i, so T holds each block's multiplicity in a byte of its own
     seen = []
 
     def spy(x):
@@ -243,10 +244,27 @@ def test_sector_class_sizes_and_multiplicities(dims, n, sizes, counts, monkeypat
     assert report.trace_distance == 0.5 * sum(c * 2.0 ** (-8 * (j + 1)) for j, c in enumerate(counts))
 
 
+@pytest.mark.parametrize("f,pre,post", [(1, 2, 3), (2, 1, 1), (3, 2, 3), (4, 1, 1), (6, 1, 1), (3, 3, 2)])
+def test_swap_halves_match_the_dense_isometries(f, pre, post):
+    """Each half is V x V^T with V the dense isometry of one half of the
+    swapped factors, beside identities on the factors around them."""
+    rng = np.random.default_rng(f * pre * post)
+    side = pre * f * f * post
+    x = rng.normal(size=(2, side, side)) + 1j * rng.normal(size=(2, side, side))
+    x += x.conj().swapaxes(1, 2)
+    # the swap of the two C^f factors, as the index each basis vector comes from
+    swap = np.arange(side).reshape(pre, f, f, post).swapaxes(1, 2).ravel()
+    x += x[:, swap][:, :, swap]  # commutes with the swap, and stays Hermitian
+    for half, v in zip(_swap_halves(x, f, post), pair_isometries(f)):
+        v = np.kron(np.kron(np.eye(pre), v), np.eye(post))
+        assert half.shape == (2, len(v), len(v))
+        assert np.max(np.abs(half - v @ x @ v.T), initial=0.0) < 1e-13
+
+
 @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)])
 def test_pair_isometries_are_orthogonal_and_block_diagonalise_pair_terms(dims):
     d = dims[0] * dims[1]
-    sym, anti = _pair_isometries(d)
+    sym, anti = pair_isometries(d)
     assert (sym.shape, anti.shape) == ((d * (d + 1) // 2, d * d), (d * (d - 1) // 2, d * d))
     q = np.vstack([sym, anti])
     assert np.max(np.abs(q @ q.T - np.eye(d * d))) < 1e-15
@@ -255,6 +273,8 @@ def test_pair_isometries_are_orthogonal_and_block_diagonalise_pair_terms(dims):
     terms = _pair_terms(a, b, mix(rho, sigma, 0.3).entries)
     # T0, T1, T2 and m x m in that order
     assert np.array_equal(terms[1], np.kron(a, b) + np.kron(b, a))
+    for half, v in zip(_swap_halves(terms, d, 1), (sym, anti)):
+        assert np.max(np.abs(half - v @ terms @ v.T), initial=0.0) < 1e-15
     for term in terms:
         rotated = q @ term @ q.T
         rotated[: len(sym), : len(sym)] = 0.0
@@ -263,11 +283,18 @@ def test_pair_isometries_are_orthogonal_and_block_diagonalise_pair_terms(dims):
 
 
 @pytest.mark.parametrize(
-    "dims,n", [((2, 2), n) for n in range(1, 6)] + [((2, 3), n) for n in range(1, 5)]
+    "dims,n,half_width",
+    [((2, 2), n, None) for n in range(1, 6)]
+    + [((2, 3), n, None) for n in range(1, 5)]
+    # at d = 3 an antisymmetric pair has d(d-1)/2 = 3 dimensions, as many as
+    # the unpaired copy, and a split that paired factors by dimension misreads
+    + [(dims, n, 1.0) for dims in ((1, 3), (3, 1)) for n in (3, 5)],
 )
-def test_block_trace_distance_matches_dense(dims, n):
+def test_block_trace_distance_matches_dense(dims, n, half_width):
     for seed in range(3 if n < 4 else 1):
         spec = random_spec(*dims, n, seed=100 * n + seed)
+        if half_width is not None:
+            spec = replace(spec, window=binomial_window(n, spec.p, half_width)[0])
         report = verify_mixing_bound(spec)
         expected = dense_distance(spec, build_truncated_mixture(spec).pi)
         assert abs(report.trace_distance - expected) <= 1e-13, (seed, report, expected)
@@ -298,9 +325,10 @@ def test_unvalidated_n_copy_operators_are_states(dims, n):
     + [((2, 3), 2), ((2, 3), 3)],
 )
 def test_sectors_of_one_class_share_their_trace_norm(dims, n, monkeypatch):
-    """Each of the 2^K copy-swap sectors of the dense difference, taken
-    with the dense basis change, has the trace norm of its class's block,
-    and the difference has nothing between sectors."""
+    """Each half of each of the 2^K copy-swap sectors of the dense
+    difference, taken with the dense basis change, has the trace norm of
+    its class's half block, and the difference has nothing between
+    halves."""
     spec = random_spec(*dims, n, seed=500 + 10 * n + dims[1])
     seen = []
 
@@ -311,15 +339,19 @@ def test_sectors_of_one_class_share_their_trace_norm(dims, n, monkeypatch):
     monkeypatch.setattr(mixing, "trace_norm", spy)
     report = verify_mixing_bound(spec)
     power = kron_power(mix(spec.rho, spec.sigma, spec.p).entries, n)
-    q, sector = copy_swap_basis(dims, n)
+    q, sector, half = copy_swap_basis(dims, n)
     rotated = q @ (power - mixture_in_copy_order(spec)) @ q.T
+    # the check solves its classes j in order, and each class's nonempty halves in order
+    solved = sorted({(s.bit_count(), h) for s, h in zip(sector.tolist(), half.tolist())})
+    assert len(seen) == len(solved)
     norms = []
-    for s in range(2 ** (n // 2)):
-        rows = np.flatnonzero(sector == s)
+    for s, h in product(range(2 ** (n // 2)), range(4)):
+        rows = np.flatnonzero((sector == s) & (half == h))
         if rows.size:
             block = rotated[np.ix_(rows, rows)]
             norms.append(trace_norm(block))
-            assert abs(norms[-1] - seen[s.bit_count()]) <= 1e-13, (s, norms[-1], seen)
+            expected = seen[solved.index((s.bit_count(), h))]
+            assert abs(norms[-1] - expected) <= 1e-13, (s, h, norms[-1], seen)
             rotated[np.ix_(rows, rows)] = 0.0
     assert np.max(np.abs(rotated)) < 1e-15
     assert abs(report.trace_distance - 0.5 * sum(norms)) <= 1e-13
@@ -436,17 +468,18 @@ def test_binom_reach_over_the_limit_raises_before_allocating():
         _binom_reach(11_300_000_000, 0.5)
 
 
-# just above the peaks read (0.357 and 0.467), so that a side x side array
+# just above the peaks read (0.208 and 0.298), so that a side x side array
 # left anywhere in the check fails, and so does a second class block kept
-# alive through the eigensolve (0.12 and 0.15)
-PEAK_BOUNDS = {((2, 3), 4): 0.37, ((2, 2), 5): 0.48}
+# alive through the halves' eigensolves (0.12 and 0.15)
+PEAK_BOUNDS = {((2, 3), 4): 0.22, ((2, 2), 5): 0.31}
 
 
 @pytest.mark.parametrize("dims,n", list(PEAK_BOUNDS))
 def test_mixing_check_peak_stays_under_two_sides_squared(dims, n):
-    # in units of one side x side complex array: three blocks of the largest
+    # in units of one side x side complex array: the block of the largest
     # class, which is 441^2 / 1296^2 = 0.116 and 400^2 / 1024^2 = 0.153 of
-    # one; the block, and trace_norm's hermiticity check of it
+    # one, while its halves are gathered from it, with the index arrays of
+    # a gather; trace_norm's hermiticity check of a half stays below
     spec = random_spec(*dims, n, seed=404)
     side = (dims[0] * dims[1]) ** n
     tracemalloc.start()
