@@ -341,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_measure)
 
     about = (
-        "check T(rho_p^(x n), Pi) <= tail mass; this holds for any correct Pi, so it verifies "
-        "Pi's construction. T is taken block by block over the sectors of the copy swaps "
-        "(1 2), (3 4), ..., and sqrt(side) times the Frobenius norm of the part off those "
-        "blocks is added, so the printed T never falls below the true distance"
+        "check T(rho_p^(x n), Pi) <= tail mass. T is taken block by block over the sectors "
+        "of the copy swaps (1 2), (3 4), ..., each block split by the swaps of whole pairs. "
+        "The power is built independently of Pi, so the check verifies Pi's construction: "
+        "it holds by construction whenever Pi is correct"
     )
     p = sub.add_parser("mixing-verify", help=about, description=about)
     take(p, "--cap", "--out", "--tolerance")

@@ -18,9 +18,7 @@ import numpy as np
 from .errors import BallNotCertifiedError, EntboundsError, StateValidityError
 from .linalg import (
     CERTIFICATION_TOL,
-    STACK_BLOCK,
     DensityMatrix,
-    _check_state,
     _distance,
     _mix,
     blocks,
@@ -107,20 +105,15 @@ def sample_ball(spec: BallSpec) -> list[DensityMatrix]:
     uniformly from (0, 1].  The draw sequence does not depend on
     epsilon, so shrinking the radius under a fixed seed rescales the
     same sample set along the same rays.  Each sample is validated where
-    it is made, and the directions as one stack per STACK_BLOCK draws.
+    it is made; the directions, which no report holds, are not.
     """
     rng = np.random.default_rng(spec.seed)
     center = spec.center
     n_surface = surface_count(spec.sample_count)
     samples: list[DensityMatrix] = []
-    drawn: list[np.ndarray] = []
     for index in range(spec.sample_count):
         for _ in range(MAX_DIRECTION_RETRIES):
             direction = _ginibre_state(center.side, rng)
-            drawn.append(direction)
-            if len(drawn) == STACK_BLOCK:
-                _check_state(np.array(drawn))
-                drawn.clear()
             u = 1.0 if index < n_surface else 1.0 - rng.random()
             t0 = float(_distance(center.entries - direction))
             if t0 < 1e-12:
@@ -135,8 +128,6 @@ def sample_ball(spec: BallSpec) -> list[DensityMatrix]:
                 f"could not place ball sample {index} after "
                 f"{MAX_DIRECTION_RETRIES} direction draws"
             )
-    if drawn:
-        _check_state(np.array(drawn))
     return samples
 
 

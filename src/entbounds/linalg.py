@@ -35,54 +35,36 @@ class ValidationReport:
 
 
 def _check_state(entries: np.ndarray) -> None:
-    """Raise StateValidityError unless entries satisfy the three invariants.
+    """Raise StateValidityError unless entries, one side x side matrix,
+    satisfy the three invariants.  DensityMatrix is the only caller: an
+    array built from validated states is not validated again.
 
-    entries is one matrix or a stack (..., side, side) of them.  The
-    passing path is a hermiticity check, a trace check and one Cholesky
-    of entries - PSD_FLOOR*I, which succeeds iff every minimum eigenvalue
-    exceeds PSD_FLOOR; only a failure takes each matrix's defects and
-    eigvalsh, for the ValidationReport.
+    The passing path is a hermiticity check, a trace check and one
+    Cholesky of entries - PSD_FLOOR*I, which succeeds iff the minimum
+    eigenvalue exceeds PSD_FLOOR; eigvalsh runs only to fill the
+    ValidationReport of a failure.
     """
-    if np.isfinite(entries).all():
-        herm = np.abs(entries - entries.conj().swapaxes(-1, -2)).max()
-        trace_defect = np.abs(entries.trace(axis1=-2, axis2=-1) - 1.0).max()
-        if herm <= HERMITICITY_TOL and trace_defect <= TRACE_TOL:
-            try:
-                np.linalg.cholesky(entries - PSD_FLOOR * np.eye(entries.shape[-1]))
-                return
-            except np.linalg.LinAlgError:
-                pass
-    _raise_first_failure(entries)
-
-
-def _raise_first_failure(entries: np.ndarray) -> None:
-    """Raise for the first matrix of entries that fails an invariant; for a
-    stack the message names it, by its index in the flattened stack,
-    before the one-matrix message.  Returns if none fails, which happens
-    when a Cholesky failed within rounding of the floor."""
-    flat = entries.reshape(-1, *entries.shape[-2:])
-    where = "state {}: " if entries.ndim > 2 else ""
-    finite = np.isfinite(flat).all(axis=(1, 2))
-    # the matrices before the first non-finite one
-    head = flat[: len(flat) if finite.all() else np.argmin(finite)]
-    herm = np.abs(head - head.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    trace_defect = np.abs(head.trace(axis1=1, axis2=2) - 1.0)
-    min_eig = np.linalg.eigvalsh((head + head.conj().swapaxes(1, 2)) / 2.0)[:, 0]
-    failed = (herm > HERMITICITY_TOL) | (trace_defect > TRACE_TOL) | (min_eig < PSD_FLOOR)
-    if not failed.any():
-        if len(head) < len(flat):
-            raise StateValidityError(where.format(len(head)) + "entries must be finite (no NaN or infinity)")
-        return
-    i = np.argmax(failed)
-    herm, trace_defect, min_eig = float(herm[i]), float(trace_defect[i]), float(min_eig[i])
+    if not np.all(np.isfinite(entries)):
+        raise StateValidityError("entries must be finite (no NaN or infinity)")
+    herm = float(np.max(np.abs(entries - entries.conj().T)))
+    trace_defect = float(abs(entries.trace() - 1.0))
+    if herm <= HERMITICITY_TOL and trace_defect <= TRACE_TOL:
+        try:
+            np.linalg.cholesky(entries - PSD_FLOOR * np.eye(entries.shape[0]))
+            return
+        except np.linalg.LinAlgError:
+            pass
+    min_eig = float(np.linalg.eigvalsh((entries + entries.conj().T) / 2.0)[0])
     if herm > HERMITICITY_TOL:
         message = f"hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"
     elif trace_defect > TRACE_TOL:
         message = f"trace defect {trace_defect:.3e} exceeds {TRACE_TOL:.0e}"
-    else:
+    elif min_eig < PSD_FLOOR:
         message = f"minimum eigenvalue {min_eig:.3e} below {PSD_FLOOR:.0e}"
+    else:
+        return  # Cholesky failed within rounding of the floor
     report = ValidationReport(herm, trace_defect, min_eig, passed=False)
-    raise StateValidityError(where.format(i) + message, report=report)
+    raise StateValidityError(message, report=report)
 
 
 @dataclass(frozen=True, eq=False)

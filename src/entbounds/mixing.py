@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyWindowError, SizeCapError
-from .linalg import CERTIFICATION_TOL, DEFAULT_SIZE_CAP, DensityMatrix, mix, trace_norm
+from .linalg import CERTIFICATION_TOL, DEFAULT_SIZE_CAP, DensityMatrix, _mix, trace_norm
 
 
 # longest binomial reach summed, 32 MiB per float64 array: n up to about
@@ -268,7 +268,7 @@ def verify_mixing_bound(
     if kept <= 0.0:
         raise ValueError("window carries no probability mass (tail mass 1)")
     a, b = (1.0 - p) * spec.rho.entries, p * spec.sigma.entries
-    mixed = mix(spec.rho, spec.sigma, p).entries
+    mixed = _mix(spec.rho.entries, spec.sigma.entries, p)
     d = spec.rho.dim_a * spec.rho.dim_b
     sym, anti = _swap_halves(_pair_terms(a, b, mixed), d, 1)
     sym_dim, anti_dim = len(sym[0]), len(anti[0])

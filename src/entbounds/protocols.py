@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, _check_state, _mix, blocks
+from .linalg import DensityMatrix, _mix, blocks
 from .measures import _bell_weights, _hashing
 from .mixing import _binom_reach
 from .states import phi_plus
@@ -113,7 +113,9 @@ def eta_continuity_scan(xi: DensityMatrix, eps_grid) -> list[EtaScanRow]:
 
     The yield of the twirled state is 1 - H(probs) clamped at 0, so the
     curve decays continuously from 1 as the contamination grows.  The
-    mixtures are made and validated as one stack per STACK_BLOCK points.
+    mixtures are made as one stack per STACK_BLOCK points and not
+    validated again: each is a convex combination of two validated
+    states, and _bell_weights refuses weights outside its clamp.
     """
     if (xi.dim_a, xi.dim_b) != (2, 2):
         raise ValueError("contamination state must be two-qubit")
@@ -125,7 +127,6 @@ def eta_continuity_scan(xi: DensityMatrix, eps_grid) -> list[EtaScanRow]:
     rows = []
     for block in blocks(grid):
         mixtures = _mix(target.entries, xi.entries, np.array(block)[:, None, None])
-        _check_state(mixtures)
         values = _hashing(_bell_weights(mixtures)).tolist()
         rows += [EtaScanRow(epsilon=eps, value=value) for eps, value in zip(block, values)]
     return rows

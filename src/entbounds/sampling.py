@@ -12,7 +12,7 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _ginibre_state(side: int, rng: np.random.Generator) -> np.ndarray:
-    """The entries of a Ginibre-induced random state, not yet validated."""
+    """The entries of a Ginibre-induced random state, not validated here."""
     g = _ginibre(side, side, rng)
     m = g @ g.conj().T
     return m / m.trace()

@@ -2,10 +2,10 @@
 low-rank and separable states, unvalidated matrices, channels, tensor
 products, the n-copy operators in A|B order, the dense n-copy mixture
 and copy-swap basis the mixing check's blocks are tested against, named
-states, an entanglement-entropy reference, a non-raising validation
-report, the one-state Bell twirl, hashing yield and PPT verdict, a
-conversion-rate record, full-range references for the binomial sums and
-the invocation a report embeds.
+states, an entanglement-entropy reference, a count of the matrices
+validated, a non-raising validation report, the one-state Bell twirl,
+hashing yield and PPT verdict, a conversion-rate record, full-range
+references for the binomial sums and the invocation a report embeds.
 
 They build on entbounds and are not part of its API.
 """
@@ -13,12 +13,16 @@ They build on entbounds and are not part of its API.
 from __future__ import annotations
 
 import json
+import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
+from entbounds import linalg
 from entbounds.errors import EntboundsError, SizeCapError
 from entbounds.linalg import (
     DEFAULT_SIZE_CAP,
@@ -331,6 +335,34 @@ def apply_one_sided_channel(
             big = np.kron(np.eye(rho.dim_a), k)
         out = out + big @ rho.entries @ big.conj().T
     return DensityMatrix(rho.dim_a, rho.dim_b, out)
+
+
+@contextmanager
+def validation_counts():
+    """Count, while the block runs, linalg._check_state's calls and the
+    matrices they validate (a stack of k counts k), in a dict with the
+    keys "calls" and "matrices".  The spy replaces the function in every
+    entbounds module that holds it, not only in linalg."""
+    counts = {"calls": 0, "matrices": 0}
+    check = linalg._check_state
+    holders = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "entbounds" and getattr(module, "_check_state", None) is check
+    ]
+
+    def spy(entries):
+        counts["calls"] += 1
+        counts["matrices"] += math.prod(np.shape(entries)[:-2])
+        return check(entries)
+
+    for module in holders:
+        module._check_state = spy
+    try:
+        yield counts
+    finally:
+        for module in holders:
+            module._check_state = check
 
 
 def validate(rho: DensityMatrix) -> ValidationReport:

@@ -17,7 +17,7 @@ from entbounds.mixing import tail_mass_scan
 from entbounds.protocols import concentration_curve
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from entbounds.stateio import dumps_state, load_state
-from support import embedded_invocation
+from support import embedded_invocation, validation_counts
 
 
 @pytest.fixture
@@ -579,6 +579,44 @@ def test_eta_scan_rows_and_bound(capsys):
         assert bound == pytest.approx(1.0 - value, abs=1e-15)
     values = [float(ln.split(",")[1]) for ln in data[1:]]
     assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["tail-scan", "--p", "0.3", "--n-list", ","], "n-list must contain at least one copy count"),
+        (["concentration", "--lambdas", ",", "--n-list", "2"], "lambdas and n-list must be non-empty"),
+        (["eta-scan", "--eps-points", "1"], "eps-points must be at least 2"),
+    ],
+    ids=["tail-scan", "concentration", "eta-scan"],
+)
+def test_empty_lists_and_single_points_are_refused(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+# ---- validation ----
+
+
+@pytest.mark.parametrize(
+    ("argv", "validated"),
+    [
+        (["ball-scan", "{rho}", "--epsilon", "1e-3", "--samples", "200", "--p-points", "20"], 241),
+        (["eta-scan"], 2),
+        (["mixing-verify", "{rho}", "{sigma}", "--p", "0.3", "--n", "4"], 2),
+    ],
+    ids=["ball-scan", "eta-scan", "mixing-verify"],
+)
+def test_each_state_is_validated_once(argv, validated, werner_file, phi_file, capsys):
+    # the loaded files, ball samples and corridor states; neither the ball
+    # directions nor the eta and n-copy mixtures built from validated states
+    argv = [arg.format(rho=werner_file, sigma=phi_file) for arg in argv]
+    with validation_counts() as counts:
+        code, _, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert counts == {"calls": validated, "matrices": validated}
 
 
 # ---- catalytic ----

@@ -8,6 +8,7 @@ from entbounds.errors import (
 )
 from entbounds.linalg import (
     DensityMatrix,
+    _check_state,
     mix,
     partial_trace,
     partial_transpose,
@@ -17,7 +18,7 @@ from entbounds.linalg import (
 from entbounds import mixing
 from entbounds.mixing import MixtureSpec, verify_mixing_bound
 from entbounds.sampling import random_density_matrix
-from entbounds.states import maximally_mixed, phi_plus
+from entbounds.states import maximally_mixed, phi_plus, werner
 from support import (
     ab_order,
     apply_one_sided_channel,
@@ -61,6 +62,28 @@ def test_density_matrix_rejects_non_finite_entries():
         m[1, 1] = bad
         with pytest.raises(StateValidityError, match="finite"):
             DensityMatrix(2, 1, m)
+
+
+def failing_cases() -> dict[str, np.ndarray]:
+    base = werner(0.7).entries
+    hermiticity = base.copy()
+    hermiticity[0, 1] += 1e-6
+    eigenvalue = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
+    return {
+        "hermiticity": hermiticity,
+        "trace": 1.5 * base,
+        "eigenvalue": eigenvalue,
+        "finite": np.where(np.eye(4) > 0, np.nan, base),
+    }
+
+
+@pytest.mark.parametrize("case", ["hermiticity", "trace", "eigenvalue", "finite"])
+def test_check_state_names_the_failing_invariant(case):
+    bad = failing_cases()[case]
+    with pytest.raises(StateValidityError, match=case) as failure:
+        _check_state(bad)
+    if case != "finite":
+        assert failure.value.report == validate(unchecked(2, 2, bad))
 
 
 def test_density_matrix_validates_shape_against_dims():

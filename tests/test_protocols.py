@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entbounds import protocols
+from entbounds.linalg import DensityMatrix, _mix
 from entbounds.measures import binary_entropy
 from entbounds.protocols import (
     CatalyticRate,
@@ -22,6 +24,9 @@ from support import (
     full_range_concentration_yield,
     pure_state,
     random_separable_state,
+    random_unitary,
+    unchecked,
+    validate,
 )
 
 
@@ -147,6 +152,28 @@ def test_eta_scan_frozen_point_and_monotonicity():
 def test_eta_scan_clamps_at_zero():
     rows = eta_continuity_scan(maximally_mixed(2, 2), [1.0])
     assert rows[0].value == 0.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=6),
+)
+def test_eta_scan_mixtures_are_states(seed, grid):
+    # the mixtures are not validated again; a contamination whose smallest
+    # eigenvalue sits halfway to the floor is the closest to failing, at eps = 1
+    u = random_unitary(4, seed=seed)
+    m = u @ np.diag([0.5 + 5e-10, 0.3, 0.2, -5e-10]) @ u.conj().T
+    xi = DensityMatrix(2, 2, (m + m.conj().T) / 2)
+    assert validate(xi).min_eigenvalue == pytest.approx(-5e-10, abs=1e-13)
+    made = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocols, "_mix", lambda a, b, p: made.append(_mix(a, b, p)) or made[-1])
+        eta_continuity_scan(xi, [*grid, 1.0])
+    mixtures = np.concatenate(made)
+    assert len(mixtures) == len(grid) + 1
+    for mixture in mixtures:
+        assert validate(unchecked(2, 2, mixture)).passed
 
 
 def test_eta_scan_input_validation():

@@ -15,10 +15,9 @@ import pytest
 
 from entbounds import cli, linalg, measures
 from entbounds.continuity import BallConstants, BallSpec, lipschitz_bound, lipschitz_bounds, sample_ball
-from entbounds.errors import DimensionMismatchError, StateValidityError
+from entbounds.errors import DimensionMismatchError
 from entbounds.linalg import (
     DensityMatrix,
-    _check_state,
     mix,
     partial_transpose,
     trace_distance,
@@ -191,40 +190,6 @@ def test_lipschitz_bounds_equal_the_one_state_bound():
     small = replace(constants, epsilon=1e-3)
     with pytest.raises(ValueError, match="^state lies outside the ball: T = "):
         lipschitz_bounds(trace_distances(center, states), small)
-
-
-def failing_cases() -> dict[str, np.ndarray]:
-    base = werner(0.7).entries
-    hermiticity = base.copy()
-    hermiticity[0, 1] += 1e-6
-    eigenvalue = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
-    return {
-        "hermiticity": hermiticity,
-        "trace": 1.5 * base,
-        "eigenvalue": eigenvalue,
-        "finite": np.where(np.eye(4) > 0, np.nan, base),
-    }
-
-
-@pytest.mark.parametrize("case", ["hermiticity", "trace", "eigenvalue", "finite"])
-def test_check_state_on_a_stack_names_the_first_failing_state(case):
-    bad = failing_cases()[case]
-    with pytest.raises(StateValidityError) as alone:
-        _check_state(bad)
-    good = [s.entries for s in qubit_states()]
-    # a later failing state of another kind is not the one named
-    other = failing_cases()["finite" if case != "finite" else "trace"]
-    stacked = np.stack([good[0], good[1], bad, good[2], other])
-    with pytest.raises(StateValidityError) as first:
-        _check_state(stacked)
-    assert str(first.value) == f"state 2: {alone.value}"
-    if case != "finite":
-        assert first.value.report == alone.value.report
-        assert case in str(alone.value)
-    with pytest.raises(StateValidityError) as nested:
-        _check_state(stacked.reshape(5, 1, 4, 4))
-    assert str(nested.value) == str(first.value)
-    _check_state(np.stack(good))
 
 
 def test_the_parser_is_built_once_per_process():
