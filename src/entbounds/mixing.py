@@ -69,8 +69,8 @@ class TailScanRow:
     log10_tail_mass: float | None = None  # set where tail or bound underflows
 
 
-def _binom_reach(n: int, p: float) -> np.ndarray:
-    """Indices whose Binomial(n, p) term can be nonzero in float64.
+def _binom_reach(n: int, p: float) -> tuple[int, int]:
+    """First and last count whose Binomial(n, p) term can be nonzero in float64.
 
     Hoeffding puts each term farther than sqrt(L n / 2) from n p below
     e^-L, and L = 783 is 38 nats under the smallest subnormal double,
@@ -85,25 +85,96 @@ def _binom_reach(n: int, p: float) -> np.ndarray:
             f"copy count {n} needs {hi - lo + 1} binomial terms, "
             f"over the limit of {MAX_REACH_TERMS}"
         )
-    return np.arange(lo, hi + 1)
+    return lo, hi
 
 
-def _binom_logpmf(ls, n: int, p: float) -> np.ndarray:
-    """Log binomial weights; their exp is exact at p = 0 and 1."""
-    # The special functions are imported where they are called, not at
-    # module level: their package loads numpy.f2py, numpy.testing and
-    # numpy.ma and doubles the CLI's start-up, while only the binomial
-    # tails and concentration need them.
-    from scipy.special import gammaln, xlog1py, xlogy
+def _stirlerr(k: int) -> float:
+    """log k! - log(sqrt(2 pi k) (k/e)^k), from Loader's series above k = 15."""
+    if k <= 15:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(2 * math.pi)
+    series = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+    # fewer terms suffice the larger k is
+    terms = 2 if k > 500 else 3 if k > 80 else 4 if k > 35 else 5
+    kk, acc = float(k) * k, 0.0
+    for c in reversed(series[:terms]):
+        acc = c - acc / kk
+    return acc / k
 
-    ls = np.asarray(ls, dtype=float)
-    return (
-        gammaln(n + 1)
-        - gammaln(ls + 1)
-        - gammaln(n - ls + 1)
-        + xlogy(ls, p)
-        + xlog1py(n - ls, -p)
-    )
+
+def _bd0(x: float, mean: float) -> float:
+    """Loader's deviance x log(x / mean) + mean - x, by its series near x = mean."""
+    if abs(x - mean) < 0.1 * (x + mean):
+        v = (x - mean) / (x + mean)
+        total, term, v2, j = (x - mean) * v, 2.0 * x * v, v * v, 1
+        while True:
+            term *= v2
+            following = total + term / (2 * j + 1)
+            if following == total:
+                return total
+            total, j = following, j + 1
+    # log x - log mean where x / mean overflows, as for a subnormal mean
+    ratio = x / mean
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(x) - math.log(mean)
+    return x * log_ratio + mean - x
+
+
+def _binom_logpmf_at(n: int, p: float, k: int) -> float:
+    """Log Binomial(n, p) weight of count k for 0 < p < 1, by Loader's saddle
+    point ("Fast and Accurate Computation of Binomial Probabilities", 2000)."""
+    q = 1.0 - p
+    if k == 0:
+        return -_bd0(n, n * q) - n * p if p < 0.1 else n * math.log1p(-p)
+    if k == n:
+        return -_bd0(n, n * p) - n * q if q < 0.1 else n * math.log(p)
+    value = _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * p) - _bd0(n - k, n * q)
+    return value - 0.5 * (math.log(2 * math.pi) + math.log(k) + math.log1p(-k / n))
+
+
+def _walk(start: int, value: float, steps: np.ndarray) -> np.ndarray:
+    """Values of a run from one of them, the one at index start, and the
+    steps between neighbours: cumulative sums outward both ways, so that
+    two runs walked from the same count agree bit for bit where they meet."""
+    out = np.empty(len(steps) + 1)
+    out[start] = value
+    np.cumsum(steps[start:], out=out[start + 1 :])
+    out[start + 1 :] += value
+    out[:start] = value - np.cumsum(steps[:start][::-1])[::-1]
+    return out
+
+
+def _mode_in(n: int, p: float, lo: int, hi: int) -> int:
+    """The Binomial(n, p) mode, clamped into lo..hi."""
+    return min(max(math.floor((n + 1) * p), lo), hi)
+
+
+def _binom_logpmf(n: int, p: float, lo: int, hi: int) -> np.ndarray:
+    """Log Binomial(n, p) weights of the counts lo..hi; their exp is exact
+    at p = 0 and 1.
+
+    One saddle-point value at the mode clamped into the run, then the
+    log term ratios log((n - k) / (k + 1)) + log(p / q) summed outward.
+    """
+    if p == 0.0 or p == 1.0:
+        out = np.full(hi - lo + 1, -np.inf)
+        certain = 0 if p == 0.0 else n
+        if lo <= certain <= hi:
+            out[certain - lo] = 0.0
+        return out
+    ks = np.arange(lo, hi + 1, dtype=float)
+    steps = n - ks[:-1]
+    steps /= ks[1:]
+    np.log(steps, out=steps)
+    steps += math.log(p) - math.log1p(-p)
+    mode = _mode_in(n, p, lo, hi)
+    return _walk(mode - lo, _binom_logpmf_at(n, p, mode), steps)
+
+
+def _log_factorials(n: int, p: float, lo: int, hi: int) -> np.ndarray:
+    """log k! for the counts lo..hi, walked from the same count as
+    _binom_logpmf(n, p, lo, hi) and anchored there by one lgamma."""
+    steps = np.log(np.arange(lo + 1, hi + 1, dtype=float))
+    mode = _mode_in(n, p, lo, hi)
+    return _walk(mode - lo, math.lgamma(mode + 1.0), steps)
 
 
 def _tail_mass(n: int, p: float, lo: int, hi: int) -> float:
@@ -113,9 +184,10 @@ def _tail_mass(n: int, p: float, lo: int, hi: int) -> float:
     far below the rounding floor of 1 - (inside sum).  Only terms in the
     reach can be nonzero, so time and memory are O(sqrt(n)).
     """
-    ks = _binom_reach(n, p)
-    outside = ks[(ks < lo) | (ks > hi)]
-    return min(float(np.sum(np.exp(_binom_logpmf(outside, n, p)))), 1.0)
+    first, last = _binom_reach(n, p)
+    logs = _binom_logpmf(n, p, first, last)
+    outside = np.concatenate([logs[: max(lo - first, 0)], logs[max(hi + 1 - first, 0) :]])
+    return min(float(np.sum(np.exp(outside))), 1.0)
 
 
 def _log10_tail(n: int, p: float, lo: int, hi: int) -> float:
@@ -125,16 +197,21 @@ def _log10_tail(n: int, p: float, lo: int, hi: int) -> float:
     the terms after the first m sum to at most r^m/(1-r) times the edge
     term.  Each side sums the m terms that make that at most 2^-53.
     """
-    from scipy.special import logsumexp
-
     sides = []
     for edge, step in ((lo - 1, -1), (hi + 1, 1)):
-        if 0 <= edge <= n:
-            first, second = _binom_logpmf([edge, edge + step], n, p)
+        if not 0 <= edge <= n:
+            continue
+        count = 1
+        if 0 <= edge + step <= n:
+            # the edge term, then the next one outward
+            first, second = _binom_logpmf(n, p, *sorted((edge, edge + step)))[::step]
             m = (53 * math.log(2) - math.log1p(-math.exp(second - first))) / (first - second)
-            stop = edge + step * max(math.ceil(m), 1)
-            sides.append(np.arange(edge, min(max(stop, -1), n + 1), step))
-    return float(logsumexp(_binom_logpmf(np.concatenate(sides), n, p))) / math.log(10)
+            count = max(math.ceil(m), 1)
+        far = min(max(edge + step * (count - 1), 0), n)
+        sides.append(_binom_logpmf(n, p, *sorted((edge, far))))
+    logs = np.concatenate(sides)
+    top = float(np.max(logs))
+    return (top + math.log(float(np.sum(np.exp(logs - top))))) / math.log(10)
 
 
 def binomial_window(
@@ -264,7 +341,7 @@ def verify_mixing_bound(
     # for side >= 2, side^n > cap iff this is, without forming side^n for a huge n
     if side ** min(n, cap.bit_length()) > cap:
         raise SizeCapError(f"{side}^{n}" if n > 1 else side, cap)
-    kept = float(np.sum(np.exp(_binom_logpmf(np.arange(lo, hi + 1), n, p))))
+    kept = float(np.sum(np.exp(_binom_logpmf(n, p, lo, hi))))
     if kept <= 0.0:
         raise ValueError("window carries no probability mass (tail mass 1)")
     a, b = (1.0 - p) * spec.rho.entries, p * spec.sigma.entries

@@ -7,13 +7,14 @@ target Bell state, and the rate gain from a catalytic side resource.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DensityMatrix, _mix, blocks
 from .measures import _bell_weights, _hashing
-from .mixing import _binom_reach
+from .mixing import _binom_logpmf, _binom_reach, _log_factorials
 from .states import phi_plus
 
 LOG2 = float(np.log(2.0))
@@ -74,28 +75,19 @@ def concentration_yield(schmidt_squares, n: int) -> float:
     k_i ~ Binomial(n, lambda_i), which is exact and linear in the
     number of Schmidt terms.  Each expectation runs over the binomial reach.
     """
-    from scipy.special import gammaln
-
     lam = _check_distribution(schmidt_squares)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    expected = gammaln(n + 1.0) / LOG2
-    for li in lam:
+    expected = math.lgamma(n + 1.0) / LOG2
+    for li in lam.tolist():
         if li == 0.0:
             continue
         if li == 1.0:
-            expected -= gammaln(n + 1.0) / LOG2
+            expected -= math.lgamma(n + 1.0) / LOG2
             continue
-        ks = _binom_reach(n, li)
-        log_fact = gammaln(ks + 1.0)
-        logs = (
-            gammaln(n + 1.0)
-            - log_fact
-            - gammaln(n - ks + 1.0)
-            + ks * np.log(li)
-            + (n - ks) * np.log1p(-li)
-        )
-        expected -= float(np.exp(logs) @ (log_fact / LOG2))
+        lo, hi = _binom_reach(n, li)
+        weights = np.exp(_binom_logpmf(n, li, lo, hi))
+        expected -= float(weights @ (_log_factorials(n, li, lo, hi) / LOG2))
     return float(max(expected / n, 0.0))
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from entbounds import linalg
 from entbounds.errors import EntboundsError, SizeCapError
@@ -42,7 +41,7 @@ from entbounds.measures import (
     ec_upper,
     ed_lower,
 )
-from entbounds.mixing import MixtureSpec, _binom_logpmf, _tail_mass
+from entbounds.mixing import MixtureSpec, _binom_logpmf, _log_factorials, _tail_mass
 from entbounds.protocols import LOG2, _check_distribution
 from entbounds.sampling import _ginibre, haar_qr
 
@@ -209,7 +208,7 @@ def mixture_in_copy_order(spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP) -> np.
     # for side >= 2, side^n > cap iff this is, without forming side^n for a huge n
     if side ** min(n, cap.bit_length()) > cap:
         raise SizeCapError(f"{side}^{n}" if n > 1 else side, cap)
-    kept = float(np.sum(np.exp(_binom_logpmf(np.arange(lo, hi + 1), n, p))))
+    kept = float(np.sum(np.exp(_binom_logpmf(n, p, lo, hi))))
     if kept <= 0.0:
         raise ValueError("window carries no probability mass (tail mass 1)")
     factors = ((0, (1.0 - p) * spec.rho.entries), (1, p * spec.sigma.entries))
@@ -501,45 +500,33 @@ def conversion_rate(
 
 # Full-range references: every binomial term over 0..n, O(n) in time and
 # memory, as the package summed them before it cut the sums to the reach.
+# They run the package's kernel over 0..n, which walks from the same mode
+# as over the reach and so gives the same values on the counts both hold:
+# the sums differ only in the terms the reach drops.  The kernel's own
+# accuracy is checked against mpmath in test_mixing.
 
 
-def full_range_binom_pmf(ls, n: int, p: float) -> np.ndarray:
-    """Binomial weights via log-space accumulation; exact at p = 0 and 1."""
-    ls = np.asarray(ls, dtype=float)
-    logs = (
-        gammaln(n + 1)
-        - gammaln(ls + 1)
-        - gammaln(n - ls + 1)
-        + xlogy(ls, p)
-        + xlog1py(n - ls, -p)
-    )
-    return np.exp(logs)
+def full_range_binom_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) weights of the counts 0..n; exact at p = 0 and 1."""
+    return np.exp(_binom_logpmf(n, p, 0, n))
 
 
 def full_range_tail_mass(n: int, p: float, lo: int, hi: int) -> float:
     """Binomial(n, p) mass outside [lo, hi], summed over every outside term."""
-    outside = np.concatenate([np.arange(0, lo), np.arange(hi + 1, n + 1)])
-    return min(float(np.sum(full_range_binom_pmf(outside, n, p))), 1.0)
+    terms = full_range_binom_pmf(n, p)
+    return min(float(np.sum(np.concatenate([terms[:lo], terms[hi + 1 :]]))), 1.0)
 
 
 def full_range_concentration_yield(schmidt_squares, n: int) -> float:
     """Expected singlets per copy, each binomial expectation over 0..n."""
     lam = _check_distribution(schmidt_squares)
-    ks = np.arange(n + 1)
-    log2_fact = gammaln(ks + 1.0) / LOG2
-    expected = gammaln(n + 1.0) / LOG2
-    for li in lam:
+    expected = math.lgamma(n + 1.0) / LOG2
+    for li in lam.tolist():
         if li == 0.0:
             continue
         if li == 1.0:
-            expected -= log2_fact[n]
+            expected -= math.lgamma(n + 1.0) / LOG2
             continue
-        logs = (
-            gammaln(n + 1.0)
-            - gammaln(ks + 1.0)
-            - gammaln(n - ks + 1.0)
-            + ks * np.log(li)
-            + (n - ks) * np.log1p(-li)
-        )
-        expected -= float(np.exp(logs) @ log2_fact)
+        log2_fact = _log_factorials(n, li, 0, n) / LOG2
+        expected -= float(full_range_binom_pmf(n, li) @ log2_fact)
     return float(max(expected / n, 0.0))

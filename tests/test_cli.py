@@ -7,12 +7,10 @@ import sys
 import warnings
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from entbounds import cli
 from entbounds.linalg import DensityMatrix
-from entbounds.measures import ec_upper, eof_2x2
 from entbounds.mixing import tail_mass_scan
 from entbounds.protocols import concentration_curve
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
@@ -795,19 +793,19 @@ sys.exit(code)
 
 
 @pytest.mark.parametrize(
-    "argv, loads_scipy",
+    "argv",
     [
-        ([], False),
-        (["measure", "iso23.json", "ec_upper", "--budget", "20"], False),
-        (["border-scan", "--system", "2x2", "--grid", "5"], False),
-        (["tail-scan", "--p", "0.3", "--n-list", "10,100"], True),
-        (["concentration", "--lambdas", "0.7,0.3", "--n-list", "4,16"], True),
-        (["mixing-verify", "werner09.json", "phi.json", "--p", "0.5", "--n", "3"], True),
+        [],
+        ["measure", "iso23.json", "ec_upper", "--budget", "20"],
+        ["border-scan", "--system", "2x2", "--grid", "5"],
+        ["tail-scan", "--p", "0.3", "--n-list", "10,100"],
+        ["concentration", "--lambdas", "0.7,0.3", "--n-list", "4,16"],
+        ["mixing-verify", "werner09.json", "phi.json", "--p", "0.5", "--n", "3"],
     ],
     ids=["import", "measure", "border-scan", "tail-scan", "concentration", "mixing-verify"],
 )
-def test_only_the_binomial_commands_load_scipy(argv, loads_scipy, tmp_path):
-    # scipy.special alone doubles start-up; see the imports in mixing and protocols
+def test_no_command_loads_scipy(argv, tmp_path):
+    # scipy.special alone doubles start-up; the binomial weights need numpy only
     for name, state in (
         ("iso23.json", isotropic_2x3(0.5)),
         ("werner09.json", werner(0.9)),
@@ -821,7 +819,7 @@ def test_only_the_binomial_commands_load_scipy(argv, loads_scipy, tmp_path):
         text=True,
     )
     assert proc.returncode == cli.EXIT_OK, proc.stderr
-    assert proc.stderr.splitlines()[-1] == str(loads_scipy)
+    assert proc.stderr.splitlines()[-1] == "False"
 
 
 def test_console_script_runs(tmp_path):

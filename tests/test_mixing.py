@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -24,7 +25,9 @@ from entbounds.linalg import (
 )
 from entbounds.mixing import (
     MixtureSpec,
+    _binom_logpmf,
     _binom_reach,
+    _log_factorials,
     _pair_terms,
     _swap_halves,
     binomial_window,
@@ -431,10 +434,50 @@ def test_tail_mass_scan_custom_half_width():
     "p", [0.0, 2.2e-308, 1e-9, 0.0641, 0.3, 0.5, 0.97, 1.0 - 1e-12, 1.0]
 )
 def test_binom_reach_drops_only_exact_zeros(n, p):
-    reach = _binom_reach(n, p)
-    assert np.array_equal(reach, np.arange(reach[0], reach[-1] + 1))
-    dropped = np.concatenate([np.arange(0, reach[0]), np.arange(reach[-1] + 1, n + 1)])
-    assert np.all(full_range_binom_pmf(dropped, n, p) == 0.0)
+    first, last = _binom_reach(n, p)
+    assert 0 <= first <= last <= n
+    terms = full_range_binom_pmf(n, p)
+    assert np.all(terms[:first] == 0.0) and np.all(terms[last + 1 :] == 0.0)
+
+
+@pytest.mark.parametrize("n", [10, 1000, 10**5, 2 * 10**6, 10**7])
+@pytest.mark.parametrize("p", [1e-9, 0.3, 0.77, 1.0 - 1e-12])
+def test_binom_logpmf_matches_mpmath(n, p):
+    mpmath = pytest.importorskip("mpmath")
+
+    def error(value, k):
+        with mpmath.workdps(50):
+            k, big, q = mpmath.mpf(int(k)), mpmath.mpf(n), mpmath.mpf(p)
+            exact = (
+                mpmath.loggamma(big + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(big - k + 1)
+                + k * mpmath.log(q) + (big - k) * mpmath.log1p(-q)
+            )
+            return abs(float(value - exact)), float(exact)
+
+    first, last = _binom_reach(n, p)
+    logs = _binom_logpmf(n, p, first, last)
+    # 41 counts across the part of the reach whose terms are at least
+    # e^-783; past it the log terms reach -1e6 at n = 1e7, where one ulp is
+    # 1.2e-10 and the walk's rounding grows with the partial sums
+    live = np.flatnonzero(logs >= -783.0) + first
+    for k in np.unique(np.linspace(live[0], live[-1], 41).round().astype(int)):
+        assert error(float(logs[k - first]), k)[0] <= 1e-10, k
+    # each window edge as _log10_tail first evaluates it, in a run of two
+    # from the edge outward; far edges are only good to an ulp of the value
+    (lo, hi), _ = binomial_window(n, p)
+    for edge, step in ((lo - 1, -1), (hi + 1, 1)):
+        if 0 <= min(edge, edge + step) and max(edge, edge + step) <= n:
+            value = _binom_logpmf(n, p, *sorted((edge, edge + step)))[::step][0]
+            off, exact = error(float(value), edge)
+            assert off <= max(1e-10, 2 * np.spacing(abs(exact))), edge
+    # log k! carries into the yield against log n!, so its error is
+    # bounded relative to that
+    log_factorials = _log_factorials(n, p, first, last)
+    for k in np.linspace(first, last, 41).round().astype(int):
+        assert abs(log_factorials[k - first] - math.lgamma(k + 1.0)) <= 1e-14 * math.lgamma(n + 1.0)
+    # the kernel walks from the mode, so a run over 0..n holds the reach's values bit for bit
+    if n <= 10**5:
+        assert np.array_equal(_binom_logpmf(n, p, 0, n)[first : last + 1], logs)
 
 
 @pytest.mark.parametrize("half_width", [None, 600.0])
@@ -491,7 +534,7 @@ def test_mixing_check_peak_stays_under_two_sides_squared(dims, n):
     assert peak < PEAK_BOUNDS[dims, n] * 16 * side**2, peak / (16 * side**2)
 
 
-def test_mixing_verify_process_imports_no_sparse_module(tmp_path):
+def test_mixing_verify_process_imports_no_scipy_module(tmp_path):
     files = []
     for seed, name in enumerate(("rho", "sigma"), start=1):
         files.append(tmp_path / f"{name}.json")
@@ -505,8 +548,8 @@ def test_mixing_verify_process_imports_no_sparse_module(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()]
-    assert "entbounds.mixing" in imported and "scipy.special" in imported
-    assert not [name for name in imported if name.startswith("scipy.sparse")]
+    assert "entbounds.mixing" in imported
+    assert not [name for name in imported if name == "scipy" or name.startswith("scipy.")]
 
 
 def test_tail_mass_scan_underflow_reads_positive_with_log10():
@@ -517,3 +560,15 @@ def test_tail_mass_scan_underflow_reads_positive_with_log10():
     # a row whose window is total has an exact zero tail and no log10
     (row,) = tail_mass_scan(0.5, [20], half_width=600)
     assert (row.tail_mass, row.hoeffding_bound, row.log10_tail_mass) == (0.0, 0.0, None)
+
+
+@pytest.mark.parametrize(
+    "p, log10_tail",
+    # mpmath at 50 digits, summing every term above the window
+    [(1e-320, -636.30540447096251559), (5e-324, -642.91782548729803860)],
+)
+def test_tail_mass_scan_log10_at_subnormal_p(p, log10_tail):
+    # n p is subnormal, so k / (n p) overflows at the window's upper edge
+    (row,) = tail_mass_scan(p, [100], half_width=1)
+    assert (row.window_lo, row.window_hi, row.tail_mass) == (0, 1, sys.float_info.min)
+    assert row.log10_tail_mass == pytest.approx(log10_tail, abs=1e-9)
