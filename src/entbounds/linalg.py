@@ -110,10 +110,8 @@ def partial_trace(rho: DensityMatrix, party: str) -> np.ndarray:
 
 
 def state_list(states) -> tuple[list[DensityMatrix], tuple[int, int]]:
-    """One state, or a sequence of states of one shape, as a list, with
-    the shared (dim_a, dim_b); DimensionMismatchError for mixed shapes."""
-    if isinstance(states, DensityMatrix):
-        return [states], (states.dim_a, states.dim_b)
+    """A sequence of states of one shape as a list, with the shared
+    (dim_a, dim_b); DimensionMismatchError for mixed shapes."""
     states = list(states)
     dims = {(s.dim_a, s.dim_b) for s in states}
     if len(dims) != 1:
@@ -122,8 +120,8 @@ def state_list(states) -> tuple[list[DensityMatrix], tuple[int, int]]:
 
 
 def stack(states) -> tuple[np.ndarray, tuple[int, int]]:
-    """The entries of one state, or of a sequence of states of one shape,
-    as one (n, side, side) array, with the shared (dim_a, dim_b)."""
+    """The entries of a sequence of states of one shape as one
+    (n, side, side) array, with the shared (dim_a, dim_b)."""
     states, dims = state_list(states)
     return np.array([s.entries for s in states]), dims
 
@@ -136,12 +134,11 @@ def blocks(items):
 
 
 def partial_transpose(states) -> np.ndarray:
-    """Transpose on the B indices only: a side x side array for one state,
-    an (n, side, side) stack for a sequence of n states of one shape."""
+    """Transpose on the B indices only, of each of a sequence of n states
+    of one shape: an (n, side, side) stack."""
     entries, (dim_a, dim_b) = stack(states)
     t = entries.reshape(-1, dim_a, dim_b, dim_a, dim_b).transpose(0, 1, 4, 3, 2)
-    t = t.reshape(entries.shape)
-    return t[0] if isinstance(states, DensityMatrix) else t
+    return t.reshape(entries.shape)
 
 
 def trace_norm(m: np.ndarray):

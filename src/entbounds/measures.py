@@ -8,7 +8,8 @@ directions are never silently mixed.
 The closed forms (concurrence, Bell weights, hashing, the partial-transpose
 spectrum) are kernels over a stack (n, side, side) of states; each
 one-state function is the kernel on a stack of one, with the same bits as
-row i of a larger stack.
+row i of a larger stack.  Below them, everything takes a list of states
+of one shape and gives one value per state.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def _pt_spectra(states) -> np.ndarray:
-    """Ascending eigenvalues of the partial transpose of one state, shape
-    (side,), or of each of a sequence of states of one shape, (n, side)."""
+    """Ascending eigenvalues of the partial transpose of each of a sequence
+    of states of one shape, (n, side)."""
     pt = partial_transpose(states)
     return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
 
@@ -93,7 +94,7 @@ def _log_negativity(spectra: np.ndarray) -> np.ndarray:
 
 def log_negativity(rho: DensityMatrix) -> MeasureValue:
     """log2 of the trace norm of the partial transpose; zero iff PPT."""
-    return MeasureValue(_log_negativity(_pt_spectra(rho)), KIND_EXACT, "log_negativity")
+    return MeasureValue(_log_negativity(_pt_spectra([rho]))[0], KIND_EXACT, "log_negativity")
 
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -123,7 +124,7 @@ def _concurrences(m: np.ndarray) -> np.ndarray:
 
 def concurrence_2x2(rho: DensityMatrix) -> float:
     """Two-qubit concurrence."""
-    return float(_concurrences(_qubit_pairs(rho, "concurrence_2x2"))[0])
+    return float(_concurrences(_qubit_pairs([rho], "concurrence_2x2"))[0])
 
 
 def _eof_2x2(m: np.ndarray) -> np.ndarray:
@@ -134,7 +135,7 @@ def _eof_2x2(m: np.ndarray) -> np.ndarray:
 
 def eof_2x2(rho: DensityMatrix) -> MeasureValue:
     """Closed-form two-qubit entanglement of formation."""
-    return MeasureValue(_eof_2x2(_qubit_pairs(rho, "eof_2x2"))[0], KIND_EXACT, "eof_2x2")
+    return MeasureValue(_eof_2x2(_qubit_pairs([rho], "eof_2x2"))[0], KIND_EXACT, "eof_2x2")
 
 
 def _bell_weights(m: np.ndarray) -> np.ndarray:
@@ -158,38 +159,38 @@ def _hashing(weights: np.ndarray) -> np.ndarray:
     return np.array([max(0.0, 1.0 - _shannon(w)) for w in weights])
 
 
-def best(kind: str, routes, states):
-    """The max over routes for a lower bound, the min for an upper bound.
+def best(direction: str, routes, states) -> list[MeasureValue]:
+    """For each of a sequence of states of one shape, the max over routes
+    for a lower bound (direction KIND_LOWER), the min for an upper bound.
 
-    states is one state, which gives one MeasureValue, or a sequence of
-    states of one shape, which gives a list of one per state.  A route is
-    a (method, fn) pair; fn(states) gives one float per state (or one
-    float for all), or None where it does not apply, and one route must.
-    For each state, a later route wins only by more than 1e-12, so routes
-    that agree to rounding keep the earlier name.
+    The shape is checked once, before any route runs.  A route is a
+    (method, fn) pair; fn(states) gives one float per state, or None where
+    it does not apply, and one route must.  For each state, a later route
+    wins only by more than 1e-12, so routes that agree to rounding keep the
+    earlier name.  Returns one MeasureValue per state.
     """
-    listed, _ = state_list(states)
-    sign = 1.0 if kind == KIND_LOWER else -1.0
+    states, _ = state_list(states)
+    sign = 1.0 if direction == KIND_LOWER else -1.0
     values = methods = None
     for method, fn in routes:
-        found = fn(listed)
+        found = fn(states)
         if found is None:
             continue
-        found = np.asarray(found, dtype=float)
-        found = found.tolist() if found.ndim else [float(found)] * len(listed)
+        found = np.asarray(found, dtype=float).tolist()
         if values is None:
-            values, methods = found, [method] * len(listed)
+            values, methods = found, [method] * len(states)
             continue
         for i, value in enumerate(found):
             if sign * (value - values[i]) > 1e-12:
                 values[i], methods[i] = value, method
-    out = [MeasureValue(value, kind, method) for value, method in zip(values, methods)]
-    return out[0] if isinstance(states, DensityMatrix) else out
+    return [MeasureValue(value, direction, method) for value, method in zip(values, methods)]
 
 
 def _hashing_2x2(states) -> np.ndarray | None:
-    # the yield reads the Bell weights through their entropy alone, so the
-    # best of the 24 local relabelings is the yield of the sorted weights
+    # the entropy does not depend on the order of the weights: the sort
+    # only fixes the order of its sum, and so the last bit of each yield
+    # (unsorted, some differ by one ulp); a route that sorts eigenvalues
+    # keeps the same rule
     entries, dims = stack(states)
     if dims != (2, 2):
         return None
@@ -197,25 +198,21 @@ def _hashing_2x2(states) -> np.ndarray | None:
 
 
 def bound_routes(budget: int = DEFAULT_EOF_BUDGET, seed: int = 0) -> dict:
-    """Each bound's routes, in order; a route maps a sequence of states of
-    one shape to their values.  The search reads budget and seed and runs
-    state by state; it skips two qubits, where ball-scan evaluates
-    ec_upper on hundreds of states."""
+    """Each bound's entry, (direction, routes): KIND_LOWER or KIND_UPPER,
+    and its (method, fn) routes in order, as best takes them.  The search
+    reads budget and seed and runs state by state; it skips two qubits,
+    where ball-scan evaluates ec_upper on hundreds of states."""
     search = partial(eof_upper_general, budget=budget, seed=seed)
 
     def qubits(states) -> bool:
         return state_list(states)[1] == (2, 2)
 
-    return {
-        "ed_lower": (("ed_lower_hashing", _hashing_2x2), ("ed_lower_vacuous", lambda states: 0.0)),
-        "ec_upper": (
-            ("ec_upper_eof_2x2", lambda states: _eof_2x2(stack(states)[0]) if qubits(states) else None),
-            (
-                "ec_upper_eof_search",
-                lambda states: None if qubits(states) else [search(s).value for s in state_list(states)[0]],
-            ),
-        ),
-    }
+    lower = (("ed_lower_hashing", _hashing_2x2), ("ed_lower_vacuous", lambda states: [0.0] * len(states)))
+    upper = (
+        ("ec_upper_eof_2x2", lambda states: _eof_2x2(stack(states)[0]) if qubits(states) else None),
+        ("ec_upper_eof_search", lambda states: None if qubits(states) else [search(s).value for s in states]),
+    )
+    return {"ed_lower": (KIND_LOWER, lower), "ec_upper": (KIND_UPPER, upper)}
 
 
 def bound_values(
@@ -224,18 +221,18 @@ def bound_values(
     budget: int = DEFAULT_EOF_BUDGET,
     seed: int = 0,
 ) -> np.ndarray:
-    """The value of a bound, "ed_lower" or "ec_upper", on each of a sequence
-    of states of one shape, as ed_lower and ec_upper give them one by one;
-    the states are evaluated in blocks of STACK_BLOCK."""
-    kind = KIND_LOWER if bound == "ed_lower" else KIND_UPPER
-    routes = bound_routes(budget, seed)[bound]
+    """The value of a bound of bound_routes, "ed_lower" or "ec_upper", on
+    each of a sequence of states of one shape, as ed_lower and ec_upper
+    give them one by one: best in the direction of the bound's entry.  The
+    shape is checked before any route runs; blocks of STACK_BLOCK follow."""
+    entry = bound_routes(budget, seed)[bound]
     states, _ = state_list(states)
-    return np.concatenate([[m.value for m in best(kind, routes, block)] for block in blocks(states)])
+    return np.concatenate([[m.value for m in best(*entry, block)] for block in blocks(states)])
 
 
 def ed_lower(rho: DensityMatrix) -> MeasureValue:
     """Certified lower bound on E_D: twirled hashing on two qubits, else a vacuous 0."""
-    return best(KIND_LOWER, bound_routes()["ed_lower"], rho)
+    return best(*bound_routes()["ed_lower"], [rho])[0]
 
 
 def ec_upper(
@@ -244,7 +241,7 @@ def ec_upper(
     seed: int = 0,
 ) -> MeasureValue:
     """Upper bound on E_C via E_F: Wootters on two qubits, the seeded search elsewhere."""
-    return best(KIND_UPPER, bound_routes(budget, seed)["ec_upper"], rho)
+    return best(*bound_routes(budget, seed)["ec_upper"], [rho])[0]
 
 
 # ----------------------------------------------------------------------

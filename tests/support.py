@@ -2,10 +2,11 @@
 low-rank and separable states, unvalidated matrices, channels, tensor
 products, the n-copy operators in A|B order, the dense n-copy mixture
 and copy-swap basis the mixing check's blocks are tested against, named
-states, an entanglement-entropy reference, a count of the matrices
-validated, a non-raising validation report, the one-state Bell twirl,
-hashing yield and PPT verdict, a conversion-rate record, full-range
-references for the binomial sums and the invocation a report embeds.
+states, the party swap, an entanglement-entropy reference, a count of
+the matrices validated, a non-raising validation report, the one-state
+Bell twirl, hashing yield and PPT verdict, a conversion-rate record,
+full-range references for the binomial sums and the invocation a report
+embeds.
 
 They build on entbounds and are not part of its API.
 """
@@ -400,7 +401,7 @@ class BellDiagonalProbs:
 def twirl_to_bell_diagonal(rho: DensityMatrix) -> BellDiagonalProbs:
     """Bell-basis diagonal weights of one two-qubit state: the one-state
     case of the package's stacked twirl."""
-    return BellDiagonalProbs(_bell_weights(_qubit_pairs(rho, "twirl_to_bell_diagonal"))[0])
+    return BellDiagonalProbs(_bell_weights(_qubit_pairs([rho], "twirl_to_bell_diagonal"))[0])
 
 
 def hashing_yield(probs: BellDiagonalProbs) -> MeasureValue:
@@ -416,7 +417,7 @@ class PptVerdict:
 
 def is_ppt(rho: DensityMatrix) -> PptVerdict:
     """Positivity of the partial transpose, with the minimum eigenvalue as margin."""
-    margin = float(_pt_spectra(rho)[0])
+    margin = float(_pt_spectra([rho])[0, 0])
     return PptVerdict(margin >= PSD_FLOOR, margin)
 
 
@@ -433,6 +434,13 @@ def random_local_unitary_conjugate(rho: DensityMatrix, seed=None) -> DensityMatr
     ub = random_unitary(rho.dim_b, rng)
     u = np.kron(ua, ub)
     return DensityMatrix(rho.dim_a, rho.dim_b, u @ rho.entries @ u.conj().T)
+
+
+def swap_parties(rho: DensityMatrix) -> DensityMatrix:
+    """The same state with the parties exchanged: |i_A i_B> becomes
+    |i_B i_A>, and the dims (dim_a, dim_b) become (dim_b, dim_a)."""
+    t = rho.entries.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    return DensityMatrix(rho.dim_b, rho.dim_a, t.transpose(1, 0, 3, 2).reshape(rho.side, rho.side))
 
 
 def max_entangled(dim: int) -> np.ndarray:

@@ -312,6 +312,18 @@ def test_border_2xn_optional_eof_column():
     assert rows[1].eof > 0.1
 
 
+@pytest.mark.parametrize("family, ppt_points", [(werner, 14), (isotropic_2x3, 11)])
+def test_ed_lower_is_zero_where_ppt_and_at_most_log_negativity_on_the_border_paths(family, ppt_points):
+    # E_D = 0 on PPT states, and E_N bounds E_D from above; the 1e-12 slack
+    # covers hashing above log-negativity by up to 3.3e-16 on these grids.
+    # The hook puts ed_lower in the eof column.
+    rows = border_scan(family, np.linspace(0.0, 1.0, 41), partial(bound_values, "ed_lower"))
+    ppt = [row for row in rows if row.ppt_margin >= 0.0]
+    assert len(ppt) == ppt_points
+    assert all(row.eof == 0.0 for row in ppt)
+    assert all(row.eof <= row.log_neg + 1e-12 for row in rows)
+
+
 def test_border_2xn_requires_qubit_first_party():
     with pytest.raises(ValueError):
         border_scan(lambda p: maximally_mixed(3, 3), [0.2])

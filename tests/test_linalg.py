@@ -180,14 +180,14 @@ def test_partial_trace_of_product_is_the_factor():
 
 def test_partial_transpose_is_an_involution():
     rho = random_density_matrix(2, 3, seed=4)
-    pt = partial_transpose(rho)
-    back = partial_transpose(unchecked(2, 3, pt))
+    (pt,) = partial_transpose([rho])
+    (back,) = partial_transpose([unchecked(2, 3, pt)])
     assert np.array_equal(back, rho.entries)
 
 
 def test_partial_transpose_of_phi_plus_has_half_spectrum():
     rho = phi_plus()
-    eigs = np.sort(np.linalg.eigvalsh(partial_transpose(rho)))
+    eigs = np.sort(np.linalg.eigvalsh(partial_transpose([rho])[0]))
     assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
