@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-width", type=finite_float, default=None)
     p.set_defaults(func=cmd_tail_scan)
 
-    p = sub.add_parser("ball-scan", help="sample a trace-distance ball and certify the corridor")
+    about = "sample a trace-distance ball and certify the corridor; the ball constants are sampled estimates"
+    p = sub.add_parser("ball-scan", help=about, description=about)
     take(p, "--seed", "--cap", "--out", "--tolerance")
     p.add_argument("center_file")
     p.add_argument("--epsilon", type=finite_float, required=True)
@@ -393,11 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-file", default=None, help="contamination state (default: maximally mixed)")
     p.set_defaults(func=cmd_eta_scan)
 
-    p = sub.add_parser("catalytic", help="rate gain from a catalytic side resource")
+    about = (
+        "rate gain from a catalytic side resource: factor is a lower bound on the gain only when "
+        "--ec-sigma is an upper bound on E_C(sigma) and --ed-rho-p a lower bound on E_D(rho_p)"
+    )
+    p = sub.add_parser("catalytic", help=about, description=about)
     take(p, "--out")
     p.add_argument("--delta", type=finite_float, required=True)
-    p.add_argument("--ec-sigma", type=finite_float, required=True)
-    p.add_argument("--ed-rho-p", type=finite_float, required=True)
+    p.add_argument("--ec-sigma", type=finite_float, required=True, help="an upper bound on E_C(sigma)")
+    p.add_argument("--ed-rho-p", type=finite_float, required=True, help="a lower bound on E_D(rho_p)")
     p.set_defaults(func=cmd_catalytic)
 
     return parser

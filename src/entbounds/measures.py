@@ -8,8 +8,10 @@ directions are never silently mixed.
 The closed forms (concurrence, Bell weights, hashing, the partial-transpose
 spectrum) are kernels over a stack (n, side, side) of states; each
 one-state function is the kernel on a stack of one, with the same bits as
-row i of a larger stack.  Below them, everything takes a list of states
-of one shape and gives one value per state.
+row i of a larger stack.  Each bound is a table of routes (bound_routes):
+best checks and stacks a list of states of one shape once, and each route
+that applies to the shape takes the list and the stack and gives one
+value per state.
 """
 
 from __future__ import annotations
@@ -163,54 +165,45 @@ def best(direction: str, routes, states) -> list[MeasureValue]:
     """For each of a sequence of states of one shape, the max over routes
     for a lower bound (direction KIND_LOWER), the min for an upper bound.
 
-    The shape is checked once, before any route runs.  A route is a
-    (method, fn) pair; fn(states) gives one float per state, or None where
-    it does not apply, and one route must.  For each state, a later route
+    The states are checked for one shape and stacked once, before any
+    route runs.  A route is a (method, applies, fn) triple: applies(dims)
+    says whether it applies to states of shape (dim_a, dim_b), and one
+    route must; fn(states, entries) takes the list and its (n, side, side)
+    stack and gives one float per state.  For each state, a later route
     wins only by more than 1e-12, so routes that agree to rounding keep the
     earlier name.  Returns one MeasureValue per state.
     """
-    states, _ = state_list(states)
-    sign = 1.0 if direction == KIND_LOWER else -1.0
-    values = methods = None
-    for method, fn in routes:
-        found = fn(states)
-        if found is None:
-            continue
-        found = np.asarray(found, dtype=float).tolist()
-        if values is None:
-            values, methods = found, [method] * len(states)
-            continue
-        for i, value in enumerate(found):
-            if sign * (value - values[i]) > 1e-12:
-                values[i], methods[i] = value, method
-    return [MeasureValue(value, direction, method) for value, method in zip(values, methods)]
-
-
-def _hashing_2x2(states) -> np.ndarray | None:
-    # the entropy does not depend on the order of the weights: the sort
-    # only fixes the order of its sum, and so the last bit of each yield
-    # (unsorted, some differ by one ulp); a route that sorts eigenvalues
-    # keeps the same rule
+    states = list(states)
     entries, dims = stack(states)
-    if dims != (2, 2):
-        return None
-    return _hashing(np.sort(_bell_weights(entries), axis=-1)[:, ::-1])
+    sign = 1.0 if direction == KIND_LOWER else -1.0
+    # the worst value there is, so the first route that applies always wins
+    values, methods = [-sign * np.inf] * len(states), [None] * len(states)
+    for method, applies, fn in routes:
+        if applies(dims):
+            for i, value in enumerate(np.asarray(fn(states, entries), dtype=float).tolist()):
+                if sign * (value - values[i]) > 1e-12:
+                    values[i], methods[i] = value, method
+    return [MeasureValue(value, direction, method) for value, method in zip(values, methods)]
 
 
 def bound_routes(budget: int = DEFAULT_EOF_BUDGET, seed: int = 0) -> dict:
     """Each bound's entry, (direction, routes): KIND_LOWER or KIND_UPPER,
-    and its (method, fn) routes in order, as best takes them.  The search
-    reads budget and seed and runs state by state; it skips two qubits,
-    where ball-scan evaluates ec_upper on hundreds of states."""
+    and its (method, applies, fn) routes in order, as best takes them.  The
+    search reads budget and seed and runs state by state; it skips two
+    qubits, where ball-scan evaluates ec_upper on hundreds of states."""
     search = partial(eof_upper_general, budget=budget, seed=seed)
-
-    def qubits(states) -> bool:
-        return state_list(states)[1] == (2, 2)
-
-    lower = (("ed_lower_hashing", _hashing_2x2), ("ed_lower_vacuous", lambda states: [0.0] * len(states)))
+    qubits, beyond, always = (lambda dims: dims == (2, 2)), (lambda dims: dims != (2, 2)), (lambda dims: True)
+    # the entropy does not depend on the order of the weights: the sort
+    # only fixes the order of its sum, and so the last bit of each yield
+    # (unsorted, some differ by one ulp); a route that sorts eigenvalues
+    # keeps the same rule
+    lower = (
+        ("ed_lower_hashing", qubits, lambda states, m: _hashing(np.sort(_bell_weights(m), axis=-1)[:, ::-1])),
+        ("ed_lower_vacuous", always, lambda states, m: [0.0] * len(states)),
+    )
     upper = (
-        ("ec_upper_eof_2x2", lambda states: _eof_2x2(stack(states)[0]) if qubits(states) else None),
-        ("ec_upper_eof_search", lambda states: None if qubits(states) else [search(s).value for s in states]),
+        ("ec_upper_eof_2x2", qubits, lambda states, m: _eof_2x2(m)),
+        ("ec_upper_eof_search", beyond, lambda states, m: [search(s).value for s in states]),
     )
     return {"ed_lower": (KIND_LOWER, lower), "ec_upper": (KIND_UPPER, upper)}
 

@@ -2,11 +2,11 @@
 low-rank and separable states, unvalidated matrices, channels, tensor
 products, the n-copy operators in A|B order, the dense n-copy mixture
 and copy-swap basis the mixing check's blocks are tested against, named
-states, the party swap, an entanglement-entropy reference, a count of
-the matrices validated, a non-raising validation report, the one-state
-Bell twirl, hashing yield and PPT verdict, a conversion-rate record,
-full-range references for the binomial sums and the invocation a report
-embeds.
+states, the party swap, an entanglement-entropy reference, counts of
+the matrices validated and of the shape checks, a non-raising validation
+report, the one-state Bell twirl, hashing yield and PPT verdict, a
+conversion-rate record, full-range references for the binomial sums and
+the invocation a report embeds.
 
 They build on entbounds and are not part of its API.
 """
@@ -338,31 +338,53 @@ def apply_one_sided_channel(
 
 
 @contextmanager
+def _spied(name: str, on_call):
+    """Run on_call(*args) before each call of linalg's function name while
+    the block runs.  The spy replaces the function in every entbounds
+    module that holds it, not only in linalg."""
+    original = getattr(linalg, name)
+    holders = [
+        module
+        for key, module in list(sys.modules.items())
+        if key.split(".")[0] == "entbounds" and getattr(module, name, None) is original
+    ]
+
+    def spy(*args):
+        on_call(*args)
+        return original(*args)
+
+    for module in holders:
+        setattr(module, name, spy)
+    try:
+        yield
+    finally:
+        for module in holders:
+            setattr(module, name, original)
+
+
+@contextmanager
 def validation_counts():
     """Count, while the block runs, linalg._check_state's calls and the
     matrices they validate (a stack of k counts k), in a dict with the
-    keys "calls" and "matrices".  The spy replaces the function in every
-    entbounds module that holds it, not only in linalg."""
+    keys "calls" and "matrices"."""
     counts = {"calls": 0, "matrices": 0}
-    check = linalg._check_state
-    holders = [
-        module
-        for name, module in list(sys.modules.items())
-        if name.split(".")[0] == "entbounds" and getattr(module, "_check_state", None) is check
-    ]
 
-    def spy(entries):
+    def count(entries):
         counts["calls"] += 1
         counts["matrices"] += math.prod(np.shape(entries)[:-2])
-        return check(entries)
 
-    for module in holders:
-        module._check_state = spy
-    try:
+    with _spied("_check_state", count):
         yield counts
-    finally:
-        for module in holders:
-            module._check_state = check
+
+
+@contextmanager
+def shape_checks():
+    """Count, while the block runs, the calls of linalg.state_list, which
+    checks that a list of states has one shape; linalg.stack calls it
+    too.  Yields a list whose length is the count."""
+    calls = []
+    with _spied("state_list", lambda states: calls.append(1)):
+        yield calls
 
 
 def validate(rho: DensityMatrix) -> ValidationReport:

@@ -15,7 +15,7 @@ from entbounds.mixing import tail_mass_scan
 from entbounds.protocols import concentration_curve
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from entbounds.stateio import dumps_state, load_state
-from support import embedded_invocation, validation_counts
+from support import embedded_invocation, shape_checks, validation_counts
 
 
 @pytest.fixture
@@ -287,6 +287,13 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert taken == OPTIONS
     assert sum(map(len, actions.values())) == 47
     assert sum(map(len, taken.values())) == 42
+
+
+def test_help_says_which_inputs_must_be_bounds_and_which_constants_are_sampled():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    about = {name: p.description for name, p in sub.choices.items()}
+    assert "factor is a lower bound on the gain only when --ec-sigma is an upper bound" in about["catalytic"]
+    assert "the ball constants are sampled estimates" in about["ball-scan"]
 
 
 def test_budget_has_one_help_in_every_subcommand():
@@ -615,6 +622,25 @@ def test_each_state_is_validated_once(argv, validated, werner_file, phi_file, ca
         code, _, _ = run_cli(argv, capsys)
     assert code == cli.EXIT_OK
     assert counts == {"calls": validated, "matrices": validated}
+
+
+@pytest.mark.parametrize(
+    ("argv", "checked"),
+    [
+        # four bound_values calls, each checking its list and then its one
+        # block, and the block of trace_distances
+        (["ball-scan", "{rho}", "--epsilon", "1e-3", "--samples", "200"], 9),
+        # per block of STACK_BLOCK: the partial transpose, bound_values and best
+        (["border-scan", "--system", "2x2", "--grid", "401"], 6),
+    ],
+    ids=["ball-scan", "border-scan"],
+)
+def test_each_block_is_checked_for_one_shape_once(argv, checked, werner_file, capsys):
+    argv = [arg.format(rho=werner_file) for arg in argv]
+    with shape_checks() as checks:
+        code, _, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert len(checks) == checked
 
 
 # ---- catalytic ----

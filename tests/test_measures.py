@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from entbounds import measures
 from entbounds.errors import DimensionMismatchError, StateValidityError
-from entbounds.linalg import DensityMatrix, mix
+from entbounds.linalg import DensityMatrix, mix, stack
 from entbounds.measures import (
     KIND_LOWER,
     KIND_UPPER,
@@ -223,11 +223,18 @@ def test_ed_lower_at_most_ec_upper_on_random_states():
 # ---- routes: one rule picks each bound's method ----
 
 
+def _not_run(states, entries):
+    raise AssertionError("a route that does not apply ran")
+
+
 def _constant_routes(values):
-    """Routes named r0, r1, ... that give one value to every state, or
-    None where the value is None."""
+    """Routes named r0, r1, ... that apply to every shape and give one
+    value to every state; where the value is None, a route that applies
+    to no shape and raises if run."""
     return [
-        (f"r{i}", lambda states, v=v: None if v is None else [v] * len(states))
+        (f"r{i}", lambda dims: False, _not_run)
+        if v is None
+        else (f"r{i}", lambda dims: True, lambda states, entries, v=v: [v] * len(states))
         for i, v in enumerate(values)
     ]
 
@@ -248,7 +255,7 @@ def _constant_routes(values):
         (KIND_UPPER, (0.5, 0.7), ("r0", 0.5)),
         # the band is measured from the kept value, not from the last route
         (KIND_LOWER, (0.5, 0.5 + 0.6e-12, 0.5 + 1.2e-12), ("r2", 0.5 + 1.2e-12)),
-        # routes that do not apply are skipped, wherever they stand
+        # routes that do not apply are skipped, and never run, wherever they stand
         (KIND_LOWER, (None, 0.3, None), ("r1", 0.3)),
         (KIND_UPPER, (None, 0.3, None), ("r1", 0.3)),
         (KIND_LOWER, (0.0, None, 0.2), ("r2", 0.2)),
@@ -262,7 +269,7 @@ def test_best_keeps_the_earlier_route_unless_beaten_by_more_than_1e_12(kind, val
 
 def test_bound_route_names_in_order():
     names = {
-        bound: (direction, [method for method, _ in routes])
+        bound: (direction, [method for method, _, _ in routes])
         for bound, (direction, routes) in bound_routes().items()
     }
     assert names == {
@@ -272,12 +279,16 @@ def test_bound_route_names_in_order():
 
 
 def test_each_route_applies_where_its_table_says():
-    qubits, iso = werner(0.9), isotropic_2x3(0.6)
-    applies = {
-        method: (fn([qubits]) is not None, fn([iso]) is not None)
-        for _, routes in bound_routes(budget=5).values()
-        for method, fn in routes
-    }
+    # each route that applies to a shape gives one value on a state of it
+    shapes = {(2, 2): werner(0.9), (2, 3): isotropic_2x3(0.6)}
+    applies = {}
+    for _, routes in bound_routes(budget=5).values():
+        for method, holds, fn in routes:
+            applies[method] = tuple(holds(dims) for dims in shapes)
+            for dims, rho in shapes.items():
+                if holds(dims):
+                    (value,) = fn([rho], rho.entries[None])
+                    assert np.isfinite(value) and value >= 0.0
     assert applies == {
         "ed_lower_hashing": (True, False),
         "ed_lower_vacuous": (True, True),
@@ -304,10 +315,10 @@ def test_a_list_of_mixed_shapes_raises_before_any_route_runs(monkeypatch):
 
     def spied(budget=measures.DEFAULT_EOF_BUDGET, seed=0):
         def spy(method, fn):
-            return lambda states: called.append(method) or fn(states)
+            return lambda states, entries: called.append(method) or fn(states, entries)
 
         return {
-            bound: (direction, [(method, spy(method, fn)) for method, fn in routes])
+            bound: (direction, [(method, applies, spy(method, fn)) for method, applies, fn in routes])
             for bound, (direction, routes) in table(budget, seed).items()
         }
 
@@ -394,15 +405,16 @@ def _invariance_states() -> list[list[DensityMatrix]]:
 
 
 # every route of the table but the search, which is seeded and local and
-# waits for an E_F lower bound to be gated against, and E_N
+# waits for an E_F lower bound to be gated against, and E_N; each as its
+# (applies, fn) pair
 INVARIANT_ROUTES = {
     **{
-        method: fn
+        method: (applies, fn)
         for _, routes in bound_routes().values()
-        for method, fn in routes
+        for method, applies, fn in routes
         if method != "ec_upper_eof_search"
     },
-    "log_negativity": lambda states: _log_negativity(_pt_spectra(states)),
+    "log_negativity": (lambda dims: True, lambda states, entries: _log_negativity(_pt_spectra(states))),
 }
 # (route, change) pairs not yet invariant: the list shrinks and never grows
 NOT_YET_INVARIANT = {("ed_lower_hashing", "local_unitary")}
@@ -423,7 +435,7 @@ NOT_YET_INVARIANT = {("ed_lower_hashing", "local_unitary")}
     ],
 )
 def test_every_route_is_invariant_under_local_unitaries_and_the_party_swap(method, change):
-    fn = INVARIANT_ROUTES[method]
+    applies, fn = INVARIANT_ROUTES[method]
     rng = np.random.default_rng(2302)
     changed = {
         "local_unitary": lambda rho: random_local_unitary_conjugate(rho, seed=rng),
@@ -431,11 +443,14 @@ def test_every_route_is_invariant_under_local_unitaries_and_the_party_swap(metho
     }[change]
     applied = 0
     for states in _invariance_states():
-        before = fn(states)
-        if before is None:
+        entries, dims = stack(states)
+        if not applies(dims):
             continue
-        after = fn([changed(rho) for rho in states])
-        assert after is not None
+        before = fn(states, entries)
+        moved = [changed(rho) for rho in states]
+        entries, dims = stack(moved)
+        assert applies(dims)
+        after = fn(moved, entries)
         assert np.max(np.abs(np.asarray(after) - np.asarray(before))) <= 1e-12
         applied += len(states)
     assert applied > 0

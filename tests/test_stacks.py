@@ -49,6 +49,7 @@ from support import (
     pure_state,
     random_low_rank_state,
     random_product_amplitudes,
+    shape_checks,
     twirl_to_bell_diagonal,
 )
 
@@ -158,11 +159,45 @@ def test_blocks_do_not_change_the_values(monkeypatch):
     assert same_bytes(trace_distances(center, states), [trace_distance(center, s) for s in states])
 
 
+def test_each_block_is_checked_for_one_shape_once():
+    # bound_values checks the whole list, then best checks and stacks each
+    # block of STACK_BLOCK once for all of its routes
+    qubits = [werner(float(w)) for w in np.linspace(0.0, 1.0, 300)]
+    counts = {}
+    for bound in ("ed_lower", "ec_upper"):
+        for n in (256, 300):
+            with shape_checks() as checks:
+                bound_values(bound, qubits[:n])
+            counts[bound, n] = len(checks)
+    rho, iso = werner(0.9), isotropic_2x3(0.6)
+    one_state = {
+        "ed_lower": lambda: ed_lower(rho),
+        "ec_upper": lambda: ec_upper(rho),
+        "ec_upper 2x3": lambda: ec_upper(iso, budget=5),
+    }
+    for name, call in one_state.items():
+        with shape_checks() as checks:
+            call()
+        counts[name, 1] = len(checks)
+    assert counts == {
+        ("ed_lower", 256): 2,
+        ("ed_lower", 300): 3,
+        ("ec_upper", 256): 2,
+        ("ec_upper", 300): 3,
+        ("ed_lower", 1): 1,
+        ("ec_upper", 1): 1,
+        ("ec_upper 2x3", 1): 1,
+    }
+
+
 def test_best_applies_the_tie_rule_to_each_state():
+    def not_run(states, entries):
+        raise AssertionError("a route that does not apply ran")
+
     routes = [
-        ("r0", lambda states: [0.5, 0.5, 0.5, 0.5]),
-        ("r1", lambda states: None),
-        ("r2", lambda states: [0.5 + 1e-13, 0.5 + 1e-11, 0.3, 0.5]),
+        ("r0", lambda dims: True, lambda states, entries: [0.5, 0.5, 0.5, 0.5]),
+        ("r1", lambda dims: False, not_run),
+        ("r2", lambda dims: True, lambda states, entries: [0.5 + 1e-13, 0.5 + 1e-11, 0.3, 0.5]),
     ]
     got = best(KIND_LOWER, routes, [phi_plus()] * 4)
     assert [(m.method, m.value) for m in got] == [
