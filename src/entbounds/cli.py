@@ -38,19 +38,7 @@ from .errors import (
     StateValidityError,
 )
 from .linalg import CERTIFICATION_TOL, DEFAULT_SIZE_CAP, trace_distances
-from .measures import (
-    DEFAULT_EOF_BUDGET,
-    KIND_EXACT,
-    MeasureValue,
-    bound_values,
-    concurrence_2x2,
-    ec_upper,
-    ed_lower,
-    eof_2x2,
-    eof_upper_general,
-    log_negativity,
-    von_neumann_entropy,
-)
+from .measures import DEFAULT_EOF_BUDGET, best, bound_routes, bound_values
 from .mixing import (
     MixtureSpec,
     binomial_window,
@@ -68,22 +56,6 @@ EXIT_CERTIFICATION = 4
 
 # the seed of every sampling command, and the one printed by the others
 DEFAULT_SEED = 7
-
-
-def measure_table(budget: int = DEFAULT_EOF_BUDGET, seed: int = DEFAULT_SEED) -> dict:
-    """Each measure as a function of the state; the two searches read budget
-    and seed.  Built per run, so each name is read after any tracer wrapped it."""
-    return {
-        "log_negativity": log_negativity,
-        "eof_2x2": eof_2x2,
-        "concurrence_2x2": lambda state: MeasureValue(concurrence_2x2(state), KIND_EXACT, "concurrence_2x2"),
-        "ed_lower": ed_lower,
-        "ec_upper": partial(ec_upper, budget=budget, seed=seed),
-        "eof_upper_general": partial(eof_upper_general, budget=budget, seed=seed),
-        "von_neumann_entropy": lambda state: MeasureValue(
-            von_neumann_entropy(state.entries), KIND_EXACT, "von_neumann_entropy"
-        ),
-    }
 
 
 def finite_float(text: str) -> float:
@@ -138,7 +110,7 @@ def _emit(path: str | None, text: str) -> None:
 
 def cmd_measure(args) -> int:
     state = load_state(args.state_file, cap=args.cap)
-    record = measure_table(args.budget, args.seed)[args.measure](state).as_record()
+    record = best(*bound_routes(args.budget, args.seed)[args.measure], [state])[0].as_record()
     if args.fmt == "csv":
         text = _csv_text(args, [record])
     else:
@@ -182,11 +154,10 @@ def cmd_ball_scan(args) -> int:
     center = load_state(args.center_file, cap=args.cap)
     spec = BallSpec(center=center, epsilon=args.epsilon, sample_count=args.samples, seed=args.seed)
     samples = sample_ball(spec)
-    ec = partial(bound_values, "ec_upper", budget=args.budget, seed=args.seed)
-    constants = ball_constants(spec, samples=samples, ec=ec)
+    constants = ball_constants(spec, samples=samples)
     tol = CERTIFICATION_TOL if args.tolerance is None else args.tolerance
     corridor = corridor_consistency_check(
-        center, samples[0], constants, np.linspace(0.0, 1.0, args.p_points), ec=ec, tolerance=tol
+        center, samples[0], constants, np.linspace(0.0, 1.0, args.p_points), tolerance=tol
     )
     distances = trace_distances(center, samples)
     n_surface = surface_count(args.samples)
@@ -335,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate one measure on a state file")
     take(p, "--seed", "--cap", "--out")
     p.add_argument("state_file")
-    p.add_argument("measure", choices=sorted(measure_table()))
+    p.add_argument("measure", choices=sorted(bound_routes()))
     take(p, "--budget")
     p.add_argument("--format", choices=["csv", "json"], default="json", dest="fmt", help="report format")
     p.set_defaults(func=cmd_measure)
@@ -369,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--p-points", type=int, default=20)
-    take(p, "--budget")
     p.set_defaults(func=cmd_ball_scan)
 
     p = sub.add_parser("border-scan", help="measure table along a separability border path")

@@ -23,6 +23,7 @@ from .linalg import (
     _mix,
     blocks,
     mix,
+    stack,
     trace_distances,
 )
 from .measures import _log_negativity, _pt_spectra, bound_values
@@ -300,7 +301,7 @@ def border_scan(
     rows = []
     for params in blocks([float(param) for param in param_grid]):
         states = [_border_state(family, param) for param in params]
-        spectra = _pt_spectra(states)
+        spectra = _pt_spectra(*stack(states))
         eofs = [None] * len(states) if eof is None else np.asarray(eof(states), dtype=float).tolist()
         for row in zip(params, _log_negativity(spectra).tolist(), spectra[:, 0].tolist(), eofs):
             rows.append(BorderRow(*row))

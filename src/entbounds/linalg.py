@@ -133,10 +133,10 @@ def blocks(items):
         yield items[start : start + STACK_BLOCK]
 
 
-def partial_transpose(states) -> np.ndarray:
-    """Transpose on the B indices only, of each of a sequence of n states
-    of one shape: an (n, side, side) stack."""
-    entries, (dim_a, dim_b) = stack(states)
+def partial_transpose(entries: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Transpose on the B indices only, of each matrix of an (n, side, side)
+    stack of states of shape dims (dim_a, dim_b), such as stack gives."""
+    dim_a, dim_b = dims
     t = entries.reshape(-1, dim_a, dim_b, dim_a, dim_b).transpose(0, 1, 4, 3, 2)
     return t.reshape(entries.shape)
 
@@ -180,12 +180,6 @@ def trace_distances(rho: DensityMatrix, states) -> np.ndarray:
         _same_dims(rho, *dims)
         parts.append(_distance(rho.entries - entries))
     return np.concatenate(parts)
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """T(rho, sigma) = tr|rho - sigma| / 2."""
-    _same_dims(rho, sigma.dim_a, sigma.dim_b)
-    return float(_distance(rho.entries - sigma.entries))
 
 
 def _same_dims(rho: DensityMatrix, dim_a: int, dim_b: int) -> None:

@@ -6,12 +6,12 @@ rates carry kind="lower_bound" or kind="upper_bound" so that bound
 directions are never silently mixed.
 
 The closed forms (concurrence, Bell weights, hashing, the partial-transpose
-spectrum) are kernels over a stack (n, side, side) of states; each
-one-state function is the kernel on a stack of one, with the same bits as
-row i of a larger stack.  Each bound is a table of routes (bound_routes):
-best checks and stacks a list of states of one shape once, and each route
-that applies to the shape takes the list and the stack and gives one
-value per state.
+spectrum) are kernels over a stack (n, side, side) of states.  Every
+measure is an entry of one table of routes (bound_routes): best checks and
+stacks a list of states of one shape once, and each route that applies to
+the shape takes the list and the stack and gives one value per state.  A
+one-state function is best on a list of one, with the same bits as row i
+of a larger list.
 """
 
 from __future__ import annotations
@@ -82,10 +82,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return max(_shannon(np.clip(eigs, 0.0, None)), 0.0)
 
 
-def _pt_spectra(states) -> np.ndarray:
-    """Ascending eigenvalues of the partial transpose of each of a sequence
-    of states of one shape, (n, side)."""
-    pt = partial_transpose(states)
+def _pt_spectra(entries: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Ascending eigenvalues of the partial transpose of each state of an
+    (n, side, side) stack of shape dims, (n, side)."""
+    pt = partial_transpose(entries, dims)
     return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
 
 
@@ -96,18 +96,11 @@ def _log_negativity(spectra: np.ndarray) -> np.ndarray:
 
 def log_negativity(rho: DensityMatrix) -> MeasureValue:
     """log2 of the trace norm of the partial transpose; zero iff PPT."""
-    return MeasureValue(_log_negativity(_pt_spectra([rho]))[0], KIND_EXACT, "log_negativity")
+    return best(*bound_routes()["log_negativity"], [rho])[0]
 
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_PAULI_Y, _PAULI_Y).real
-
-
-def _qubit_pairs(states, name: str) -> np.ndarray:
-    entries, dims = stack(states)
-    if dims != (2, 2):
-        raise DimensionMismatchError(f"{name} requires a 2x2 system")
-    return entries
 
 
 def _concurrences(m: np.ndarray) -> np.ndarray:
@@ -124,11 +117,6 @@ def _concurrences(m: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3], 0.0), 1.0)
 
 
-def concurrence_2x2(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence."""
-    return float(_concurrences(_qubit_pairs([rho], "concurrence_2x2"))[0])
-
-
 def _eof_2x2(m: np.ndarray) -> np.ndarray:
     """Closed-form entanglement of formation of each two-qubit state of a stack."""
     cs = _concurrences(m).tolist()
@@ -137,7 +125,7 @@ def _eof_2x2(m: np.ndarray) -> np.ndarray:
 
 def eof_2x2(rho: DensityMatrix) -> MeasureValue:
     """Closed-form two-qubit entanglement of formation."""
-    return MeasureValue(_eof_2x2(_qubit_pairs([rho], "eof_2x2"))[0], KIND_EXACT, "eof_2x2")
+    return best(*bound_routes()["eof_2x2"], [rho])[0]
 
 
 def _bell_weights(m: np.ndarray) -> np.ndarray:
@@ -161,38 +149,51 @@ def _hashing(weights: np.ndarray) -> np.ndarray:
     return np.array([max(0.0, 1.0 - _shannon(w)) for w in weights])
 
 
-def best(direction: str, routes, states) -> list[MeasureValue]:
+def best(kind: str, routes, states) -> list[MeasureValue]:
     """For each of a sequence of states of one shape, the max over routes
-    for a lower bound (direction KIND_LOWER), the min for an upper bound.
+    for a lower bound (kind KIND_LOWER), the min for an upper bound or an
+    exact measure.
 
     The states are checked for one shape and stacked once, before any
     route runs.  A route is a (method, applies, fn) triple: applies(dims)
     says whether it applies to states of shape (dim_a, dim_b), and one
-    route must; fn(states, entries) takes the list and its (n, side, side)
-    stack and gives one float per state.  For each state, a later route
-    wins only by more than 1e-12, so routes that agree to rounding keep the
-    earlier name.  Returns one MeasureValue per state.
+    route must, or DimensionMismatchError names the routes and the shape;
+    fn(states, entries) takes the list and its (n, side, side) stack and
+    gives one float per state.  For each state, a later route wins only by
+    more than 1e-12, so routes that agree to rounding keep the earlier
+    name.  Returns one MeasureValue per state.
     """
     states = list(states)
     entries, dims = stack(states)
-    sign = 1.0 if direction == KIND_LOWER else -1.0
+    applying = [(method, fn) for method, applies, fn in routes if applies(dims)]
+    if not applying:
+        names = " or ".join(method for method, _, _ in routes)
+        raise DimensionMismatchError(f"{names} does not apply to {dims[0]}x{dims[1]} states")
+    sign = 1.0 if kind == KIND_LOWER else -1.0
     # the worst value there is, so the first route that applies always wins
     values, methods = [-sign * np.inf] * len(states), [None] * len(states)
-    for method, applies, fn in routes:
-        if applies(dims):
-            for i, value in enumerate(np.asarray(fn(states, entries), dtype=float).tolist()):
-                if sign * (value - values[i]) > 1e-12:
-                    values[i], methods[i] = value, method
-    return [MeasureValue(value, direction, method) for value, method in zip(values, methods)]
+    for method, fn in applying:
+        for i, value in enumerate(np.asarray(fn(states, entries), dtype=float).tolist()):
+            if sign * (value - values[i]) > 1e-12:
+                values[i], methods[i] = value, method
+    return [MeasureValue(value, kind, method) for value, method in zip(values, methods)]
 
 
 def bound_routes(budget: int = DEFAULT_EOF_BUDGET, seed: int = 0) -> dict:
-    """Each bound's entry, (direction, routes): KIND_LOWER or KIND_UPPER,
-    and its (method, applies, fn) routes in order, as best takes them.  The
-    search reads budget and seed and runs state by state; it skips two
+    """Each measure's entry, (kind, routes): KIND_EXACT, KIND_LOWER or
+    KIND_UPPER, and its (method, applies, fn) routes in order, as best
+    takes them.  These are the measures the CLI prints.  The two searches
+    read budget and seed and run state by state; ec_upper's skips two
     qubits, where ball-scan evaluates ec_upper on hundreds of states."""
     search = partial(eof_upper_general, budget=budget, seed=seed)
     qubits, beyond, always = (lambda dims: dims == (2, 2)), (lambda dims: dims != (2, 2)), (lambda dims: True)
+
+    def searched(states, m):
+        return [search(s).value for s in states]
+
+    def log_negativities(states, m):
+        return _log_negativity(_pt_spectra(m, (states[0].dim_a, states[0].dim_b)))
+
     # the entropy does not depend on the order of the weights: the sort
     # only fixes the order of its sum, and so the last bit of each yield
     # (unsorted, some differ by one ulp); a route that sorts eigenvalues
@@ -203,9 +204,20 @@ def bound_routes(budget: int = DEFAULT_EOF_BUDGET, seed: int = 0) -> dict:
     )
     upper = (
         ("ec_upper_eof_2x2", qubits, lambda states, m: _eof_2x2(m)),
-        ("ec_upper_eof_search", beyond, lambda states, m: [search(s).value for s in states]),
+        ("ec_upper_eof_search", beyond, searched),
     )
-    return {"ed_lower": (KIND_LOWER, lower), "ec_upper": (KIND_UPPER, upper)}
+    return {
+        "log_negativity": (KIND_EXACT, (("log_negativity", always, log_negativities),)),
+        "eof_2x2": (KIND_EXACT, (("eof_2x2", qubits, lambda states, m: _eof_2x2(m)),)),
+        "concurrence_2x2": (KIND_EXACT, (("concurrence_2x2", qubits, lambda states, m: _concurrences(m)),)),
+        "von_neumann_entropy": (
+            KIND_EXACT,
+            (("von_neumann_entropy", always, lambda states, m: [von_neumann_entropy(e) for e in m]),),
+        ),
+        "ed_lower": (KIND_LOWER, lower),
+        "ec_upper": (KIND_UPPER, upper),
+        "eof_upper_general": (KIND_UPPER, (("eof_upper_general", always, searched),)),
+    }
 
 
 def bound_values(
@@ -214,10 +226,10 @@ def bound_values(
     budget: int = DEFAULT_EOF_BUDGET,
     seed: int = 0,
 ) -> np.ndarray:
-    """The value of a bound of bound_routes, "ed_lower" or "ec_upper", on
-    each of a sequence of states of one shape, as ed_lower and ec_upper
-    give them one by one: best in the direction of the bound's entry.  The
-    shape is checked before any route runs; blocks of STACK_BLOCK follow."""
+    """The value of a measure of bound_routes, such as "ed_lower" or
+    "ec_upper", on each of a sequence of states of one shape, as best gives
+    them one by one in the kind of the measure's entry.  The shape is
+    checked before any route runs; blocks of STACK_BLOCK follow."""
     entry = bound_routes(budget, seed)[bound]
     states, _ = state_list(states)
     return np.concatenate([[m.value for m in best(*entry, block)] for block in blocks(states)])

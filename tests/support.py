@@ -4,8 +4,8 @@ products, the n-copy operators in A|B order, the dense n-copy mixture
 and copy-swap basis the mixing check's blocks are tested against, named
 states, the party swap, an entanglement-entropy reference, counts of
 the matrices validated and of the shape checks, a non-raising validation
-report, the one-state Bell twirl, hashing yield and PPT verdict, a
-conversion-rate record, full-range references for the binomial sums and
+report, the trace distance of one pair, the one-state concurrence, Bell
+twirl, hashing yield and PPT verdict, a conversion-rate record, full-range references for the binomial sums and
 the invocation a report embeds.
 
 They build on entbounds and are not part of its API.
@@ -31,6 +31,8 @@ from entbounds.linalg import (
     TRACE_TOL,
     DensityMatrix,
     ValidationReport,
+    _distance,
+    _same_dims,
 )
 from entbounds.measures import (
     KIND_LOWER,
@@ -38,7 +40,8 @@ from entbounds.measures import (
     _bell_weights,
     _hashing,
     _pt_spectra,
-    _qubit_pairs,
+    best,
+    bound_routes,
     ec_upper,
     ed_lower,
 )
@@ -402,6 +405,18 @@ def validate(rho: DensityMatrix) -> ValidationReport:
     return ValidationReport(herm, trace_defect, min_eig, passed)
 
 
+def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """T(rho, sigma) = tr|rho - sigma| / 2, taken on the one difference
+    matrix rather than on a stack as trace_distances takes it."""
+    _same_dims(rho, sigma.dim_a, sigma.dim_b)
+    return float(_distance(rho.entries - sigma.entries))
+
+
+def concurrence_2x2(rho: DensityMatrix) -> float:
+    """Two-qubit concurrence: the measure table's entry on one state."""
+    return best(*bound_routes()["concurrence_2x2"], [rho])[0].value
+
+
 @dataclass(frozen=True)
 class BellDiagonalProbs:
     """Four Bell-basis weights, non-negative and summing to one."""
@@ -423,7 +438,7 @@ class BellDiagonalProbs:
 def twirl_to_bell_diagonal(rho: DensityMatrix) -> BellDiagonalProbs:
     """Bell-basis diagonal weights of one two-qubit state: the one-state
     case of the package's stacked twirl."""
-    return BellDiagonalProbs(_bell_weights(_qubit_pairs([rho], "twirl_to_bell_diagonal"))[0])
+    return BellDiagonalProbs(_bell_weights(rho.entries[None])[0])
 
 
 def hashing_yield(probs: BellDiagonalProbs) -> MeasureValue:
@@ -439,7 +454,7 @@ class PptVerdict:
 
 def is_ppt(rho: DensityMatrix) -> PptVerdict:
     """Positivity of the partial transpose, with the minimum eigenvalue as margin."""
-    margin = float(_pt_spectra([rho])[0, 0])
+    margin = float(_pt_spectra(rho.entries[None], (rho.dim_a, rho.dim_b))[0, 0])
     return PptVerdict(margin >= PSD_FLOOR, margin)
 
 

@@ -19,7 +19,6 @@ from entbounds.continuity import (
 from entbounds.errors import EmptyWindowError
 from entbounds.measures import (
     bound_values,
-    concurrence_2x2,
     ec_upper,
     ed_lower,
     eof_2x2,
@@ -33,6 +32,7 @@ from entbounds.sampling import random_density_matrix
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from entbounds.stateio import dumps_state
 from support import (
+    concurrence_2x2,
     entanglement_entropy,
     max_entangled,
     pure_state,

@@ -11,6 +11,7 @@ import pytest
 
 from entbounds import cli
 from entbounds.linalg import DensityMatrix
+from entbounds.measures import bound_routes
 from entbounds.mixing import tail_mass_scan
 from entbounds.protocols import concentration_curve
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
@@ -93,7 +94,7 @@ def test_measure_missing_file_is_input_error(tmp_path, capsys):
     [((0.5, 0.25, 0.25, 0.25), "trace defect"), ((1.2, -0.2, 0.0, 0.0), "minimum eigenvalue")],
     ids=["trace_1.25", "eigenvalue_-0.2"],
 )
-@pytest.mark.parametrize("measure", sorted(cli.measure_table()))
+@pytest.mark.parametrize("measure", sorted(bound_routes()))
 def test_measure_invalid_state_diagnostics(tmp_path, capsys, measure, diagonal, defect):
     doc = json.loads(dumps_state(maximally_mixed(2, 2)))
     for i, value in enumerate(diagonal):
@@ -105,6 +106,22 @@ def test_measure_invalid_state_diagnostics(tmp_path, capsys, measure, diagonal, 
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert err.startswith(f"error: {defect} ")
+
+
+def test_measure_choices_are_the_measure_table():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    (action,) = [a for a in sub.choices["measure"]._actions if a.dest == "measure"]
+    assert action.choices == sorted(bound_routes())
+
+
+@pytest.mark.parametrize("measure", ["eof_2x2", "concurrence_2x2"])
+def test_a_two_qubit_measure_of_a_2x3_state_is_an_input_error(measure, tmp_path, capsys):
+    path = tmp_path / "iso23.json"
+    path.write_text(dumps_state(isotropic_2x3(0.6)))
+    code, out, err = run_cli(["measure", str(path), measure], capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {measure} does not apply to 2x3 states\n"
 
 
 def test_there_is_no_way_past_validation(werner_file, capsys):
@@ -263,13 +280,13 @@ def test_tolerance_is_an_option_of_the_two_certifying_commands(capsys):
     assert "--tolerance" in err
 
 
-# every option of every subcommand, --help aside: 42 options and 5 positionals
+# every option of every subcommand, --help aside: 41 options and 5 positionals
 OPTIONS = {
     "measure": {"--seed", "--cap", "--out", "--budget", "--format"},
     "mixing-verify": {"--cap", "--out", "--tolerance", "--p", "--n", "--half-width"},
     "tail-scan": {"--out", "--p", "--n-list", "--half-width"},
     "ball-scan": {
-        "--seed", "--cap", "--out", "--tolerance", "--epsilon", "--samples", "--p-points", "--budget",
+        "--seed", "--cap", "--out", "--tolerance", "--epsilon", "--samples", "--p-points",
     },
     "border-scan": {"--seed", "--out", "--system", "--grid", "--include-eof", "--budget"},
     "concentration": {"--out", "--lambdas", "--n-list"},
@@ -285,8 +302,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     }
     taken = {name: {s for a in acts for s in a.option_strings} for name, acts in actions.items()}
     assert taken == OPTIONS
-    assert sum(map(len, actions.values())) == 47
-    assert sum(map(len, taken.values())) == 42
+    assert sum(map(len, actions.values())) == 46
+    assert sum(map(len, taken.values())) == 41
 
 
 def test_help_says_which_inputs_must_be_bounds_and_which_constants_are_sampled():
@@ -301,12 +318,12 @@ def test_budget_has_one_help_in_every_subcommand():
     helps = {
         name: a.help for name, p in sub.choices.items() for a in p._actions if a.dest == "budget"
     }
-    assert set(helps) == {"measure", "ball-scan", "border-scan"}
+    assert set(helps) == {"measure", "border-scan"}
     assert len(set(helps.values())) == 1
     assert "eof_upper_general" in helps["measure"] and "ec_upper" in helps["measure"]
-    # border-scan's own default leaves the other two subcommands' alone
+    # border-scan's own default leaves measure's alone
     defaults = {name: sub.choices[name].get_default("budget") for name in helps}
-    assert defaults == {"measure": 2000, "ball-scan": 2000, "border-scan": 400}
+    assert defaults == {"measure": 2000, "border-scan": 400}
 
 
 @pytest.mark.parametrize(
@@ -498,16 +515,6 @@ def test_ball_scan_zero_samples(werner_file, capsys):
     assert code == cli.EXIT_INPUT
 
 
-def test_ball_scan_zero_budget_is_a_usage_error(werner_file, capsys):
-    # a 2x2 centre never runs the search, so only the parser can catch this
-    code, out, err = run_cli(
-        ["ball-scan", werner_file, "--epsilon", "1e-3", "--samples", "3", "--budget", "0"], capsys
-    )
-    assert code == cli.EXIT_INPUT
-    assert out == ""
-    assert "argument --budget" in err
-
-
 @pytest.mark.parametrize("points", ["0", "1"])
 def test_ball_scan_rejects_fewer_than_two_p_points(werner_file, points, capsys):
     # 0 points certified an empty corridor; 1 point checked p = 0 only
@@ -632,8 +639,10 @@ def test_each_state_is_validated_once(argv, validated, werner_file, phi_file, ca
         (["ball-scan", "{rho}", "--epsilon", "1e-3", "--samples", "200"], 9),
         # per block of STACK_BLOCK: the partial transpose, bound_values and best
         (["border-scan", "--system", "2x2", "--grid", "401"], 6),
+        # best checks and stacks the one state, whatever the measure
+        *((["measure", "{rho}", measure, "--budget", "5"], 1) for measure in sorted(bound_routes())),
     ],
-    ids=["ball-scan", "border-scan"],
+    ids=["ball-scan", "border-scan", *(f"measure-{measure}" for measure in sorted(bound_routes()))],
 )
 def test_each_block_is_checked_for_one_shape_once(argv, checked, werner_file, capsys):
     argv = [arg.format(rho=werner_file) for arg in argv]

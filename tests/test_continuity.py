@@ -16,7 +16,7 @@ from entbounds.continuity import (
     surface_count,
 )
 from entbounds.errors import BallNotCertifiedError, DimensionMismatchError
-from entbounds.linalg import DensityMatrix, mix, trace_distance
+from entbounds.linalg import DensityMatrix, mix
 from entbounds.measures import (
     bound_values,
     ec_upper,
@@ -25,6 +25,7 @@ from entbounds.measures import (
 )
 from entbounds.sampling import random_density_matrix
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
+from support import trace_distance
 
 
 # ---- kappa ----

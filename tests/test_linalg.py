@@ -12,7 +12,7 @@ from entbounds.linalg import (
     mix,
     partial_trace,
     partial_transpose,
-    trace_distance,
+    stack,
     trace_norm,
 )
 from entbounds import mixing
@@ -27,6 +27,7 @@ from support import (
     random_pure_amplitudes,
     tensor,
     tensor_power,
+    trace_distance,
     unchecked,
     validate,
 )
@@ -180,14 +181,14 @@ def test_partial_trace_of_product_is_the_factor():
 
 def test_partial_transpose_is_an_involution():
     rho = random_density_matrix(2, 3, seed=4)
-    (pt,) = partial_transpose([rho])
-    (back,) = partial_transpose([unchecked(2, 3, pt)])
+    (pt,) = partial_transpose(*stack([rho]))
+    (back,) = partial_transpose(*stack([unchecked(2, 3, pt)]))
     assert np.array_equal(back, rho.entries)
 
 
 def test_partial_transpose_of_phi_plus_has_half_spectrum():
     rho = phi_plus()
-    eigs = np.sort(np.linalg.eigvalsh(partial_transpose([rho])[0]))
+    eigs = np.sort(np.linalg.eigvalsh(partial_transpose(*stack([rho]))[0]))
     assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 

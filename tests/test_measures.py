@@ -9,19 +9,17 @@ from entbounds import measures
 from entbounds.errors import DimensionMismatchError, StateValidityError
 from entbounds.linalg import DensityMatrix, mix, stack
 from entbounds.measures import (
+    KIND_EXACT,
     KIND_LOWER,
     KIND_UPPER,
     MeasureValue,
     _columns,
     _descend,
     _evaluate,
-    _log_negativity,
-    _pt_spectra,
     best,
     binary_entropy,
     bound_routes,
     bound_values,
-    concurrence_2x2,
     ec_upper,
     ed_lower,
     eof_2x2,
@@ -34,6 +32,7 @@ from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from support import (
     BellDiagonalProbs,
     apply_one_sided_channel,
+    concurrence_2x2,
     entanglement_entropy,
     hashing_yield,
     is_ppt,
@@ -269,12 +268,17 @@ def test_best_keeps_the_earlier_route_unless_beaten_by_more_than_1e_12(kind, val
 
 def test_bound_route_names_in_order():
     names = {
-        bound: (direction, [method for method, _, _ in routes])
-        for bound, (direction, routes) in bound_routes().items()
+        measure: (kind, [method for method, _, _ in routes])
+        for measure, (kind, routes) in bound_routes().items()
     }
     assert names == {
+        "log_negativity": (KIND_EXACT, ["log_negativity"]),
+        "eof_2x2": (KIND_EXACT, ["eof_2x2"]),
+        "concurrence_2x2": (KIND_EXACT, ["concurrence_2x2"]),
+        "von_neumann_entropy": (KIND_EXACT, ["von_neumann_entropy"]),
         "ed_lower": (KIND_LOWER, ["ed_lower_hashing", "ed_lower_vacuous"]),
         "ec_upper": (KIND_UPPER, ["ec_upper_eof_2x2", "ec_upper_eof_search"]),
+        "eof_upper_general": (KIND_UPPER, ["eof_upper_general"]),
     }
 
 
@@ -290,10 +294,15 @@ def test_each_route_applies_where_its_table_says():
                     (value,) = fn([rho], rho.entries[None])
                     assert np.isfinite(value) and value >= 0.0
     assert applies == {
+        "log_negativity": (True, True),
+        "eof_2x2": (True, False),
+        "concurrence_2x2": (True, False),
+        "von_neumann_entropy": (True, True),
         "ed_lower_hashing": (True, False),
         "ed_lower_vacuous": (True, True),
         "ec_upper_eof_2x2": (True, False),
         "ec_upper_eof_search": (False, True),
+        "eof_upper_general": (True, True),
     }
 
 
@@ -404,17 +413,15 @@ def _invariance_states() -> list[list[DensityMatrix]]:
     return [qubits, *others]
 
 
-# every route of the table but the search, which is seeded and local and
-# waits for an E_F lower bound to be gated against, and E_N; each as its
+# every route of the table but the two searches, which are seeded and
+# local and wait for an E_F lower bound to be gated against; each as its
 # (applies, fn) pair
+SEARCH_ROUTES = {"ec_upper_eof_search", "eof_upper_general"}
 INVARIANT_ROUTES = {
-    **{
-        method: (applies, fn)
-        for _, routes in bound_routes().values()
-        for method, applies, fn in routes
-        if method != "ec_upper_eof_search"
-    },
-    "log_negativity": (lambda dims: True, lambda states, entries: _log_negativity(_pt_spectra(states))),
+    method: (applies, fn)
+    for _, routes in bound_routes().values()
+    for method, applies, fn in routes
+    if method not in SEARCH_ROUTES
 }
 # (route, change) pairs not yet invariant: the list shrinks and never grows
 NOT_YET_INVARIANT = {("ed_lower_hashing", "local_unitary")}

@@ -20,7 +20,6 @@ from entbounds.linalg import (
     PSD_FLOOR,
     DensityMatrix,
     mix,
-    trace_distance,
     trace_norm,
 )
 from entbounds.mixing import (
@@ -46,6 +45,7 @@ from support import (
     mixture_in_copy_order,
     pair_isometries,
     tensor_power,
+    trace_distance,
 )
 
 RHO = random_density_matrix(2, 2, seed=100)

@@ -20,7 +20,7 @@ from entbounds.linalg import (
     DensityMatrix,
     mix,
     partial_transpose,
-    trace_distance,
+    stack,
     trace_distances,
     trace_norm,
 )
@@ -33,7 +33,6 @@ from entbounds.measures import (
     _pt_spectra,
     best,
     bound_values,
-    concurrence_2x2,
     ec_upper,
     ed_lower,
     eof_2x2,
@@ -44,12 +43,14 @@ from entbounds.sampling import random_density_matrix
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from support import (
     BellDiagonalProbs,
+    concurrence_2x2,
     hashing_yield,
     is_ppt,
     pure_state,
     random_low_rank_state,
     random_product_amplitudes,
     shape_checks,
+    trace_distance,
     twirl_to_bell_diagonal,
 )
 
@@ -109,11 +110,11 @@ def test_two_qubit_closed_forms_of_a_stack_equal_each_state_alone():
 
 @pytest.mark.parametrize("states", [qubit_states(), qutrit_states()], ids=["2x2", "2x3"])
 def test_partial_transpose_spectra_of_a_stack_equal_each_state_alone(states):
-    spectra = _pt_spectra(states)
+    spectra = _pt_spectra(*stack(states))
     assert same_bytes(_log_negativity(spectra), [log_negativity(s).value for s in states])
     assert same_bytes(spectra[:, 0], [is_ppt(s).margin for s in states])
-    transposes = partial_transpose(states)
-    assert transposes.tobytes() == np.concatenate([partial_transpose([s]) for s in states]).tobytes()
+    transposes = partial_transpose(*stack(states))
+    assert transposes.tobytes() == np.concatenate([partial_transpose(*stack([s])) for s in states]).tobytes()
 
 
 @pytest.mark.parametrize("states", [qubit_states(), qutrit_states()], ids=["2x2", "2x3"])
@@ -211,7 +212,7 @@ def test_a_list_of_mixed_shapes_raises():
         with pytest.raises(DimensionMismatchError):
             bound_values(bound, mixed, budget=5)
     with pytest.raises(DimensionMismatchError):
-        partial_transpose(mixed)
+        stack(mixed)
     with pytest.raises(DimensionMismatchError):
         trace_distances(werner(0.9), mixed)
 

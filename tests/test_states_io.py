@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entbounds.errors import SizeCapError, StateFileError, StateValidityError
-from entbounds.linalg import partial_transpose, trace_distance
+from entbounds.linalg import partial_transpose, stack
 from entbounds.measures import ed_lower
 from entbounds.sampling import random_density_matrix
 from entbounds.stateio import atomic_write_text, dumps_state, load_state, loads_state
@@ -28,6 +28,7 @@ from support import (
     random_separable_state,
     random_unitary,
     separable_mixture,
+    trace_distance,
 )
 
 BELL_COLUMNS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]).T / np.sqrt(2)
@@ -83,13 +84,13 @@ def test_werner_interpolates_singlet_and_identity():
     assert np.allclose(werner(1.0).entries, np.outer(singlet, singlet), atol=1e-14)
     # partial transpose minimum eigenvalue crosses zero at weight 1/3
     for w in (0.0, 0.2, 1 / 3, 0.4, 1.0):
-        margin = np.linalg.eigvalsh(partial_transpose([werner(w)])[0])[0]
+        margin = np.linalg.eigvalsh(partial_transpose(*stack([werner(w)]))[0])[0]
         assert margin == pytest.approx((1 - 3 * w) / 4, abs=1e-12)
 
 
 def test_isotropic_2x3_threshold_at_one_quarter():
     for q in (0.0, 0.1, 0.25, 0.3, 1.0):
-        margin = np.linalg.eigvalsh(partial_transpose([isotropic_2x3(q)])[0])[0]
+        margin = np.linalg.eigvalsh(partial_transpose(*stack([isotropic_2x3(q)]))[0])[0]
         assert margin == pytest.approx((1 - q) / 6 - q / 2, abs=1e-12)
 
 
@@ -134,7 +135,7 @@ def test_random_product_pure_state_is_product():
 
 def test_random_separable_state_is_ppt():
     rho = random_separable_state(2, 2, seed=5)
-    assert np.linalg.eigvalsh(partial_transpose([rho])[0])[0] > -1e-12
+    assert np.linalg.eigvalsh(partial_transpose(*stack([rho]))[0])[0] > -1e-12
 
 
 def test_random_local_unitary_conjugate_preserves_spectrum():
