@@ -5,7 +5,9 @@ exceeded, 4 a certification failed (a verified bound did not hold or a
 ball left the certified-distillable region).  Every output embeds the
 full invocation and the seed so runs can be replayed byte-for-byte.
 A subcommand takes only the options it reads; one without --seed or
---cap prints DEFAULT_SEED or DEFAULT_SIZE_CAP in their place.
+--cap prints DEFAULT_SEED or DEFAULT_SIZE_CAP in their place.  The slack
+of every certified inequality is linalg.CERTIFICATION_TOL, which no
+option changes; the audit's "tolerance" field is always null.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
     SizeCapError,
     StateValidityError,
 )
-from .linalg import CERTIFICATION_TOL, DEFAULT_SIZE_CAP, trace_distances
+from .linalg import DEFAULT_SIZE_CAP, trace_distances
 from .measures import DEFAULT_EOF_BUDGET, best, bound_routes, bound_values
 from .mixing import (
     MixtureSpec,
@@ -83,7 +85,7 @@ def _audit(args) -> dict:
         "invocation": args.invocation,
         "seed": args.seed,
         "size_cap": args.cap,
-        "tolerance": args.tolerance,
+        "tolerance": None,
     }
 
 
@@ -124,8 +126,7 @@ def cmd_mixing_verify(args) -> int:
     sigma = load_state(args.sigma_file, cap=args.cap)
     window, _ = binomial_window(args.n, args.p, args.half_width)
     spec = MixtureSpec(rho=rho, sigma=sigma, p=args.p, n=args.n, window=window)
-    tol = CERTIFICATION_TOL if args.tolerance is None else args.tolerance
-    report = verify_mixing_bound(spec, cap=args.cap, tol=tol)
+    report = verify_mixing_bound(spec, cap=args.cap)
     payload = {
         "audit": _audit(args),
         "p": args.p,
@@ -155,9 +156,8 @@ def cmd_ball_scan(args) -> int:
     spec = BallSpec(center=center, epsilon=args.epsilon, sample_count=args.samples, seed=args.seed)
     samples = sample_ball(spec)
     constants = ball_constants(spec, samples=samples)
-    tol = CERTIFICATION_TOL if args.tolerance is None else args.tolerance
     corridor = corridor_consistency_check(
-        center, samples[0], constants, np.linspace(0.0, 1.0, args.p_points), tolerance=tol
+        center, samples[0], constants, np.linspace(0.0, 1.0, args.p_points)
     )
     distances = trace_distances(center, samples)
     n_surface = surface_count(args.samples)
@@ -278,11 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="largest matrix side accepted before aborting with exit 3",
         ),
         "--out": dict(default=None, help="output path (stdout if omitted)"),
-        "--tolerance": dict(
-            type=finite_float,
-            default=None,
-            help=f"override the default {CERTIFICATION_TOL:g} certification slack",
-        ),
         "--budget": dict(
             type=positive_int,
             default=DEFAULT_EOF_BUDGET,
@@ -300,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bipartite entanglement bounds: measures, mixing, balls, scans.",
     )
     # a subcommand without one of these options still reports its default
-    parser.set_defaults(seed=DEFAULT_SEED, cap=DEFAULT_SIZE_CAP, tolerance=None)
+    parser.set_defaults(seed=DEFAULT_SEED, cap=DEFAULT_SIZE_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("measure", help="evaluate one measure on a state file")
@@ -318,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         "it holds by construction whenever Pi is correct"
     )
     p = sub.add_parser("mixing-verify", help=about, description=about)
-    take(p, "--cap", "--out", "--tolerance")
+    take(p, "--cap", "--out")
     p.add_argument("rho_file")
     p.add_argument("sigma_file")
     p.add_argument("--p", type=finite_float, required=True)
@@ -335,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     about = "sample a trace-distance ball and certify the corridor; the ball constants are sampled estimates"
     p = sub.add_parser("ball-scan", help=about, description=about)
-    take(p, "--seed", "--cap", "--out", "--tolerance")
+    take(p, "--seed", "--cap", "--out")
     p.add_argument("center_file")
     p.add_argument("--epsilon", type=finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)

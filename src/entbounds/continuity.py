@@ -148,6 +148,8 @@ def ball_constants(
     """
     if samples is None:
         samples = sample_ball(spec)
+    if not samples:
+        raise ValueError("sampled ball constants need at least one sample")
     states = [spec.center, *samples]
     ed_values = np.asarray(ed(states), dtype=float)
     if ed_values[0] <= 0.0:
@@ -227,13 +229,12 @@ def corridor_consistency_check(
     p_grid,
     ed: BoundHook = partial(bound_values, "ed_lower"),
     ec: BoundHook = partial(bound_values, "ec_upper"),
-    tolerance: float = CERTIFICATION_TOL,
 ) -> CorridorReport:
     """Check the two-sided surrogate corridor along the mixture family.
 
     For each p the mixture rho_p = (1-p) center + p sigma_surface must
     satisfy (1 - kappa(p)) * ed(center) <= ec(rho_p) and
-    the same with center and rho_p swapped, both up to the tolerance.
+    the same with center and rho_p swapped, both up to CERTIFICATION_TOL.
     Any true asymptotic measure is wedged between the two surrogates,
     so a violation indicts the implementation rather than the bound.
     ed and ec each take the list of the center and the mixtures once.
@@ -241,6 +242,8 @@ def corridor_consistency_check(
     past the center (weight p - 1) still lands on a valid state.
     """
     ps = [float(p) for p in p_grid]
+    if not ps:
+        raise ValueError("the corridor grid must contain at least one p")
     states = [center, *(mix(center, sigma_surface, p) for p in ps)]
     ed_values = np.asarray(ed(states), dtype=float).tolist()
     ec_values = np.asarray(ec(states), dtype=float).tolist()
@@ -266,12 +269,12 @@ def corridor_consistency_check(
                 scaled_ed_mixture=scale * ed_mixture,
                 ec_center=ec_center,
                 margin_mixture_side=margin_mixture,
-                passed=bool(margin_center >= -tolerance and margin_mixture >= -tolerance),
+                passed=bool(margin_center >= -CERTIFICATION_TOL and margin_mixture >= -CERTIFICATION_TOL),
                 reverse_mix_available=reverse_available,
             )
         )
     return CorridorReport(
-        rows=rows, all_passed=all(row.passed for row in rows), tolerance=tolerance
+        rows=rows, all_passed=all(row.passed for row in rows), tolerance=CERTIFICATION_TOL
     )
 
 

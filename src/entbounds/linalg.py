@@ -17,7 +17,7 @@ from .errors import DimensionMismatchError, StateValidityError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-9
-# default slack of a certified inequality (mixing bound, ball corridor)
+# slack of every certified inequality (mixing bound, ball corridor, Lipschitz bound)
 CERTIFICATION_TOL = 1e-9
 DEFAULT_SIZE_CAP = 4096
 # states per block of a stacked evaluation (ball, corridor, border and eta scans)

@@ -306,10 +306,8 @@ def _window_sum(sites, window: tuple[int, int]) -> list[tuple[np.ndarray, np.nda
     return closing
 
 
-def verify_mixing_bound(
-    spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP, tol: float = CERTIFICATION_TOL
-) -> MixingReport:
-    """Check T(((1-p)rho + p sigma)^(x n), Pi) <= tail_mass + tol.
+def verify_mixing_bound(spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP) -> MixingReport:
+    """Check T(((1-p)rho + p sigma)^(x n), Pi) <= tail_mass + CERTIFICATION_TOL.
 
     The tail bound is stated against T, which already includes the 1/2
     of the trace-norm convention.  T is capped at 1, the largest
@@ -378,7 +376,7 @@ def verify_mixing_bound(
         total += math.comb(k, j) * sum(trace_norm(h) for h in halves if h.size)
     t = min(0.5 * total, 1.0)
     tail_mass = _tail_mass(n, p, lo, hi)
-    bound = tail_mass + tol
+    bound = tail_mass + CERTIFICATION_TOL
     return MixingReport(
         trace_distance=t,
         tail_mass=tail_mass,

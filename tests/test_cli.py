@@ -273,21 +273,35 @@ def test_format_is_a_measure_option(capsys):
     assert "--format" in err
 
 
-def test_tolerance_is_an_option_of_the_two_certifying_commands(capsys):
-    code, out, err = run_cli(["tail-scan", "--p", "0.5", "--n-list", "4", "--tolerance", "1e-3"], capsys)
+# a complete invocation of each subcommand; its files are never opened
+COMPLETE_ARGV = {
+    "measure": ["measure", "x.json", "ed_lower"],
+    "mixing-verify": ["mixing-verify", "x.json", "y.json", "--p", "0.3", "--n", "2"],
+    "tail-scan": ["tail-scan", "--p", "0.5", "--n-list", "4"],
+    "ball-scan": ["ball-scan", "x.json", "--epsilon", "1e-3", "--samples", "4"],
+    "border-scan": ["border-scan", "--system", "2x2", "--grid", "3"],
+    "concentration": ["concentration", "--lambdas", "0.5,0.5", "--n-list", "2"],
+    "eta-scan": ["eta-scan"],
+    "catalytic": ["catalytic", "--delta", "0.1", "--ec-sigma", "0.5", "--ed-rho-p", "0.8"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMPLETE_ARGV))
+def test_every_subcommand_refuses_tolerance(command, capsys):
+    # the slack of every certified inequality is CERTIFICATION_TOL, with no way past it
+    code, out, err = run_cli([*COMPLETE_ARGV[command], "--tolerance", "0.5"], capsys)
     assert code == cli.EXIT_INPUT
     assert out == ""
-    assert "--tolerance" in err
+    assert err.startswith(f"usage: entbounds {command} ")
+    assert err.endswith("error: unrecognized arguments: --tolerance 0.5\n")
 
 
-# every option of every subcommand, --help aside: 41 options and 5 positionals
+# every option of every subcommand, --help aside: 39 options and 5 positionals
 OPTIONS = {
     "measure": {"--seed", "--cap", "--out", "--budget", "--format"},
-    "mixing-verify": {"--cap", "--out", "--tolerance", "--p", "--n", "--half-width"},
+    "mixing-verify": {"--cap", "--out", "--p", "--n", "--half-width"},
     "tail-scan": {"--out", "--p", "--n-list", "--half-width"},
-    "ball-scan": {
-        "--seed", "--cap", "--out", "--tolerance", "--epsilon", "--samples", "--p-points",
-    },
+    "ball-scan": {"--seed", "--cap", "--out", "--epsilon", "--samples", "--p-points"},
     "border-scan": {"--seed", "--out", "--system", "--grid", "--include-eof", "--budget"},
     "concentration": {"--out", "--lambdas", "--n-list"},
     "eta-scan": {"--cap", "--out", "--eps-start", "--eps-stop", "--eps-points", "--xi-file"},
@@ -302,8 +316,9 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     }
     taken = {name: {s for a in acts for s in a.option_strings} for name, acts in actions.items()}
     assert taken == OPTIONS
-    assert sum(map(len, actions.values())) == 46
-    assert sum(map(len, taken.values())) == 41
+    assert taken.keys() == COMPLETE_ARGV.keys()
+    assert sum(map(len, actions.values())) == 44
+    assert sum(map(len, taken.values())) == 39
 
 
 def test_help_says_which_inputs_must_be_bounds_and_which_constants_are_sampled():
@@ -349,25 +364,23 @@ def test_an_option_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
     assert err.startswith(f"usage: entbounds {argv[0]} ")
 
 
-def test_tolerance_is_read_and_reported(werner_file, phi_file, tmp_path, capsys):
-    argv = ["mixing-verify", werner_file, phi_file, "--p", "0.5", "--n", "3", "--tolerance", "1e-6"]
-    code, out, _ = run_cli(argv, capsys)
-    assert code == cli.EXIT_OK
-    assert '"tolerance": 1e-06' in out
-    payload = json.loads(out)
-    assert payload["bound"] == payload["tail_mass"] + 1e-6
-
-    ball = tmp_path / "ball.json"
-    argv = ["ball-scan", werner_file, "--epsilon", "1e-3", "--samples", "4", "--p-points", "2"]
-    code, _, _ = run_cli([*argv, "--tolerance", "0.5", "--out", str(ball)], capsys)
-    assert code == cli.EXIT_OK
-    payload = json.loads(ball.read_text())
-    assert payload["audit"]["tolerance"] == 0.5
-    assert payload["corridor"]["tolerance"] == 0.5
-
-    code, out, _ = run_cli(["catalytic", "--delta", "0.1", "--ec-sigma", "0.5", "--ed-rho-p", "0.8"], capsys)
-    assert code == cli.EXIT_OK
-    assert '"tolerance": null' in out
+def test_audit_tolerance_is_null_and_the_corridor_reads_the_certification_slack(
+    werner_file, phi_file, capsys
+):
+    argvs = [
+        ["catalytic", "--delta", "0.1", "--ec-sigma", "0.5", "--ed-rho-p", "0.8"],
+        ["mixing-verify", werner_file, phi_file, "--p", "0.5", "--n", "3"],
+        ["ball-scan", werner_file, "--epsilon", "1e-3", "--samples", "4", "--p-points", "2"],
+    ]
+    payloads = []
+    for argv in argvs:
+        code, out, _ = run_cli(argv, capsys)
+        assert code == cli.EXIT_OK
+        assert '"tolerance": null' in out
+        payloads.append(json.loads(out))
+    _, mixing, ball = payloads
+    assert mixing["bound"] == mixing["tail_mass"] + 1e-09
+    assert ball["corridor"]["tolerance"] == 1e-09
 
 
 def test_tail_scan_matches_library(capsys):
@@ -711,7 +724,6 @@ def test_non_finite_state_entries_exit_2(tmp_path, capsys, pair):
         ["catalytic", "--delta", "1e308", "--ec-sigma", "1e-308", "--ed-rho-p", "1"],
         ["tail-scan", "--p", "nan", "--n-list", "4"],
         ["eta-scan", "--eps-stop", "inf"],
-        ["mixing-verify", "x.json", "y.json", "--p", "0.3", "--n", "2", "--tolerance", "nan"],
     ],
 )
 def test_non_finite_arguments_exit_2(argv, capsys):

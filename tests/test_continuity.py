@@ -170,6 +170,17 @@ def test_ball_constants_reversible_flag_with_injected_surrogates():
     assert constants.delta == 0.0
 
 
+def _unreachable(states):
+    raise AssertionError("a bound was evaluated")
+
+
+def test_ball_constants_refuse_an_empty_sample_list():
+    # the centre alone is no sampled estimate of the ball's extrema
+    spec = BallSpec(center=werner(0.95), epsilon=1e-4, sample_count=5, seed=10)
+    with pytest.raises(ValueError, match="^sampled ball constants need at least one sample$"):
+        ball_constants(spec, samples=[], ed=_unreachable, ec=_unreachable)
+
+
 # ---- affine family and Lipschitz ----
 
 
@@ -241,6 +252,15 @@ def test_corridor_negative_control_reports_violation():
     )
     assert not broken.all_passed
     assert any(not row.passed for row in broken.rows)
+
+
+def test_corridor_refuses_an_empty_grid():
+    # no row would pass vacuously
+    center = werner(0.95)
+    spec = BallSpec(center=center, epsilon=1e-4, sample_count=5, seed=10)
+    constants = ball_constants(spec)
+    with pytest.raises(ValueError, match="^the corridor grid must contain at least one p$"):
+        corridor_consistency_check(center, werner(0.9), constants, [], ed=_unreachable, ec=_unreachable)
 
 
 def test_corridor_reverse_mix_flag():

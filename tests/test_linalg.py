@@ -38,6 +38,13 @@ def test_density_matrix_rejects_wrong_shape():
         DensityMatrix(2, 2, np.eye(3) / 3)
 
 
+@pytest.mark.parametrize("dims", [(0, 2), (2, -1)])
+def test_density_matrix_rejects_non_positive_dimensions(dims):
+    with pytest.raises(StateValidityError) as err:
+        DensityMatrix(*dims, np.eye(1))
+    assert str(err.value) == "local dimensions must be positive integers"
+
+
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(StateValidityError) as err:
         DensityMatrix(2, 1, np.diag([0.7, 0.7]))
@@ -199,6 +206,13 @@ def test_trace_norm_routes_agree():
     assert trace_norm(m) == pytest.approx(sv, abs=1e-10)
     h = (m + m.conj().T) / 2
     assert trace_norm(h) == pytest.approx(np.abs(np.linalg.eigvalsh(h)).sum(), abs=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (5, 2, 3)])
+def test_trace_norm_rejects_non_square_input(shape):
+    with pytest.raises(ValueError) as err:
+        trace_norm(np.ones(shape))
+    assert str(err.value) == "trace_norm expects a square matrix or a stack of them"
 
 
 def test_trace_distance_basic_properties():

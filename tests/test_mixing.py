@@ -91,6 +91,21 @@ def test_binomial_window_empty_raises():
         binomial_window(3, 0.1, half_width=0)
 
 
+@pytest.mark.parametrize(
+    "n, p, half_width, message",
+    [
+        (4, 1.5, None, "p must lie in [0, 1], got 1.5"),
+        (4, -0.25, 1.0, "p must lie in [0, 1], got -0.25"),
+        (0, 0.5, None, "n must be a positive integer"),
+        (4, 0.5, -1.0, "half_width must be non-negative"),
+    ],
+)
+def test_binomial_window_rejects_bad_input(n, p, half_width, message):
+    with pytest.raises(ValueError) as err:
+        binomial_window(n, p, half_width)
+    assert str(err.value) == message
+
+
 def test_binomial_window_degenerate_p():
     assert binomial_window(6, 0.0, half_width=0) == ((0, 0), 0.0)
     assert binomial_window(6, 1.0, half_width=0) == ((6, 6), 0.0)

@@ -96,6 +96,8 @@ def test_concentration_yield_rejects_bad_input():
         concentration_yield([], 4)
     with pytest.raises(ValueError):
         concentration_yield([0.5, 0.5], 0)
+    with pytest.raises(ValueError, match=r"^distribution entries must be finite$"):
+        concentration_yield([0.5, float("nan"), 0.5], 4)
 
 
 def test_concentration_curve_asymptote_and_points():

@@ -88,6 +88,21 @@ def test_werner_interpolates_singlet_and_identity():
         assert margin == pytest.approx((1 - 3 * w) / 4, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "family, param, message",
+    [
+        (werner, 1.5, "weight must lie in [0, 1], got 1.5"),
+        (werner, -0.1, "weight must lie in [0, 1], got -0.1"),
+        (isotropic_2x3, 1.25, "q must lie in [0, 1], got 1.25"),
+        (isotropic_2x3, -0.5, "q must lie in [0, 1], got -0.5"),
+    ],
+)
+def test_families_reject_parameters_out_of_range(family, param, message):
+    with pytest.raises(ValueError) as err:
+        family(param)
+    assert str(err.value) == message
+
+
 def test_isotropic_2x3_threshold_at_one_quarter():
     for q in (0.0, 0.1, 0.25, 0.3, 1.0):
         margin = np.linalg.eigvalsh(partial_transpose(*stack([isotropic_2x3(q)]))[0])[0]
@@ -178,6 +193,19 @@ def test_atomic_write_takes_the_umask(tmp_path, umask, mode):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_atomic_write_onto_a_directory_raises_and_leaves_it_untouched(tmp_path):
+    target = tmp_path / "report"
+    target.mkdir()
+    (target / "kept.txt").write_text("kept\n")
+    with pytest.raises(IsADirectoryError) as err:
+        atomic_write_text(str(target), "{}\n")
+    assert err.value.filename2 == str(target)
+    # the temp file is gone and the directory keeps what it held
+    assert list(tmp_path.iterdir()) == [target]
+    assert [p.name for p in target.iterdir()] == ["kept.txt"]
+    assert (target / "kept.txt").read_text() == "kept\n"
+
+
 def test_dumps_state_structure():
     doc = json.loads(dumps_state(maximally_mixed(2, 1)))
     assert doc["dim_a"] == 2 and doc["dim_b"] == 1
@@ -201,6 +229,10 @@ _DIGITS = "1" + "0" * 4999  # past Python's 4,300-digit limit on int("...")
         _malformed('{"dim_a": 1, "dim_b": 1, "entries": [[[1.0]]]}', "entry (0,0) must be a [re, im]"),
         _malformed('{"dim_a": 1, "dim_b": 1, "entries": [[[1.0, 0.0], [0.0, 0.0]]]}', "row 0 must be"),
         _malformed('"just a string"', "top-level document must be an object"),
+        _malformed('{"dim_a": 0, "dim_b": 2, "entries": []}', "dim_a and dim_b must be positive"),
+        _malformed('{"dim_a": 2, "dim_b": 0, "entries": []}', "dim_a and dim_b must be positive"),
+        _malformed('{"dim_a": 1, "dim_b": 2, "entries": [[[0.5, 0.0], [0.0, 0.0]]]}', "entries must be a list of 2 rows"),
+        _malformed('{"dim_a": 1, "dim_b": 1, "entries": {"0": [[1.0, 0.0]]}}', "entries must be a list of 1 rows"),
         _malformed('{"dim_a": 1, "dim_b": 1, "entries": [[[NaN, 0.0]]]}', "entry (0,0) must be finite"),
         _malformed('{"dim_a": 1, "dim_b": 1, "entries": [[[1.0, Infinity]]]}', "entry (0,0) must be finite"),
         _malformed('{"dim_a": 1, "dim_b": 1, "entries": [[[true, false]]]}', "entry (0,0) must be a [re, im]"),
