@@ -230,11 +230,7 @@ def cmd_eta_scan(args) -> int:
     )
     if np.any(grid[1:] == grid[:-1]):
         raise ValueError("the epsilon grid repeats a point: widen it or take fewer --eps-points")
-    xi = (
-        maximally_mixed(2, 2)
-        if args.xi_file is None
-        else load_state(args.xi_file, cap=args.cap)
-    )
+    xi = maximally_mixed(2, 2) if args.xi_file is None else load_state(args.xi_file)
     rows = eta_continuity_scan(xi, grid)
     slopes = [
         abs(b.value - a.value) / abs(b.epsilon - a.epsilon)
@@ -352,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_concentration)
 
     p = sub.add_parser("eta-scan", help="hashing yield of a contaminated maximally entangled state")
-    take(p, "--cap", "--out")
+    take(p, "--out")
     p.add_argument("--eps-start", type=finite_float, default=1e-4)
     p.add_argument("--eps-stop", type=finite_float, default=1e-1)
     p.add_argument("--eps-points", type=int, default=20)

@@ -173,13 +173,11 @@ def _distance(diff: np.ndarray):
 
 def trace_distances(rho: DensityMatrix, states) -> np.ndarray:
     """T(rho, sigma) for each sigma of a sequence of states of rho's shape,
-    stacked in blocks of STACK_BLOCK."""
-    parts = []
-    for block in blocks(states):
-        entries, dims = stack(block)
-        _same_dims(rho, *dims)
-        parts.append(_distance(rho.entries - entries))
-    return np.concatenate(parts)
+    checked for that shape once and stacked in blocks of STACK_BLOCK."""
+    states, dims = state_list(states)
+    _same_dims(rho, *dims)
+    stacks = (np.array([s.entries for s in block]) for block in blocks(states))
+    return np.concatenate([_distance(rho.entries - entries) for entries in stacks])
 
 
 def _same_dims(rho: DensityMatrix, dim_a: int, dim_b: int) -> None:

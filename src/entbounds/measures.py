@@ -7,11 +7,11 @@ directions are never silently mixed.
 
 The closed forms (concurrence, Bell weights, hashing, the partial-transpose
 spectrum) are kernels over a stack (n, side, side) of states.  Every
-measure is an entry of one table of routes (bound_routes): best checks and
-stacks a list of states of one shape once, and each route that applies to
-the shape takes the list and the stack and gives one value per state.  A
-one-state function is best on a list of one, with the same bits as row i
-of a larger list.
+measure is an entry of one table of routes (bound_routes): best checks a
+list of states of any length for one shape once and stacks it block by
+block, and each route that applies to the shape takes a block and its
+stack and gives one value per state.  A one-state function is best on a
+list of one, with the same bits as row i of a larger list.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatchError, StateValidityError
-from .linalg import PSD_FLOOR, DensityMatrix, blocks, partial_transpose, stack, state_list
+from .linalg import PSD_FLOOR, DensityMatrix, blocks, partial_transpose, state_list
 from .sampling import haar_qr
 from .states import bell_basis
 
@@ -145,8 +145,10 @@ def _bell_weights(m: np.ndarray) -> np.ndarray:
 def _hashing(weights: np.ndarray) -> np.ndarray:
     """max(0, 1 - H(w)) for each row w of Bell weights: the one-way
     distillation yield of a Bell-diagonal state.  H runs one row at a
-    time: a product over all rows at once rounds differently."""
-    return np.array([max(0.0, 1.0 - _shannon(w)) for w in weights])
+    time, as a product over all rows at once rounds differently, on the
+    row sorted in descending order, which fixes the order of its sum and
+    so the last bit of the yield."""
+    return np.array([max(0.0, 1.0 - _shannon(w)) for w in np.sort(weights, axis=-1)[:, ::-1]])
 
 
 def best(kind: str, routes, states) -> list[MeasureValue]:
@@ -154,29 +156,32 @@ def best(kind: str, routes, states) -> list[MeasureValue]:
     for a lower bound (kind KIND_LOWER), the min for an upper bound or an
     exact measure.
 
-    The states are checked for one shape and stacked once, before any
-    route runs.  A route is a (method, applies, fn) triple: applies(dims)
-    says whether it applies to states of shape (dim_a, dim_b), and one
-    route must, or DimensionMismatchError names the routes and the shape;
-    fn(states, entries) takes the list and its (n, side, side) stack and
-    gives one float per state.  For each state, a later route wins only by
-    more than 1e-12, so routes that agree to rounding keep the earlier
-    name.  Returns one MeasureValue per state.
+    The states are checked for one shape once, before any route runs,
+    and taken in blocks of STACK_BLOCK.  A route is a (method, applies, fn)
+    triple: applies(dims) says whether it applies to states of shape
+    (dim_a, dim_b), and one route must, or DimensionMismatchError names
+    the routes and the shape; fn(block, entries) takes a block and its
+    (n, side, side) stack and gives one float per state.  For each state,
+    a later route wins only by more than 1e-12, so routes that agree to
+    rounding keep the earlier name.  Returns one MeasureValue per state.
     """
-    states = list(states)
-    entries, dims = stack(states)
+    states, dims = state_list(states)
     applying = [(method, fn) for method, applies, fn in routes if applies(dims)]
     if not applying:
         names = " or ".join(method for method, _, _ in routes)
         raise DimensionMismatchError(f"{names} does not apply to {dims[0]}x{dims[1]} states")
     sign = 1.0 if kind == KIND_LOWER else -1.0
-    # the worst value there is, so the first route that applies always wins
-    values, methods = [-sign * np.inf] * len(states), [None] * len(states)
-    for method, fn in applying:
-        for i, value in enumerate(np.asarray(fn(states, entries), dtype=float).tolist()):
-            if sign * (value - values[i]) > 1e-12:
-                values[i], methods[i] = value, method
-    return [MeasureValue(value, kind, method) for value, method in zip(values, methods)]
+    measured = []
+    for block in blocks(states):
+        entries = np.array([s.entries for s in block])
+        # the worst value there is, so the first route that applies always wins
+        values, methods = [-sign * np.inf] * len(block), [None] * len(block)
+        for method, fn in applying:
+            for i, value in enumerate(np.asarray(fn(block, entries), dtype=float).tolist()):
+                if sign * (value - values[i]) > 1e-12:
+                    values[i], methods[i] = value, method
+        measured += [MeasureValue(value, kind, method) for value, method in zip(values, methods)]
+    return measured
 
 
 def bound_routes(budget: int = DEFAULT_EOF_BUDGET, seed: int = 0) -> dict:
@@ -194,12 +199,8 @@ def bound_routes(budget: int = DEFAULT_EOF_BUDGET, seed: int = 0) -> dict:
     def log_negativities(states, m):
         return _log_negativity(_pt_spectra(m, (states[0].dim_a, states[0].dim_b)))
 
-    # the entropy does not depend on the order of the weights: the sort
-    # only fixes the order of its sum, and so the last bit of each yield
-    # (unsorted, some differ by one ulp); a route that sorts eigenvalues
-    # keeps the same rule
     lower = (
-        ("ed_lower_hashing", qubits, lambda states, m: _hashing(np.sort(_bell_weights(m), axis=-1)[:, ::-1])),
+        ("ed_lower_hashing", qubits, lambda states, m: _hashing(_bell_weights(m))),
         ("ed_lower_vacuous", always, lambda states, m: [0.0] * len(states)),
     )
     upper = (
@@ -220,19 +221,10 @@ def bound_routes(budget: int = DEFAULT_EOF_BUDGET, seed: int = 0) -> dict:
     }
 
 
-def bound_values(
-    bound: str,
-    states,
-    budget: int = DEFAULT_EOF_BUDGET,
-    seed: int = 0,
-) -> np.ndarray:
-    """The value of a measure of bound_routes, such as "ed_lower" or
-    "ec_upper", on each of a sequence of states of one shape, as best gives
-    them one by one in the kind of the measure's entry.  The shape is
-    checked before any route runs; blocks of STACK_BLOCK follow."""
-    entry = bound_routes(budget, seed)[bound]
-    states, _ = state_list(states)
-    return np.concatenate([[m.value for m in best(*entry, block)] for block in blocks(states)])
+def bound_values(bound: str, states, budget: int = DEFAULT_EOF_BUDGET, seed: int = 0) -> np.ndarray:
+    """The values best gives a sequence of states of one shape for a
+    measure of bound_routes, such as "ed_lower" or "ec_upper"."""
+    return np.array([m.value for m in best(*bound_routes(budget, seed)[bound], states)])
 
 
 def ed_lower(rho: DensityMatrix) -> MeasureValue:

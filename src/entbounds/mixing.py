@@ -349,8 +349,9 @@ def verify_mixing_bound(spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP) -> Mixin
     sym_dim, anti_dim = len(sym[0]), len(anti[0])
     k, last = divmod(n, 2)
     total = 0.0
-    # at d = 1 the antisymmetric half is empty, and so is every class with j > 0
-    for j in range(k + 1 if anti_dim else 1):
+    # at d = 1 every state is [[1]], and so are the power and Pi: T = 0
+    # exactly, with no block built
+    for j in range(k + 1 if d > 1 else 0):
         pairs = [sym] * (k - j) + [anti] * j
         closing = _window_sum([pair[:3] for pair in pairs] + [(a, b)] * last, spec.window)
         chain = [pair[3] for pair in pairs] + [mixed] * last
@@ -371,8 +372,8 @@ def verify_mixing_bound(spec: MixtureSpec, cap: int = DEFAULT_SIZE_CAP) -> Mixin
             post = anti_dim ** (j - 2) * d**last
             halves = [h for block in halves for h in _swap_halves(block, anti_dim, post)]
         del x
-        # the swap of one-dimensional factors (S at d = 1, A at d = 2) has an
-        # empty antisymmetric half
+        # the swap of one-dimensional factors (A at d = 2) has an empty
+        # antisymmetric half
         total += math.comb(k, j) * sum(trace_norm(h) for h in halves if h.size)
     t = min(0.5 * total, 1.0)
     tail_mass = _tail_mass(n, p, lo, hi)

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -230,6 +231,21 @@ def test_mixing_verify_accepts_trace_defect_within_tolerance(tmp_path, capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_mixing_verify_of_1x1_states_is_exact_and_fast(tmp_path, capsys):
+    # every 1x1 state is [[1]], and so are the power and Pi: T = 0 with no
+    # block built, where the window recursion grew as n^2 (4.6 s at n = 1000)
+    path = tmp_path / "one.json"
+    path.write_text(dumps_state(DensityMatrix(1, 1, [[1.0]])))
+    start = time.perf_counter()
+    code, out, err = run_cli_strict(
+        ["mixing-verify", str(path), str(path), "--p", "0.3", "--n", "20000", "--half-width", "1"], capsys
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (cli.EXIT_OK, "")
+    payload = json.loads(out)
+    assert (payload["trace_distance"], payload["passed"]) == (0.0, True)
+
+
 def test_mixing_verify_empty_window(werner_file, phi_file, capsys):
     code, _, err = run_cli(
         [
@@ -296,7 +312,7 @@ def test_every_subcommand_refuses_tolerance(command, capsys):
     assert err.endswith("error: unrecognized arguments: --tolerance 0.5\n")
 
 
-# every option of every subcommand, --help aside: 39 options and 5 positionals
+# every option of every subcommand, --help aside: 38 options and 5 positionals
 OPTIONS = {
     "measure": {"--seed", "--cap", "--out", "--budget", "--format"},
     "mixing-verify": {"--cap", "--out", "--p", "--n", "--half-width"},
@@ -304,7 +320,7 @@ OPTIONS = {
     "ball-scan": {"--seed", "--cap", "--out", "--epsilon", "--samples", "--p-points"},
     "border-scan": {"--seed", "--out", "--system", "--grid", "--include-eof", "--budget"},
     "concentration": {"--out", "--lambdas", "--n-list"},
-    "eta-scan": {"--cap", "--out", "--eps-start", "--eps-stop", "--eps-points", "--xi-file"},
+    "eta-scan": {"--out", "--eps-start", "--eps-stop", "--eps-points", "--xi-file"},
     "catalytic": {"--out", "--delta", "--ec-sigma", "--ed-rho-p"},
 }
 
@@ -317,8 +333,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     taken = {name: {s for a in acts for s in a.option_strings} for name, acts in actions.items()}
     assert taken == OPTIONS
     assert taken.keys() == COMPLETE_ARGV.keys()
-    assert sum(map(len, actions.values())) == 44
-    assert sum(map(len, taken.values())) == 39
+    assert sum(map(len, actions.values())) == 43
+    assert sum(map(len, taken.values())) == 38
 
 
 def test_help_says_which_inputs_must_be_bounds_and_which_constants_are_sampled():
@@ -352,6 +368,8 @@ def test_budget_has_one_help_in_every_subcommand():
         ["tail-scan", "--p", "0.3", "--n-list", "10", "--cap", "8"],
         ["border-scan", "--system", "2x2", "--grid", "3", "--cap", "8"],
         ["concentration", "--lambdas", "0.5,0.5", "--n-list", "2", "--cap", "8"],
+        # the contamination state is two-qubit, so no cap could matter
+        ["eta-scan", "--cap", "8"],
         ["catalytic", "--delta", "0.1", "--ec-sigma", "0.5", "--ed-rho-p", "0.8", "--cap", "8"],
     ],
     ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}",
@@ -647,11 +665,10 @@ def test_each_state_is_validated_once(argv, validated, werner_file, phi_file, ca
 @pytest.mark.parametrize(
     ("argv", "checked"),
     [
-        # four bound_values calls, each checking its list and then its one
-        # block, and the block of trace_distances
-        (["ball-scan", "{rho}", "--epsilon", "1e-3", "--samples", "200"], 9),
-        # per block of STACK_BLOCK: the partial transpose, bound_values and best
-        (["border-scan", "--system", "2x2", "--grid", "401"], 6),
+        # the lists of four bound_values calls and of trace_distances
+        (["ball-scan", "{rho}", "--epsilon", "1e-3", "--samples", "200"], 5),
+        # per block of STACK_BLOCK: the stack of the spectra and best
+        (["border-scan", "--system", "2x2", "--grid", "401"], 4),
         # best checks and stacks the one state, whatever the measure
         *((["measure", "{rho}", measure, "--budget", "5"], 1) for measure in sorted(bound_routes())),
     ],

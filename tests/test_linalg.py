@@ -157,13 +157,13 @@ def test_tensor_power_of_trivial_state_beyond_numpy_axis_limit(monkeypatch):
     one = DensityMatrix(1, 1, [[1.0]])
     power = tensor_power(one, 40)
     assert (power.dim_a, power.dim_b, power.entries.tolist()) == (1, 1, [[1.0]])
-    # side 1 passes the cap guard at any copy count, and its one class is 1 x 1:
-    # every pair's antisymmetric half is empty, so no other class is built
+    # side 1 passes the cap guard at any copy count, and the power and Pi
+    # are both [[1]]: T is 0 exactly, with no block built and no eigensolve
     spec = MixtureSpec(one, one, p=0.0, n=40, window=(0, 40))
     shapes = []
     monkeypatch.setattr(mixing, "trace_norm", lambda x: shapes.append(x.shape) or trace_norm(x))
     report = verify_mixing_bound(spec)
-    assert (shapes, report.trace_distance, report.passed) == ([(1, 1)], 0.0, True)
+    assert (shapes, report.trace_distance, report.passed) == ([], 0.0, True)
 
 
 def test_partial_trace_of_pure_state_marginals_share_spectrum():

@@ -32,6 +32,7 @@ from entbounds.measures import (
     _log_negativity,
     _pt_spectra,
     best,
+    bound_routes,
     bound_values,
     ec_upper,
     ed_lower,
@@ -158,11 +159,24 @@ def test_blocks_do_not_change_the_values(monkeypatch):
     assert seen == [len(states[i : i + 3]) for i in range(0, len(states), 3)]
     center = states[0]
     assert same_bytes(trace_distances(center, states), [trace_distance(center, s) for s in states])
+    # best on the whole list, in blocks of 3 and with one shape check, is
+    # best on each state alone: the same values and the same winning route
+    qutrits = qutrit_states()
+    # the search settles fast on the last three qutrit states
+    groups = [(states, "ed_lower"), (states, "ec_upper"), (qutrits, "ed_lower"), (qutrits[4:], "ec_upper")]
+    for group, bound in groups:
+        entry = bound_routes(budget=1)[bound]
+        with shape_checks() as checks:
+            together = best(*entry, group)
+        alone = [best(*entry, [s])[0] for s in group]
+        assert len(checks) == 1
+        assert same_bytes([m.value for m in together], [m.value for m in alone])
+        assert [m.method for m in together] == [m.method for m in alone]
 
 
-def test_each_block_is_checked_for_one_shape_once():
-    # bound_values checks the whole list, then best checks and stacks each
-    # block of STACK_BLOCK once for all of its routes
+def test_each_list_is_checked_for_one_shape_once():
+    # best checks the whole list once for all of its routes and blocks, and
+    # bound_values is best's float view, with no check of its own
     qubits = [werner(float(w)) for w in np.linspace(0.0, 1.0, 300)]
     counts = {}
     for bound in ("ed_lower", "ec_upper"):
@@ -181,10 +195,10 @@ def test_each_block_is_checked_for_one_shape_once():
             call()
         counts[name, 1] = len(checks)
     assert counts == {
-        ("ed_lower", 256): 2,
-        ("ed_lower", 300): 3,
-        ("ec_upper", 256): 2,
-        ("ec_upper", 300): 3,
+        ("ed_lower", 256): 1,
+        ("ed_lower", 300): 1,
+        ("ec_upper", 256): 1,
+        ("ec_upper", 300): 1,
         ("ed_lower", 1): 1,
         ("ec_upper", 1): 1,
         ("ec_upper 2x3", 1): 1,
