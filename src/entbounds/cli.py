@@ -3,11 +3,11 @@
 Exit codes: 0 success, 2 input or usage problem, 3 matrix size cap
 exceeded, 4 a certification failed (a verified bound did not hold or a
 ball left the certified-distillable region).  Every output embeds the
-full invocation and the seed so runs can be replayed byte-for-byte.
-A subcommand takes only the options it reads; one without --seed or
---cap prints DEFAULT_SEED or DEFAULT_SIZE_CAP in their place.  The slack
-of every certified inequality is linalg.CERTIFICATION_TOL, which no
-option changes; the audit's "tolerance" field is always null.
+record of its run, _audit: the full invocation, and the seed and size
+cap where the subcommand takes them, so runs replay byte-for-byte.  A
+subcommand takes only the options it reads.  The slack of every
+certified inequality is linalg.CERTIFICATION_TOL, which no option
+changes.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_CERTIFICATION = 4
 
-# the seed of every sampling command, and the one printed by the others
+# the seed of every command that takes --seed
 DEFAULT_SEED = 7
 
 
@@ -81,20 +81,21 @@ def _json_text(payload: dict) -> str:
 
 
 def _audit(args) -> dict:
-    return {
-        "invocation": args.invocation,
-        "seed": args.seed,
-        "size_cap": args.cap,
-        "tolerance": None,
-    }
+    """The record of a run: its invocation, then its seed and size cap
+    where the subcommand takes --seed and --cap."""
+    record = {"invocation": args.invocation}
+    if "seed" in vars(args):
+        record["seed"] = args.seed
+    if "cap" in vars(args):
+        record["size_cap"] = args.cap
+    return record
 
 
 def _csv_text(args, rows: list[dict], extra_comments=()) -> str:
-    """The rows as a CSV table headed by the keys of the first row."""
+    """The rows as a CSV table headed by the keys of the first row,
+    after the record of the run as `# key: value` lines."""
     buffer = io.StringIO()
-    buffer.write(f"# invocation: {args.invocation}\n")
-    buffer.write(f"# seed: {args.seed}\n")
-    for line in extra_comments:
+    for line in [f"{key}: {value}" for key, value in _audit(args).items()] + list(extra_comments):
         buffer.write(f"# {line}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(rows[0])
@@ -290,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entbounds",
         description="Bipartite entanglement bounds: measures, mixing, balls, scans.",
     )
-    # a subcommand without one of these options still reports its default
-    parser.set_defaults(seed=DEFAULT_SEED, cap=DEFAULT_SIZE_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("measure", help="evaluate one measure on a state file")

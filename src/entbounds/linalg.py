@@ -39,13 +39,19 @@ def _check_state(entries: np.ndarray) -> None:
     satisfy the three invariants.  DensityMatrix is the only caller: an
     array built from validated states is not validated again.
 
-    The passing path is a hermiticity check, a trace check and one
+    The passing path is a bound on the entries, checked before any sum
+    of them can overflow, a hermiticity check, a trace check and one
     Cholesky of entries - PSD_FLOOR*I, which succeeds iff the minimum
     eigenvalue exceeds PSD_FLOOR; eigvalsh runs only to fill the
     ValidationReport of a failure.
     """
     if not np.all(np.isfinite(entries)):
         raise StateValidityError("entries must be finite (no NaN or infinity)")
+    # no state's entry exceeds 1 in modulus; up to 2, the diagnostics below
+    # name the invariant an entry breaks
+    largest = float(np.abs(entries).max())
+    if largest > 2.0:
+        raise StateValidityError(f"entries must have modulus at most 1, got {largest:.3e}")
     herm = float(np.max(np.abs(entries - entries.conj().T)))
     trace_defect = float(abs(entries.trace() - 1.0))
     if herm <= HERMITICITY_TOL and trace_defect <= TRACE_TOL:

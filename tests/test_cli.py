@@ -9,6 +9,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from entbounds import cli
 from entbounds.linalg import DensityMatrix
@@ -382,21 +384,41 @@ def test_an_option_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
     assert err.startswith(f"usage: entbounds {argv[0]} ")
 
 
-def test_audit_tolerance_is_null_and_the_corridor_reads_the_certification_slack(
-    werner_file, phi_file, capsys
-):
-    argvs = [
-        ["catalytic", "--delta", "0.1", "--ec-sigma", "0.5", "--ed-rho-p", "0.8"],
-        ["mixing-verify", werner_file, phi_file, "--p", "0.5", "--n", "3"],
-        ["ball-scan", werner_file, "--epsilon", "1e-3", "--samples", "4", "--p-points", "2"],
-    ]
-    payloads = []
-    for argv in argvs:
-        code, out, _ = run_cli(argv, capsys)
-        assert code == cli.EXIT_OK
-        assert '"tolerance": null' in out
-        payloads.append(json.loads(out))
-    _, mixing, ball = payloads
+def _record(report: str) -> dict:
+    """The audit of a JSON report, or the `# key: value` lines that head a
+    CSV report, each value as the text the CSV prints."""
+    if report.startswith("{"):
+        return json.loads(report)["audit"]
+    comments = [line.removeprefix("# ") for line in report.splitlines() if line.startswith("# ")]
+    return dict(line.partition(": ")[::2] for line in comments)
+
+
+def test_the_audit_is_the_record_of_the_run(tmp_path, monkeypatch, capsys):
+    # the invocation, then seed and size_cap where the subcommand takes
+    # --seed and --cap, and nothing else, in JSON and in CSV alike
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.json").write_text(dumps_state(werner(0.9)))
+    (tmp_path / "y.json").write_text(dumps_state(phi_plus()))
+    reports = {}
+    for command, argv in COMPLETE_ARGV.items():
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        expected = ["invocation"]
+        expected += ["seed"] * ("--seed" in OPTIONS[command]) + ["size_cap"] * ("--cap" in OPTIONS[command])
+        keys = list(_record(out))
+        if out.startswith("{"):
+            assert keys == expected
+        else:  # a CSV's own comments, such as concentration's protocol, follow the record
+            assert keys[: len(expected)] == expected
+            assert not {"invocation", "seed", "size_cap"} & set(keys[len(expected) :])
+        assert _record(out)["invocation"] == "entbounds " + shlex.join(argv)
+        reports[command] = out
+    # measure prints one record whichever the format
+    csv = run_cli([*COMPLETE_ARGV["measure"], "--format", "csv"], capsys)[1]
+    audit = json.loads(reports["measure"])["audit"]
+    audit["invocation"] += " --format csv"
+    assert _record(csv) == {key: str(value) for key, value in audit.items()}
+    mixing, ball = (json.loads(reports[name]) for name in ("mixing-verify", "ball-scan"))
     assert mixing["bound"] == mixing["tail_mass"] + 1e-09
     assert ball["corridor"]["tolerance"] == 1e-09
 
@@ -731,6 +753,27 @@ def test_non_finite_state_entries_exit_2(tmp_path, capsys, pair):
 
 
 @pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 0): 1e308, (1, 1): -1e308 + 1},
+        {(0, 0): 0.5, (0, 1): 1e308, (1, 0): 1e308, (1, 1): 0.5},
+        {**{(i, i): 0.25 for i in range(4)}, (0, 3): 1.7e308, (3, 0): -1.7e308},
+    ],
+    ids=["diagonal", "hermitian-pair", "anti-hermitian-pair"],
+)
+def test_state_entries_near_the_float_maximum_exit_2(tmp_path, capsys, entries):
+    # refused before the validation's sums, which overflowed with a RuntimeWarning
+    doc = {"dim_a": 2, "dim_b": 2, "entries": [[[0.0, 0.0]] * 4 for _ in range(4)]}
+    for (i, j), value in entries.items():
+        doc["entries"][i][j] = [value, 0.0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli_strict(["measure", str(path), "ed_lower"], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: entries must have modulus at most 1")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["concentration", "--lambdas", "nan,1", "--n-list", "2"],
@@ -782,6 +825,54 @@ def test_eta_scan_grid_with_a_repeated_point_exit_2(bounds, capsys):
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+HUGE = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max])
+# any JSON value, huge integers and floats near the float maximum among them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers(-(10**400), 10**400) | st.floats() | HUGE,
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutated(draw, doc: dict) -> dict:
+    """doc with one mutation: an entry, one of its components, a field, a
+    dimension, or a Hermitian pair of huge finite entries."""
+    side = len(doc["entries"])
+    i, j = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+    kind = draw(st.sampled_from(["entry", "component", "field", "dims", "pair"]))
+    if kind == "entry":
+        doc["entries"][i][j] = draw(JSON_VALUES)
+    elif kind == "component":
+        doc["entries"][i][j][draw(st.integers(0, 1))] = draw(JSON_VALUES)
+    elif kind == "field":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "dims":
+        doc[draw(st.sampled_from(["dim_a", "dim_b"]))] = draw(JSON_VALUES | st.integers(-2, 9))
+    else:
+        re, im = draw(HUGE | st.floats(allow_nan=False, allow_infinity=False)), draw(HUGE)
+        doc["entries"][i][j], doc["entries"][j][i] = [re, im], [re, -im]
+    return doc
+
+
+@pytest.mark.parametrize("measure", sorted(bound_routes()))
+@given(data=st.data())
+@settings(
+    deadline=None, derandomize=True, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_measure_on_mutated_state_documents(measure, data, tmp_path, capsys):
+    # the four conditions of the fuzz gate, with every warning an error
+    state = data.draw(st.sampled_from([werner(0.9), isotropic_2x3(0.6)]))
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data.draw(st.composite(_mutated)(json.loads(dumps_state(state))))))
+    code, out, err = run_cli_strict(["measure", str(path), measure, "--budget", "1"], capsys)
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CAP, cli.EXIT_CERTIFICATION)
+    assert "Traceback" not in err and "Warning" not in err
+    if code != cli.EXIT_OK:
+        assert out == ""
+    else:
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in a report"))
 
 
 def test_json_reports_refuse_non_finite_numbers():

@@ -82,15 +82,16 @@ def failing_cases() -> dict[str, np.ndarray]:
         "trace": 1.5 * base,
         "eigenvalue": eigenvalue,
         "finite": np.where(np.eye(4) > 0, np.nan, base),
+        "modulus": np.diag([1e308, -1e308 + 1, 0.0, 0.0]).astype(complex),
     }
 
 
-@pytest.mark.parametrize("case", ["hermiticity", "trace", "eigenvalue", "finite"])
+@pytest.mark.parametrize("case", ["hermiticity", "trace", "eigenvalue", "finite", "modulus"])
 def test_check_state_names_the_failing_invariant(case):
     bad = failing_cases()[case]
     with pytest.raises(StateValidityError, match=case) as failure:
         _check_state(bad)
-    if case != "finite":
+    if case not in ("finite", "modulus"):
         assert failure.value.report == validate(unchecked(2, 2, bad))
 
 

@@ -28,7 +28,7 @@ from entbounds.measures import (
     von_neumann_entropy,
 )
 from entbounds.sampling import haar_qr, random_density_matrix
-from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
+from entbounds.states import bell_basis, isotropic_2x3, maximally_mixed, phi_plus, werner
 from support import (
     BellDiagonalProbs,
     apply_one_sided_channel,
@@ -185,6 +185,21 @@ def test_twirl_wipes_off_diagonal_keeps_bell_weights():
     assert np.allclose(probs, [0.0025, 0.0025, 0.0025, 0.9925], atol=1e-12)
     # first weight is the overlap with the maximally entangled state
     assert twirl_to_bell_diagonal(PHI).probs[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def _bell_diagonal(weights) -> np.ndarray:
+    """The two-qubit matrix with these Bell-basis weights, in bell_basis order."""
+    basis = bell_basis()
+    return (basis * np.asarray(weights)) @ basis.conj().T
+
+
+def test_bell_weights_clamp_rounding_and_refuse_what_is_below_the_floor():
+    # a weight between PSD_FLOOR and 0 is rounding, and reads 0 ...
+    clamped = measures._bell_weights(_bell_diagonal([1 + 5e-10, -5e-10, 0.0, 0.0])[None])
+    assert clamped.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+    # ... and one below it is no state's
+    with pytest.raises(StateValidityError, match=r"^Bell weight -2\.000e-09 below clamp floor$"):
+        measures._bell_weights(_bell_diagonal([1 + 2e-9, -2e-9, 0.0, 0.0])[None])
 
 
 def test_hashing_yield_oracles():
