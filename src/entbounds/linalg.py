@@ -36,8 +36,10 @@ class ValidationReport:
 
 def _check_state(entries: np.ndarray) -> None:
     """Raise StateValidityError unless entries, one side x side matrix,
-    satisfy the three invariants.  DensityMatrix is the only caller: an
-    array built from validated states is not validated again.
+    satisfy the three invariants.  This is the one PSD rule of the
+    package: DensityMatrix is the only caller, an array built from
+    validated states is not validated again, and the measure kernels
+    clip at 0 what this rule let below 0 rather than judge it again.
 
     The passing path is a bound on the entries, checked before any sum
     of them can overflow, a hermiticity check, a trace check and one
@@ -77,9 +79,10 @@ def _check_state(entries: np.ndarray) -> None:
 class DensityMatrix:
     """A bipartite mixed state with explicit local dimensions.
 
-    Invariants (enforced at every construction): finite entries,
-    Hermitian within 1e-10 elementwise, unit trace within 1e-10, and
-    smallest eigenvalue >= -1e-9.
+    Invariants (enforced at every construction, by _check_state):
+    finite entries, Hermitian within 1e-10 elementwise, unit trace within
+    1e-10, and smallest eigenvalue >= -1e-9.  Construction is the one
+    judge of what a state is: whatever it accepts, every measure takes.
     """
 
     dim_a: int

@@ -107,7 +107,7 @@ def eta_continuity_scan(xi: DensityMatrix, eps_grid) -> list[EtaScanRow]:
     curve decays continuously from 1 as the contamination grows.  The
     mixtures are made as one stack per STACK_BLOCK points and not
     validated again: each is a convex combination of two validated
-    states, and _bell_weights refuses weights outside its clamp.
+    states, and _bell_weights clips what rounding puts below 0.
     """
     if (xi.dim_a, xi.dim_b) != (2, 2):
         raise ValueError("contamination state must be two-qubit")

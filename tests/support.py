@@ -2,11 +2,12 @@
 low-rank and separable states, unvalidated matrices, channels, tensor
 products, the n-copy operators in A|B order, the dense n-copy mixture
 and copy-swap basis the mixing check's blocks are tested against, named
-states, the party swap, an entanglement-entropy reference, counts of
-the matrices validated and of the shape checks, a non-raising validation
-report, the trace distance of one pair, the one-state concurrence, Bell
-twirl, hashing yield and PPT verdict, a conversion-rate record, full-range references for the binomial sums and
-the invocation a report embeds.
+states, states at the edge of validation, the party swap, an
+entanglement-entropy reference, counts of the matrices validated and of
+the shape checks, a non-raising validation report, the trace distance
+of one pair, the one-state concurrence, Bell twirl, hashing yield and
+PPT verdict, a conversion-rate record, full-range references for the
+binomial sums and the invocation a report embeds.
 
 They build on entbounds and are not part of its API.
 """
@@ -48,6 +49,7 @@ from entbounds.measures import (
 from entbounds.mixing import MixtureSpec, _binom_logpmf, _log_factorials, _tail_mass
 from entbounds.protocols import LOG2, _check_distribution
 from entbounds.sampling import _ginibre, haar_qr
+from entbounds.states import bell_basis
 
 
 def embedded_invocation(report: str) -> str:
@@ -486,6 +488,33 @@ def max_entangled(dim: int) -> np.ndarray:
     for i in range(dim):
         amps[i * dim + i] = 1.0
     return amps / np.sqrt(dim)
+
+
+def edge_state_2x2(psi_minus: float = -9.9e-10) -> DensityMatrix:
+    """A state at the edge of validation: the Bell-diagonal state with
+    weights (0.6, 0.3, 0.1 - psi_minus, psi_minus), with 5e-11 added to
+    entry (1, 2) alone.
+
+    Validation's Cholesky reads the lower triangle and accepts it; the
+    kernels read (m + m^H)/2, whose least eigenvalue and Ψ− weight are
+    psi_minus - 2.5e-11, below PSD_FLOOR for psi_minus < -9.75e-10.
+    """
+    basis = bell_basis()
+    m = (basis * np.array([0.6, 0.3, 0.1 - psi_minus, psi_minus])) @ basis.conj().T
+    m[1, 2] += 5e-11
+    return DensityMatrix(2, 2, m)
+
+
+def edge_state_2x3() -> DensityMatrix:
+    """The 2x3 state at the edge of validation: weights 0.4, 0.2 and 0.2
+    on |0>, |3> and |4>, 0.2 + 9.9e-10 on (|1> + |2>)/sqrt(2) and
+    -9.9e-10 on (|1> - |2>)/sqrt(2), with 5e-11 added to entry (1, 2) alone."""
+    m = np.diag([0.4, 0.0, 0.0, 0.2, 0.2, 0.0]).astype(complex)
+    plus, minus = np.zeros(6), np.zeros(6)
+    plus[[1, 2]], minus[[1, 2]] = [1.0, 1.0], [1.0, -1.0]
+    m += (0.2 + 9.9e-10) * np.outer(plus, plus) / 2.0 - 9.9e-10 * np.outer(minus, minus) / 2.0
+    m[1, 2] += 5e-11
+    return DensityMatrix(2, 3, m)
 
 
 def separable_mixture(components) -> DensityMatrix:

@@ -24,7 +24,6 @@ from entbounds.measures import (
     eof_2x2,
     eof_upper_general,
     log_negativity,
-    von_neumann_entropy,
 )
 from entbounds.mixing import MixtureSpec, binomial_window, tail_mass_scan, verify_mixing_bound
 from entbounds.protocols import concentration_yield, eta_continuity_scan

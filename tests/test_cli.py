@@ -8,18 +8,19 @@ import time
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from entbounds import cli
-from entbounds.linalg import DensityMatrix
+from entbounds.linalg import PSD_FLOOR, DensityMatrix
 from entbounds.measures import bound_routes
 from entbounds.mixing import tail_mass_scan
 from entbounds.protocols import concentration_curve
 from entbounds.states import isotropic_2x3, maximally_mixed, phi_plus, werner
 from entbounds.stateio import dumps_state, load_state
-from support import embedded_invocation, shape_checks, validation_counts
+from support import edge_state_2x2, edge_state_2x3, embedded_invocation, shape_checks, validation_counts
 
 
 @pytest.fixture
@@ -771,6 +772,31 @@ def test_state_entries_near_the_float_maximum_exit_2(tmp_path, capsys, entries):
     code, out, err = run_cli_strict(["measure", str(path), "ed_lower"], capsys)
     assert (code, out) == (cli.EXIT_INPUT, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: entries must have modulus at most 1")
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [edge_state_2x2(), edge_state_2x2(-9.8e-10), edge_state_2x3()],
+    ids=["2x2", "2x2-psi-minus-9.8e-10", "2x3"],
+)
+def test_a_state_validation_accepts_is_never_refused_downstream(tmp_path, capsys, rho):
+    # validation accepts it, though (m + m^H)/2 has an eigenvalue below PSD_FLOOR
+    DensityMatrix(rho.dim_a, rho.dim_b, rho.entries)
+    assert np.linalg.eigvalsh((rho.entries + rho.entries.conj().T) / 2.0)[0] < PSD_FLOOR
+    path = tmp_path / "edge.json"
+    path.write_text(dumps_state(rho))
+    dims = (rho.dim_a, rho.dim_b)
+    for measure, (_, routes) in bound_routes().items():
+        if any(applies(dims) for _, applies, _ in routes):
+            code, out, err = run_cli_strict(["measure", str(path), measure, "--budget", "20"], capsys)
+            assert (code, err) == (cli.EXIT_OK, ""), measure
+            assert json.loads(out)["value"] >= 0.0
+    if dims == (2, 2):
+        # the centre is not certified distillable: exit 4, not a refusal of the state
+        argv = ["ball-scan", str(path), "--epsilon", "1e-3", "--samples", "20"]
+        assert run_cli_strict(argv, capsys)[0] == cli.EXIT_CERTIFICATION
+        code, out, err = run_cli_strict(["eta-scan", "--xi-file", str(path), "--eps-stop", "1"], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
 
 
 @pytest.mark.parametrize(

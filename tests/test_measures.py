@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbounds import measures
-from entbounds.errors import DimensionMismatchError, StateValidityError
+from entbounds.errors import DimensionMismatchError
 from entbounds.linalg import DensityMatrix, mix, stack
 from entbounds.measures import (
     KIND_EXACT,
@@ -15,6 +15,7 @@ from entbounds.measures import (
     MeasureValue,
     _columns,
     _descend,
+    _entropies,
     _evaluate,
     best,
     binary_entropy,
@@ -25,7 +26,6 @@ from entbounds.measures import (
     eof_2x2,
     eof_upper_general,
     log_negativity,
-    von_neumann_entropy,
 )
 from entbounds.sampling import haar_qr, random_density_matrix
 from entbounds.states import bell_basis, isotropic_2x3, maximally_mixed, phi_plus, werner
@@ -72,12 +72,10 @@ def test_binary_entropy_bounds_and_symmetry(x):
 
 
 def test_von_neumann_entropy_pure_and_mixed():
-    assert von_neumann_entropy(PHI.entries) == pytest.approx(0.0, abs=1e-12)
-    assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-12)
-    # mild negative eigenvalues are clamped, genuine ones rejected
-    assert von_neumann_entropy(np.diag([1.0 + 1e-10, -1e-10])) >= 0.0
-    with pytest.raises(StateValidityError):
-        von_neumann_entropy(np.diag([1.5, -0.5]))
+    assert _entropies(PHI.entries[None])[0] == pytest.approx(0.0, abs=1e-12)
+    assert _entropies(np.eye(4)[None] / 4)[0] == pytest.approx(2.0, abs=1e-12)
+    # a mild negative eigenvalue is clipped; DensityMatrix refuses a genuine one
+    assert _entropies(np.diag([1.0 + 1e-10, -1e-10])[None])[0] >= 0.0
 
 
 def test_entropy_of_entanglement_oracles():
@@ -86,7 +84,7 @@ def test_entropy_of_entanglement_oracles():
     rho = pure_state(2, 3, amps)
     from entbounds.linalg import partial_trace
 
-    marginal = von_neumann_entropy(partial_trace(rho, "B"))
+    marginal = _entropies(partial_trace(rho, "B")[None])[0]
     assert entanglement_entropy(amps, 2, 3) == pytest.approx(marginal, abs=1e-10)
 
 
@@ -193,13 +191,13 @@ def _bell_diagonal(weights) -> np.ndarray:
     return (basis * np.asarray(weights)) @ basis.conj().T
 
 
-def test_bell_weights_clamp_rounding_and_refuse_what_is_below_the_floor():
+def test_bell_weights_clip_what_is_below_0():
     # a weight between PSD_FLOOR and 0 is rounding, and reads 0 ...
     clamped = measures._bell_weights(_bell_diagonal([1 + 5e-10, -5e-10, 0.0, 0.0])[None])
     assert clamped.tolist() == [[1.0, 0.0, 0.0, 0.0]]
-    # ... and one below it is no state's
-    with pytest.raises(StateValidityError, match=r"^Bell weight -2\.000e-09 below clamp floor$"):
-        measures._bell_weights(_bell_diagonal([1 + 2e-9, -2e-9, 0.0, 0.0])[None])
+    # ... and so does one below it: DensityMatrix alone judges what a state is
+    clipped = measures._bell_weights(_bell_diagonal([1 + 2e-9, -2e-9, 0.0, 0.0])[None])
+    assert clipped.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
 
 def test_hashing_yield_oracles():

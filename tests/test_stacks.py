@@ -28,9 +28,11 @@ from entbounds.measures import (
     KIND_LOWER,
     _bell_weights,
     _concurrences,
+    _entropies,
     _eof_2x2,
     _log_negativity,
     _pt_spectra,
+    _shannon,
     best,
     bound_routes,
     bound_values,
@@ -116,6 +118,17 @@ def test_partial_transpose_spectra_of_a_stack_equal_each_state_alone(states):
     assert same_bytes(spectra[:, 0], [is_ppt(s).margin for s in states])
     transposes = partial_transpose(*stack(states))
     assert transposes.tobytes() == np.concatenate([partial_transpose(*stack([s])) for s in states]).tobytes()
+
+
+@pytest.mark.parametrize("states", [qubit_states(), qutrit_states()], ids=["2x2", "2x3"])
+def test_entropies_of_a_stack_equal_each_state_alone(states):
+    m, _ = stack(states)
+    entropies = _entropies(m)
+    assert same_bytes(entropies, [_entropies(s.entries[None])[0] for s in states])
+    assert same_bytes(bound_values("von_neumann_entropy", states), entropies)
+    # the one-matrix form the stack kernel replaced: one eigvalsh per state
+    spectra = [np.linalg.eigvalsh((s.entries + s.entries.conj().T) / 2.0) for s in states]
+    assert same_bytes(entropies, [max(_shannon(np.clip(w, 0.0, None)), 0.0) for w in spectra])
 
 
 @pytest.mark.parametrize("states", [qubit_states(), qutrit_states()], ids=["2x2", "2x3"])
